@@ -34,6 +34,7 @@ from .sl2 import (
     LinearAction,
     ModuleSpec,
     bidegree_components,
+    derivations,
     g1_matrix,
     g2_matrix,
     is_invariant,
@@ -65,7 +66,7 @@ __all__ = [
     "invariant_dimension_series", "invariant_hilbert", "verify_symmetrization",
     "weight_substitute",
     "Derivation", "LinearAction", "ModuleSpec", "bidegree_components",
-    "g1_matrix", "g2_matrix", "is_invariant", "is_invariant_by_derivations",
+    "derivations", "g1_matrix", "g2_matrix", "is_invariant", "is_invariant_by_derivations",
     "log_unipotent",
     "CatalogCase", "GenerationVerdict", "decide_finite_generation",
     "discriminant", "extend_by_trivial_variable", "infinite_family_witness",

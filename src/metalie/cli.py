@@ -105,8 +105,8 @@ def cmd_check(args) -> int:
             text = fh.read()
     expr = _parse_expression(text)
     value = expr.evaluate(spec.context()) if not isinstance(expr, Poly) else expr
-    invariant = is_invariant(value, spec)
-    failing = None if invariant else failing_derivation_image(value, spec)
+    failing = failing_derivation_image(value, spec)
+    invariant = failing is None
     if args.json:
         out = {"invariant": invariant}
         if failing:

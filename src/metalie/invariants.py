@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
+from math import comb
 from typing import Iterator, Sequence
 
 from . import linalg
@@ -39,7 +40,7 @@ from .series import (
     hilbert_metabelian_module,
     hilbert_polyring,
 )
-from .sl2 import ModuleSpec, binomial, is_invariant, is_invariant_by_derivations
+from .sl2 import ModuleSpec, is_invariant, is_invariant_by_derivations
 
 
 class NonHomogeneousInput(ValueError):
@@ -100,7 +101,7 @@ def w_poly(m: int) -> Poly:
         raise ValueError("need m >= 1")
     acc = Poly.zero()
     for i in range(1, 2 * m + 2):
-        c = Fraction(binomial(2 * m, i - 1) * (-1) ** (i - 1))
+        c = Fraction(comb(2 * m, i - 1) * (-1) ** (i - 1))
         acc = acc + c * Poly.variable(f"x{i}") * Poly.variable(f"x{2 * m + 2 - i}")
     return acc
 
@@ -114,7 +115,7 @@ def w_lie(m: int) -> LieExpr:
         raise ValueError("need m >= 0")
     pieces = []
     for i in range(1, m + 2):
-        c = Fraction(2 * binomial(2 * m + 1, i - 1) * (-1) ** (i - 1))
+        c = Fraction(2 * comb(2 * m + 1, i - 1) * (-1) ** (i - 1))
         pieces.append(Scale(c, Bracket((Gen(i), Gen(2 * m + 3 - i)))))
     return pieces[0] if len(pieces) == 1 else Sum(tuple(pieces))
 
@@ -175,7 +176,7 @@ def discriminant(k: int) -> Poly:
     computed as Res(F, F')/lc(F), with content one and positive leading term."""
     if k < 2:
         raise ValueError("need a form of degree at least 2")
-    coeffs = [Fraction(binomial(k, j)) * Poly.variable(f"x{j + 1}") for j in range(k + 1)]
+    coeffs = [Fraction(comb(k, j)) * Poly.variable(f"x{j + 1}") for j in range(k + 1)]
     # coefficient of t^i is coeffs_by_t[i]
     coeffs_by_t = list(reversed(coeffs))
     derivative = [i * coeffs_by_t[i] for i in range(1, k + 1)]

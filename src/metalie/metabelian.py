@@ -86,11 +86,6 @@ class LieContext:
         return acc
 
 
-def _split_letter(var: str) -> tuple[str, int]:
-    letter, index = var_key(var)
-    return letter, index
-
-
 def _euler(p: Poly) -> Poly:
     """Euler operator sum_v v * d/dv; scales each monomial by its degree."""
     return Poly({m: c * mono_degree(m) for m, c in p.terms.items()})
@@ -112,7 +107,7 @@ class WreathElement:
         for m in poly.terms:
             a_deg = 0
             for v, e in m:
-                letter, index = _split_letter(v)
+                letter, index = var_key(v)
                 if letter == "a":
                     a_deg += e
                 elif letter != "y":
@@ -138,7 +133,7 @@ class WreathElement:
             a_index = None
             rest = []
             for v, e in m:
-                letter, index = _split_letter(v)
+                letter, index = var_key(v)
                 if letter == "a":
                     a_index = index
                 else:
@@ -157,7 +152,7 @@ class WreathElement:
         for m, c in y_part.terms.items():
             if mono_degree(m) != 1:
                 raise ValueError("y-part is not linear")
-            coeffs[_split_letter(m[0][0])[1] - 1] = c
+            coeffs[var_key(m[0][0])[1] - 1] = c
         return coeffs
 
     # -- algebra -------------------------------------------------------------
@@ -236,7 +231,7 @@ class WreathElement:
             raise NotInCommutatorIdeal("module action is defined on the commutator ideal only")
         mapping = {}
         for v in p.variables():
-            letter, index = _split_letter(v)
+            letter, index = var_key(v)
             if letter != "x" or not 1 <= index <= self.ctx.dim:
                 raise ContextMismatch(f"variable {v} is not one of x1..x{self.ctx.dim}")
             mapping[v] = f"y{index}"
@@ -282,7 +277,7 @@ class WreathElement:
         for m, c in self.poly.terms.items():
             vec = [0] * self.ctx.dim
             for v, e in m:
-                vec[_split_letter(v)[1] - 1] += e
+                vec[var_key(v)[1] - 1] += e
             comps.setdefault(tuple(vec), {})[m] = c
         return {deg: WreathElement(self.ctx, Poly(t)) for deg, t in sorted(comps.items())}
 
@@ -298,7 +293,7 @@ class WreathElement:
 
 
 def _a_degree(m: Monomial) -> int:
-    return sum(e for v, e in m if _split_letter(v)[0] == "a")
+    return sum(e for v, e in m if var_key(v)[0] == "a")
 
 
 # -- left-normed commutator words ---------------------------------------------

@@ -9,35 +9,32 @@ group generators act by
     g2(xi_{k-l}) = sum_{j<=l} C(l,j) xi_{k-j},
 
 extended as algebra substitutions to polynomials and simultaneously on the
-a/y alphabets of the wreath envelope.  Their logarithms are nilpotent
-derivations; an element is invariant iff it is fixed by g1 and g2, or
-equivalently killed by both logarithms.
+a/y alphabets of the wreath envelope.  An element is invariant iff it is
+fixed by g1 and g2, or equivalently killed by their logarithms, which on
+each block are the raising and lowering derivations
+
+    delta1(xi_l) = l * xi_{l-1},    delta2(xi_l) = (k-l) * xi_{l+1}.
+
+`derivations` builds these from the closed form, and `check` decides
+invariance with them at a cost linear in the element.  Substitution by g1
+and g2 (`is_invariant`) and the exact matrix logarithm (`log_unipotent`)
+remain as independent checks of that path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from math import comb
 from typing import Literal
 
 from . import linalg
-from .metabelian import LieContext, WreathElement, words_of_degree
+from .metabelian import LieContext, WreathElement, _compositions, words_of_degree
 from .poly import Monomial, Poly, var_key
 
 
 class NotUnipotent(ValueError):
     """Raised when a matrix logarithm needs a unipotent input."""
-
-
-@lru_cache(maxsize=None)
-def binomial(n: int, k: int) -> int:
-    """Binomial coefficient by the Pascal recursion; exact for all sizes."""
-    if k < 0 or k > n:
-        return 0
-    if k == 0 or k == n:
-        return 1
-    return binomial(n - 1, k - 1) + binomial(n - 1, k)
 
 
 @dataclass(frozen=True)
@@ -106,17 +103,18 @@ def _weight_of_monomial(m: Monomial, spec: ModuleSpec) -> tuple[int, int]:
 
 
 @dataclass(frozen=True, eq=False)
-class LinearAction:
-    """Linear substitution on the generators; column j is the image of x_{j+1}.
+class _GeneratorMatrix:
+    """Linear map on the generators; column j is the image of x_{j+1}.
 
-    The same matrix acts on the x-, a- and y-alphabets.
+    The same matrix acts on the x-, a- and y-alphabets; the subclasses fix
+    how it extends from the generators to products.
     """
 
     spec: ModuleSpec
     matrix: tuple[tuple[Fraction, ...], ...]
 
     def __eq__(self, other):
-        return isinstance(other, LinearAction) and self.spec == other.spec \
+        return type(other) is type(self) and self.spec == other.spec \
             and self.matrix == other.matrix
 
     def column_image(self, letter: str, j: int) -> Poly:
@@ -127,75 +125,49 @@ class LinearAction:
                 acc = acc + c * Poly.variable(f"{letter}{i + 1}")
         return acc
 
-    def on_poly(self, p: Poly) -> Poly:
+    def _images(self, p: Poly, letters: str) -> dict[str, Poly]:
+        """Image of each variable of p; each must be one of the generators."""
+        d = self.spec.dimension
         images = {}
         for v in p.variables():
             letter, index = var_key(v)
-            if letter != "x" or not 1 <= index <= self.spec.dimension:
-                raise ValueError(f"variable {v} is not one of x1..x{self.spec.dimension}")
-            images[v] = self.column_image("x", index)
-        return p.substitute(images)
-
-    def on_wreath(self, u: WreathElement) -> WreathElement:
-        if u.ctx.dim != self.spec.dimension:
-            raise ValueError("element rank does not match the module specification")
-        images = {}
-        for v in u.poly.variables():
-            letter, index = var_key(v)
+            if letter not in letters or not 1 <= index <= d:
+                raise ValueError(f"variable {v} is not one of "
+                                 + ", ".join(f"{c}1..{c}{d}" for c in letters))
             images[v] = self.column_image(letter, index)
-        return WreathElement(u.ctx, u.poly.substitute(images))
+        return images
 
-    def act(self, obj):
+    def _map(self, obj, extend):
+        """Image of a polynomial in x1..xd or of an envelope element, where
+        extend(p, images) extends the images of the variables of p to p."""
         if isinstance(obj, Poly):
-            return self.on_poly(obj)
+            return extend(obj, self._images(obj, "x"))
         if isinstance(obj, WreathElement):
-            return self.on_wreath(obj)
+            if obj.ctx.dim != self.spec.dimension:
+                raise ValueError("element rank does not match the module specification")
+            return WreathElement(obj.ctx, extend(obj.poly, self._images(obj.poly, "ay")))
         raise TypeError(f"cannot act on {type(obj).__name__}")
 
 
-@dataclass(frozen=True, eq=False)
-class Derivation:
-    """Linear derivation given by its matrix on the generators, extended by
-    the Leibniz rule to polynomials and to the wreath envelope."""
-
-    spec: ModuleSpec
-    matrix: tuple[tuple[Fraction, ...], ...]
-
-    def __eq__(self, other):
-        return isinstance(other, Derivation) and self.spec == other.spec \
-            and self.matrix == other.matrix
-
-    def column_image(self, letter: str, j: int) -> Poly:
-        acc = Poly.zero()
-        for i in range(self.spec.dimension):
-            c = self.matrix[i][j - 1]
-            if c:
-                acc = acc + c * Poly.variable(f"{letter}{i + 1}")
-        return acc
-
-    def _apply(self, p: Poly, allowed: tuple[str, ...]) -> Poly:
-        acc = Poly.zero()
-        for v in p.variables():
-            letter, index = var_key(v)
-            if letter not in allowed:
-                raise ValueError(f"variable {v} is outside the acted alphabets")
-            acc = acc + self.column_image(letter, index) * p.partial(v)
-        return acc
-
-    def on_poly(self, p: Poly) -> Poly:
-        return self._apply(p, ("x",))
-
-    def on_wreath(self, u: WreathElement) -> WreathElement:
-        if u.ctx.dim != self.spec.dimension:
-            raise ValueError("element rank does not match the module specification")
-        return WreathElement(u.ctx, self._apply(u.poly, ("a", "y")))
+class LinearAction(_GeneratorMatrix):
+    """Linear substitution of the generators, extended as an algebra map."""
 
     def act(self, obj):
-        if isinstance(obj, Poly):
-            return self.on_poly(obj)
-        if isinstance(obj, WreathElement):
-            return self.on_wreath(obj)
-        raise TypeError(f"cannot act on {type(obj).__name__}")
+        return self._map(obj, Poly.substitute)
+
+
+class Derivation(_GeneratorMatrix):
+    """Linear derivation, extended to products by the Leibniz rule."""
+
+    def act(self, obj):
+        return self._map(obj, _leibniz)
+
+
+def _leibniz(p: Poly, images: dict[str, Poly]) -> Poly:
+    acc = Poly.zero()
+    for v, image in images.items():
+        acc = acc + image * p.partial(v)
+    return acc
 
 
 def g1_matrix(spec: ModuleSpec) -> LinearAction:
@@ -205,7 +177,7 @@ def g1_matrix(spec: ModuleSpec) -> LinearAction:
     for k, offset in zip(spec.blocks, spec.offsets()):
         for l in range(k + 1):
             for j in range(l + 1):
-                m[offset + j][offset + l] = Fraction(binomial(l, j))
+                m[offset + j][offset + l] = Fraction(comb(l, j))
     return LinearAction(spec, tuple(tuple(row) for row in m))
 
 
@@ -216,7 +188,7 @@ def g2_matrix(spec: ModuleSpec) -> LinearAction:
     for k, offset in zip(spec.blocks, spec.offsets()):
         for l in range(k + 1):
             for j in range(l + 1):
-                m[offset + k - j][offset + k - l] = Fraction(binomial(l, j))
+                m[offset + k - j][offset + k - l] = Fraction(comb(l, j))
     return LinearAction(spec, tuple(tuple(row) for row in m))
 
 
@@ -224,7 +196,8 @@ def log_unipotent(g: LinearAction) -> Derivation:
     """Exact matrix logarithm of a unipotent action.
 
     The series log(1 + N) = N - N^2/2 + ... terminates because N is
-    nilpotent; a non-nilpotent input is rejected.
+    nilpotent; a non-nilpotent input is rejected.  Dense and slow; it serves
+    as the independent check of the closed forms in `derivations`.
     """
     d = g.spec.dimension
     n = linalg.mat_sub([list(row) for row in g.matrix], linalg.identity(d))
@@ -258,41 +231,45 @@ def exp_nilpotent(delta: Derivation) -> LinearAction:
     return LinearAction(delta.spec, tuple(tuple(row) for row in acc))
 
 
-def act_on_poly(g: LinearAction, p: Poly) -> Poly:
-    return g.on_poly(p)
+def derivations(spec: ModuleSpec) -> tuple[Derivation, Derivation]:
+    """The logarithms (delta1, delta2) of g1 and g2, in closed form.
 
-
-def act_on_wreath(g: LinearAction, u: WreathElement) -> WreathElement:
-    return g.on_wreath(u)
+    On a degree-k block, delta1(xi_l) = l * xi_{l-1} raises the weight and
+    delta2(xi_l) = (k-l) * xi_{l+1} lowers it; `log_unipotent` of
+    `g1_matrix` and `g2_matrix` gives the same matrices the slow way.
+    """
+    d = spec.dimension
+    raising = [[Fraction(0)] * d for _ in range(d)]
+    lowering = [[Fraction(0)] * d for _ in range(d)]
+    for k, offset in zip(spec.blocks, spec.offsets()):
+        for l in range(1, k + 1):
+            raising[offset + l - 1][offset + l] = Fraction(l)
+            lowering[offset + l][offset + l - 1] = Fraction(k - l + 1)
+    return (Derivation(spec, tuple(tuple(row) for row in raising)),
+            Derivation(spec, tuple(tuple(row) for row in lowering)))
 
 
 def is_invariant(u, spec: ModuleSpec) -> bool:
-    """True when both unitriangular generators fix the element; exact."""
+    """Independent check: both unitriangular generators fix the element."""
     for g in (g1_matrix(spec), g2_matrix(spec)):
         if g.act(u) != u:
             return False
     return True
 
 
-def is_invariant_by_derivations(u, spec: ModuleSpec) -> bool:
-    """Cross-validation path: both logarithm derivations must kill the element."""
-    for g in (g1_matrix(spec), g2_matrix(spec)):
-        image = log_unipotent(g).act(u)
-        if isinstance(image, Poly):
-            if not image.is_zero():
-                return False
-        elif not image.is_zero():
-            return False
-    return True
-
-
 def failing_derivation_image(u, spec: ModuleSpec):
-    """(name, image) of the first logarithm derivation that does not kill u."""
-    for name, g in (("delta1", g1_matrix(spec)), ("delta2", g2_matrix(spec))):
-        image = log_unipotent(g).act(u)
+    """(name, image) of the first of delta1, delta2 that does not kill u;
+    None when both do, that is, when u is invariant."""
+    for name, delta in zip(("delta1", "delta2"), derivations(spec)):
+        image = delta.act(u)
         if not image.is_zero():
             return name, image
     return None
+
+
+def is_invariant_by_derivations(u, spec: ModuleSpec) -> bool:
+    """True when both closed-form derivations kill the element; exact."""
+    return failing_derivation_image(u, spec) is None
 
 
 def bidegree_components(u, spec: ModuleSpec):
@@ -319,7 +296,7 @@ def _degree_basis(spec: ModuleSpec, degree: int,
     d = spec.dimension
     items = []
     if space in ("polyring",):
-        for exps in _monomial_exponents(d, degree):
+        for exps in _compositions(degree, d):
             mono = tuple((f"x{j + 1}", e) for j, e in enumerate(exps) if e)
             mono = tuple(sorted(mono, key=lambda it: var_key(it[0])))
             items.append(Poly.monomial(mono))
@@ -341,15 +318,6 @@ def _degree_basis(spec: ModuleSpec, degree: int,
     return out
 
 
-def _monomial_exponents(d: int, degree: int):
-    if d == 1:
-        yield (degree,)
-        return
-    for head in range(degree + 1):
-        for tail in _monomial_exponents(d - 1, degree - head):
-            yield (head, *tail)
-
-
 def invariant_dimension(spec: ModuleSpec, degree: int,
                         space: Literal["polyring", "module", "algebra"] = "polyring") -> int:
     """Dimension of the invariant part of a degree component, by exact linear
@@ -361,7 +329,7 @@ def invariant_dimension(spec: ModuleSpec, degree: int,
     """
     if degree == 0:
         return 1 if space == "polyring" else 0
-    deltas = [log_unipotent(g1_matrix(spec)), log_unipotent(g2_matrix(spec))]
+    deltas = derivations(spec)
     buckets: dict[tuple[int, int], list] = {}
     for weight, obj in _degree_basis(spec, degree, space):
         buckets.setdefault(weight, []).append(obj)

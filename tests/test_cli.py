@@ -102,6 +102,13 @@ class TestCheck:
         code, _, err = run(capsys, "check", "1", str(path))
         assert code == 2
 
+    def test_variable_outside_the_module_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "expr.txt"
+        path.write_text("x3")
+        code, _, err = run(capsys, "check", "1", str(path))
+        assert code == 2
+        assert "x3" in err
+
 
 class TestPi:
     def test_known_element(self, capsys):

@@ -2,6 +2,7 @@
 
 import random
 from itertools import islice
+from math import comb
 
 import pytest
 from hypothesis import given
@@ -76,6 +77,10 @@ class TestQuadraticFamilies:
     def test_w_poly_frozen(self):
         assert w_poly(1) == Poly.parse("2*x1*x3 - 2*x2^2")
         assert w_poly(2) == Poly.parse("2*x1*x5 - 8*x2*x4 + 6*x3^2")
+
+    def test_w_poly_of_a_large_block(self):
+        # a block of degree 1520: the binomials must not recurse on the degree
+        assert w_poly(760).coefficient((("x761", 2),)) == comb(1520, 760)
 
     def test_w_poly_rejects_zero(self):
         with pytest.raises(ValueError):

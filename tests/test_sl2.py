@@ -1,6 +1,7 @@
 """Group actions, logarithm derivations, invariance and weights."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given
@@ -12,7 +13,7 @@ from metalie.sl2 import (
     ModuleSpec,
     NotUnipotent,
     bidegree_components,
-    binomial,
+    derivations,
     exp_nilpotent,
     g1_matrix,
     g2_matrix,
@@ -21,6 +22,10 @@ from metalie.sl2 import (
     is_invariant_by_derivations,
     log_unipotent,
 )
+
+
+# module specifications of rank 3, to match the three-variable strategies
+RANK_THREE_SPECS = [ModuleSpec(blocks) for blocks in ((2,), (1, 0), (0, 1))]
 
 
 def column(action, j):
@@ -44,13 +49,6 @@ class TestModuleSpec:
         spec = ModuleSpec.parse("2,1")
         assert [spec.weight(j) for j in range(1, 6)] == \
             [(2, 0), (1, 1), (0, 2), (1, 0), (0, 1)]
-
-
-class TestPascal:
-    def test_values(self):
-        assert binomial(5, 2) == 10
-        assert binomial(4, 0) == binomial(4, 4) == 1
-        assert binomial(3, 5) == 0
 
 
 class TestGroupGenerators:
@@ -113,6 +111,15 @@ class TestLogExp:
             assert column(raising, l + 1) == expected_raise
             assert column(lowering, l + 1) == expected_lower
 
+    def test_closed_forms_match_the_matrix_logarithm(self):
+        specs = [ModuleSpec(blocks) for size in (1, 2, 3)
+                 for blocks in product(range(7), repeat=size)
+                 if sum(k + 1 for k in blocks) <= 10]
+        assert len(specs) == 163
+        for spec in specs:
+            assert derivations(spec) == \
+                (log_unipotent(g1_matrix(spec)), log_unipotent(g2_matrix(spec))), spec
+
     def test_non_unipotent_rejected(self):
         spec = ModuleSpec((1,))
         from metalie.sl2 import LinearAction
@@ -127,63 +134,66 @@ class TestPolyAction:
     def test_discriminant_is_fixed(self):
         spec = ModuleSpec((2,))
         f = Poly.parse("x2^2 - x1*x3")
-        assert g1_matrix(spec).on_poly(f) == f
-        assert g2_matrix(spec).on_poly(f) == f
+        assert g1_matrix(spec).act(f) == f
+        assert g2_matrix(spec).act(f) == f
 
     def test_constants_fixed(self):
         spec = ModuleSpec((3,))
-        assert g1_matrix(spec).on_poly(Poly.one()) == Poly.one()
+        assert g1_matrix(spec).act(Poly.one()) == Poly.one()
 
     def test_highest_weight_variable_fixed_by_g1(self):
         spec = ModuleSpec((1,))
-        assert g1_matrix(spec).on_poly(Poly.variable("x1")) == Poly.variable("x1")
+        assert g1_matrix(spec).act(Poly.variable("x1")) == Poly.variable("x1")
 
     def test_undeclared_variable_rejected(self):
         spec = ModuleSpec((1,))
+        for action in (g1_matrix(spec), *derivations(spec)):
+            with pytest.raises(ValueError):
+                action.act(Poly.variable("x3"))
         with pytest.raises(ValueError):
-            g1_matrix(spec).on_poly(Poly.variable("x3"))
+            is_invariant_by_derivations(Poly.variable("x3"), spec)
 
     @given(p=strat.polys(), q=strat.polys())
     def test_action_is_an_algebra_homomorphism(self, p, q):
         g = g1_matrix(ModuleSpec((2,)))
-        assert g.on_poly(p * q) == g.on_poly(p) * g.on_poly(q)
+        assert g.act(p * q) == g.act(p) * g.act(q)
 
     @given(p=strat.polys(), q=strat.polys())
     def test_derivation_satisfies_leibniz(self, p, q):
         delta = log_unipotent(g2_matrix(ModuleSpec((2,))))
-        assert delta.on_poly(p * q) == delta.on_poly(p) * q + p * delta.on_poly(q)
+        assert delta.act(p * q) == delta.act(p) * q + p * delta.act(q)
 
 
 class TestWreathAction:
     def test_commutator_invariant_on_one_block(self):
         spec = ModuleSpec((1,))
         u = parse_lie_expr("[x2,x1]").evaluate(spec.context())
-        assert g1_matrix(spec).on_wreath(u) == u
-        assert g2_matrix(spec).on_wreath(u) == u
+        assert g1_matrix(spec).act(u) == u
+        assert g2_matrix(spec).act(u) == u
 
     def test_identity_action(self):
         spec = ModuleSpec((0, 0))
         u = parse_lie_expr("[x2,x1]").evaluate(spec.context())
-        assert g1_matrix(spec).on_wreath(u) == u
+        assert g1_matrix(spec).act(u) == u
 
     def test_cubic_block_invariant(self):
         spec = ModuleSpec((3,))
         u = parse_lie_expr("[x4,x1] - 3*[x3,x2]").evaluate(spec.context())
-        assert g1_matrix(spec).on_wreath(u) == u
-        assert g2_matrix(spec).on_wreath(u) == u
+        assert g1_matrix(spec).act(u) == u
+        assert g2_matrix(spec).act(u) == u
 
     @given(u=strat.envelope_elements(dim=3), v=strat.envelope_elements(dim=3))
     def test_action_respects_product_and_bracket(self, u, v):
         g = g1_matrix(ModuleSpec((2,)))
-        assert g.on_wreath(u * v) == g.on_wreath(u) * g.on_wreath(v)
-        assert g.on_wreath(u.bracket(v)) == g.on_wreath(u).bracket(g.on_wreath(v))
+        assert g.act(u * v) == g.act(u) * g.act(v)
+        assert g.act(u.bracket(v)) == g.act(u).bracket(g.act(v))
 
     @given(u=strat.envelope_elements(dim=3), v=strat.envelope_elements(dim=3))
     def test_derivation_respects_product_and_bracket(self, u, v):
         delta = log_unipotent(g1_matrix(ModuleSpec((2,))))
-        assert delta.on_wreath(u * v) == delta.on_wreath(u) * v + u * delta.on_wreath(v)
-        assert delta.on_wreath(u.bracket(v)) == \
-            delta.on_wreath(u).bracket(v) + u.bracket(delta.on_wreath(v))
+        assert delta.act(u * v) == delta.act(u) * v + u * delta.act(v)
+        assert delta.act(u.bracket(v)) == \
+            delta.act(u).bracket(v) + u.bracket(delta.act(v))
 
 
 class TestInvariance:
@@ -198,13 +208,13 @@ class TestInvariance:
 
     @given(p=strat.polys(max_degree=2))
     def test_substitution_and_derivation_paths_agree_on_polys(self, p):
-        spec = ModuleSpec((2,))
-        assert is_invariant(p, spec) == is_invariant_by_derivations(p, spec)
+        for spec in RANK_THREE_SPECS:
+            assert is_invariant(p, spec) == is_invariant_by_derivations(p, spec), spec
 
     @given(u=strat.envelope_elements(dim=3, max_y_degree=2))
     def test_substitution_and_derivation_paths_agree_on_wreath(self, u):
-        spec = ModuleSpec((2,))
-        assert is_invariant(u, spec) == is_invariant_by_derivations(u, spec)
+        for spec in RANK_THREE_SPECS:
+            assert is_invariant(u, spec) == is_invariant_by_derivations(u, spec), spec
 
 
 class TestBidegrees:
