@@ -3,7 +3,8 @@
 
 Prints, degree by degree, the dimensions of the invariant ring, the invariant
 part of the commutator ideal, and (optionally) the direct kernel recomputation
-as an independent check of the character pipeline.
+as an independent check of the character pipeline.  With --cross-check the
+exit status is 1 when any dimension disagrees.
 """
 
 import argparse
@@ -32,6 +33,7 @@ def main() -> int:
     if args.cross_check:
         header += f" {'ring*':>6} {'module*':>8}"
     print(header)
+    mismatch = False
     for n in range(args.truncation + 1):
         row = f"{n:>6} {ring_dims[n]:>6} {module_dims[n]:>7}"
         if args.cross_check:
@@ -40,8 +42,9 @@ def main() -> int:
             row += f" {direct_ring:>6} {direct_module:>8}"
             if direct_ring != ring_dims[n] or direct_module != module_dims[n]:
                 row += "   <-- MISMATCH"
+                mismatch = True
         print(row)
-    return 0
+    return 1 if mismatch else 0
 
 
 if __name__ == "__main__":

@@ -27,6 +27,7 @@ from .series import (
     invariant_dimension_series,
     invariant_hilbert,
     verify_symmetrization,
+    weight_character,
     weight_substitute,
 )
 from .sl2 import (
@@ -64,7 +65,7 @@ __all__ = [
     "MultiplicityTable", "TruncatedSeries", "expand_rational",
     "extract_multiplicities", "hilbert_metabelian", "hilbert_polyring",
     "invariant_dimension_series", "invariant_hilbert", "verify_symmetrization",
-    "weight_substitute",
+    "weight_character", "weight_substitute",
     "Derivation", "LinearAction", "ModuleSpec", "bidegree_components",
     "derivations", "g1_matrix", "g2_matrix", "is_invariant", "is_invariant_by_derivations",
     "log_unipotent",

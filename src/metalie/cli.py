@@ -10,6 +10,7 @@ import argparse
 import json
 import sys
 from itertools import islice
+from math import comb
 
 from .invariants import (
     NoKnownWitness,
@@ -28,10 +29,14 @@ from .metabelian import (
     to_commutator_basis,
 )
 from .poly import ParseError, Poly
-from .series import invariant_dimension_series, hilbert_polyring, hilbert_metabelian
+from .series import invariant_dimension_series
 from .sl2 import ModuleSpec, failing_derivation_image, is_invariant
 
 MAX_TRUNCATION = 64
+# Budget for the invariant targets of `hilbert`, in slice cells the weight-space
+# builder touches (about d * N * (N * k_max + 1)); an input at the budget takes
+# about 2 s.
+MAX_HILBERT_CELLS = 10_000_000
 
 
 class UsageError(Exception):
@@ -49,6 +54,13 @@ def _check_truncation(n: int) -> int:
     if n < 0 or n > MAX_TRUNCATION:
         raise UsageError(f"truncation must be between 0 and {MAX_TRUNCATION}")
     return n
+
+
+def _check_hilbert_cells(spec: ModuleSpec, n: int) -> None:
+    cells = spec.dimension * n * (n * max(spec.blocks) + 1)
+    if cells > MAX_HILBERT_CELLS:
+        raise UsageError(f"hilbert {spec} -N {n} needs about {cells} slice cells, "
+                         f"over the budget of {MAX_HILBERT_CELLS}")
 
 
 def _parse_expression(text: str):
@@ -74,17 +86,16 @@ def cmd_decide(args) -> int:
 def cmd_hilbert(args) -> int:
     spec = _parse_spec(args.spec)
     n = _check_truncation(args.truncation)
+    d = spec.dimension
     if args.target == "polyring":
-        series = hilbert_polyring(spec.dimension, n)
-        dims = [0] * (n + 1)
-        for exps, c in series.coefficients.items():
-            dims[sum(exps)] += int(c)
+        dims = [comb(m + d - 1, d - 1) for m in range(n + 1)]
     elif args.target == "metabelian":
-        series = hilbert_metabelian(spec.dimension, n)
-        dims = [0] * (n + 1)
-        for exps, c in series.coefficients.items():
-            dims[sum(exps)] += int(c)
+        if d < 2:
+            raise UsageError("need at least two generators")
+        dims = [0, d][:n + 1] + [d * comb(m + d - 2, d - 1) - comb(m + d - 1, d - 1)
+                                 for m in range(2, n + 1)]
     else:
+        _check_hilbert_cells(spec, n)
         space = "polyring" if args.target == "invariant-ring" else "module"
         dims = [int(c) for c in
                 invariant_dimension_series(spec, n, space).univariate_coefficients()]

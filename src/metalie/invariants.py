@@ -36,9 +36,7 @@ from .series import (
     invariant_hilbert,
     parse_rational_function,
     verify_symmetrization,
-    weight_substitute,
-    hilbert_metabelian_module,
-    hilbert_polyring,
+    weight_character,
 )
 from .sl2 import ModuleSpec, is_invariant, is_invariant_by_derivations
 
@@ -499,8 +497,8 @@ def verify_catalog(case: CatalogCase, truncation: int = 12,
     checks.append(CheckResult("relations-vanish", not bad,
                               f"nonzero relation(s): {', '.join(bad)}" if bad else ""))
 
-    module_character = weight_substitute(hilbert_metabelian_module(spec.dimension, truncation), spec)
-    ring_character = weight_substitute(hilbert_polyring(spec.dimension, truncation), spec)
+    module_character = weight_character(spec, truncation, "module")
+    ring_character = weight_character(spec, truncation, "polyring")
     module_table = extract_multiplicities(module_character)
     ring_table = extract_multiplicities(ring_character)
     computed_module = invariant_hilbert(module_table)

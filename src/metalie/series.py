@@ -1,15 +1,25 @@
 """Truncated exact power series, Hilbert series, and character multiplicities.
 
-The pipeline that produces invariant dimension series is:
+A generator x_j of torus weight (p_j, q_j) contributes t1^p_j t2^q_j z, and
+that substitution is a ring homomorphism, so the character of every degree
+slice is built directly in weight space:
 
-  1. the multigraded Hilbert series of the polynomial algebra or of the free
-     metabelian algebra, truncated at a total degree bound,
-  2. the torus-weight substitution z_j -> t1^(k-l) t2^l z determined by a
-     module specification, which turns each degree slice into a genuine
-     two-variable character,
-  3. Schur-function decomposition of every slice by the weight-difference
-     rule m(k, l) = c_{k+l, l} - c_{k+l+1, l-1},
-  4. the invariant dimensions sum_l m_n(0, l).
+  1. `weight_slices` folds in one geometric factor 1/(1 - t^w_j z) per
+     generator for the polynomial ring P; the free metabelian algebra is
+     1 + L + (L - 1) P with L = sum_j t^w_j z, and its commutator ideal is
+     the same without the degrees <= 1,
+  2. `invariant_dimension_series` grades by the weight difference s = p - q
+     and counts the invariants of degree n as c_n(0) - c_n(2)
+     (Cayley-Sylvester),
+  3. `weight_character` grades by the pair (p, q) and returns the
+     two-variable character of each slice, which `extract_multiplicities`
+     decomposes by the weight-difference rule
+     m(k, l) = c_{k+l, l} - c_{k+l+1, l-1}.
+
+The multigraded series `hilbert_polyring`, `hilbert_metabelian` and
+`hilbert_metabelian_module`, collapsed by `weight_substitute`, enumerate all
+C(N + d, d) monomials in z_1..z_d; they stay as the independent oracle the
+direct construction is tested against.
 
 Everything is exact; series arithmetic drops terms beyond the truncation
 bound eagerly.
@@ -17,6 +27,7 @@ bound eagerly.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -181,7 +192,7 @@ class TruncatedSeries:
         return " ".join(parts)
 
 
-# -- Hilbert series -------------------------------------------------------------
+# -- multigraded Hilbert series: the enumeration oracle ---------------------------
 
 
 def _z_variables(d: int) -> tuple[str, ...]:
@@ -238,7 +249,7 @@ def weight_substitute(h: TruncatedSeries, spec: ModuleSpec) -> TruncatedSeries:
     if h.variables != _z_variables(d):
         raise TruncationMismatch(
             f"series in {len(h.variables)} variables against a rank-{d} specification")
-    weights = [spec.weight(j) for j in range(1, d + 1)]
+    weights = spec.weights()
     coeffs: dict[Exponents, Fraction] = {}
     for exps, c in h.coefficients.items():
         t1 = sum(e * w[0] for e, w in zip(exps, weights))
@@ -250,6 +261,67 @@ def weight_substitute(h: TruncatedSeries, spec: ModuleSpec) -> TruncatedSeries:
         else:
             coeffs.pop(key, None)
     return TruncatedSeries(("t1", "t2", "z"), h.truncation, coeffs, graded=("z",))
+
+
+# -- the weight-space character ---------------------------------------------------
+
+SPACES = ("polyring", "module", "algebra")
+
+
+def weight_slices(weights: Sequence[int], truncation: int,
+                  space: str = "polyring") -> list[dict[int, int]]:
+    """Degree slices [{weight: count}, ...] of the character of `space` on
+    generators of the given integer weights.
+
+    `space` is "polyring", "module" (commutator ideal) or "algebra" (the whole
+    metabelian algebra).  The ring prod_j 1/(1 - t^w_j z) is folded in one
+    factor at a time; the algebra is 1 + L + (L - 1) P with L = sum_j t^w_j z.
+    """
+    if space not in SPACES:
+        raise ValueError(f"unknown space {space!r}")
+    if truncation < 0:
+        raise ValueError("need a nonnegative truncation")
+    if space != "polyring" and len(weights) < 2:
+        raise ValueError("need at least two generators")
+    ring = [{0: 1}] + [{} for _ in range(truncation)]
+    for w in weights:
+        for n in range(1, truncation + 1):
+            row = ring[n]
+            for a, c in ring[n - 1].items():
+                row[a + w] = row.get(a + w, 0) + c
+    if space == "polyring":
+        return ring
+    slices = [{}, dict(ring[1]) if space == "algebra" and truncation else {}]
+    linear = Counter(weights)
+    for n in range(2, truncation + 1):
+        row = {a: -c for a, c in ring[n].items()}
+        for w, m in linear.items():
+            for a, c in ring[n - 1].items():
+                row[a + w] = row.get(a + w, 0) + m * c
+        slices.append({a: c for a, c in row.items() if c})
+    return slices[:truncation + 1]
+
+
+def weight_character(spec: ModuleSpec, truncation: int,
+                     space: str = "polyring") -> TruncatedSeries:
+    """The (t1, t2, z) character of `space`, equal to `weight_substitute` of
+    its multigraded Hilbert series.  The weight (p, q) is packed into the
+    integer p * base + q, with base above every t2 exponent up to the
+    truncation."""
+    base = truncation * max(spec.blocks) + 1
+    slices = weight_slices([p * base + q for p, q in spec.weights()], truncation, space)
+    coeffs = {(*divmod(key, base), n): c
+              for n, row in enumerate(slices) for key, c in row.items()}
+    return TruncatedSeries(("t1", "t2", "z"), truncation, coeffs, graded=("z",))
+
+
+def invariant_dimension_series(spec: ModuleSpec, truncation: int,
+                               space: str = "polyring") -> TruncatedSeries:
+    """Invariant dimensions of the chosen graded algebra (see `weight_slices`
+    for `space`): c_n(0) - c_n(2) in the weight difference s = p - q."""
+    slices = weight_slices([p - q for p, q in spec.weights()], truncation, space)
+    coeffs = {(n,): row.get(0, 0) - row.get(2, 0) for n, row in enumerate(slices)}
+    return TruncatedSeries(("z",), truncation, coeffs)
 
 
 # -- characters and Schur decomposition ------------------------------------------
@@ -412,23 +484,26 @@ def verify_symmetrization(candidate: TruncatedSeries, hgl: TruncatedSeries) -> b
 
 
 def _divide_by_t1_minus_t2(numerator: dict[Exponents, Fraction]):
-    """Exact division of a (t1, t2, z) table by (t1 - t2); None if impossible."""
-    remainder = dict(numerator)
+    """Exact division of a (t1, t2, z) table by (t1 - t2); None if impossible.
+
+    Each slice of fixed z degree n and t-degree a + b = s divides on its own:
+    walking the t1 exponent a downwards, the quotient coefficient at
+    t1^(a-1) t2^(s-a) is the running sum of the numerator coefficients from
+    a up, and the sum over the whole slice must vanish.
+    """
+    slices: dict[tuple[int, int], dict[int, Fraction]] = {}
+    for (a, b, n), c in numerator.items():
+        slices.setdefault((n, a + b), {})[a] = c
     quotient: dict[Exponents, Fraction] = {}
-    while remainder:
-        (a, b, n) = max(remainder, key=lambda key: (key[0], key[1]))
-        c = remainder.pop((a, b, n))
-        if a == 0:
+    for (n, s), row in slices.items():
+        carry = 0
+        for a in range(max(row), 0, -1):
+            carry += row.get(a, 0)
+            if carry:
+                quotient[(a - 1, s - a, n)] = carry
+        if carry + row.get(0, 0):
             return None
-        key = (a - 1, b, n)
-        quotient[key] = quotient.get(key, 0) + c
-        low = (a - 1, b + 1, n)
-        s = remainder.get(low, 0) + c
-        if s:
-            remainder[low] = s
-        else:
-            remainder.pop(low, None)
-    return {k: v for k, v in quotient.items() if v}
+    return quotient
 
 
 # -- rational function expansion -----------------------------------------------
@@ -535,23 +610,3 @@ def skew_square_rule(k: int) -> dict[tuple[int, int], int]:
         return {(4 * (m - n) + 2, 2 * n - 1): 1 for n in range(1, m + 1)}
     m = (k - 1) // 2
     return {(4 * (m - n), 2 * n + 1): 1 for n in range(m + 1)}
-
-
-# -- convenience: the full pipeline ----------------------------------------------
-
-
-def invariant_dimension_series(spec: ModuleSpec, truncation: int,
-                               space: str = "polyring") -> TruncatedSeries:
-    """Invariant dimensions of the chosen graded algebra, by the character
-    pipeline.  `space` is "polyring", "module" (commutator ideal) or
-    "algebra" (the whole metabelian algebra)."""
-    d = spec.dimension
-    if space == "polyring":
-        h = hilbert_polyring(d, truncation)
-    elif space == "module":
-        h = hilbert_metabelian_module(d, truncation)
-    elif space == "algebra":
-        h = hilbert_metabelian(d, truncation)
-    else:
-        raise ValueError(f"unknown space {space!r}")
-    return invariant_hilbert(extract_multiplicities(weight_substitute(h, spec)))

@@ -89,6 +89,10 @@ class ModuleSpec:
         k, l = self.block_of(j)
         return k - l, l
 
+    def weights(self) -> list[tuple[int, int]]:
+        """Torus weights of x_1, ..., x_d in order."""
+        return [(k - l, l) for k in self.blocks for l in range(k + 1)]
+
 
 def _weight_of_monomial(m: Monomial, spec: ModuleSpec) -> tuple[int, int]:
     w1 = w2 = 0

@@ -71,6 +71,36 @@ class TestHilbert:
         assert code == 2
         assert "64" in err
 
+    def test_metabelian_targets_need_two_generators(self, capsys):
+        for target in ("metabelian", "invariant-module"):
+            code, out, err = run(capsys, "hilbert", "0", target)
+            assert code == 2
+            assert out == ""
+            assert "need at least two generators" in err
+
+    def test_metabelian_at_truncation_zero(self, capsys):
+        code, out, _ = run(capsys, "hilbert", "1", "metabelian", "-N", "0", "--json")
+        assert code == 0
+        assert json.loads(out) == [0]
+
+    def test_polyring_totals_have_no_work_budget(self, capsys):
+        code, out, _ = run(capsys, "hilbert", "1000", "polyring", "-N", "2", "--json")
+        assert code == 0
+        assert json.loads(out) == [1, 1001, 1001 * 1002 // 2]
+
+    def test_oversized_input_is_refused(self, capsys):
+        code, out, err = run(capsys, "hilbert", "1000", "invariant-ring", "-N", "64")
+        assert code == 2
+        assert out == ""
+        assert "budget" in err
+
+    def test_rank_thirty_at_truncation_64(self, capsys):
+        code, out, _ = run(capsys, "hilbert", "29", "invariant-ring", "-N", "64", "--json")
+        assert code == 0
+        dims = json.loads(out)
+        assert len(dims) == 65
+        assert dims[:6] == [1, 0, 0, 0, 5, 0]  # a form of odd degree has no quadratic invariant
+
 
 class TestCheck:
     def test_invariant_polynomial(self, capsys, tmp_path):

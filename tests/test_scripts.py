@@ -1,0 +1,41 @@
+"""The experiment scripts run end to end and report failures in their exit status."""
+
+import importlib.util
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
+
+
+def run_script(name, *args):
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, str(SCRIPTS / name), *args],
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=300)
+
+
+def test_invariant_dimensions_cross_check():
+    result = run_script("invariant_dimensions.py", "2,1", "-N", "6", "--cross-check")
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert "MISMATCH" not in result.stdout
+
+
+def test_reproduce_catalog():
+    result = run_script("reproduce_catalog.py", "--degree", "6")
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert "FAIL" not in result.stdout
+
+
+def test_cross_check_mismatch_fails_the_run(monkeypatch, capsys):
+    spec = importlib.util.spec_from_file_location("invariant_dimensions",
+                                                  SCRIPTS / "invariant_dimensions.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setattr(script, "invariant_dimension", lambda spec, n, space: 99)
+    monkeypatch.setattr(sys, "argv", ["invariant_dimensions.py", "2,1", "-N", "3",
+                                      "--cross-check"])
+    assert script.main() == 1
+    assert "MISMATCH" in capsys.readouterr().out

@@ -2,11 +2,15 @@
 
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given
 
+from metalie.invariants import load_catalog
 from metalie.metabelian import words_of_multidegree
 from metalie.poly import ParseError, Poly
 from metalie.series import (
+    SPACES,
     NotACharacter,
     TruncatedSeries,
     TruncationMismatch,
@@ -18,6 +22,7 @@ from metalie.series import (
     hilbert_metabelian_module,
     hilbert_polyring,
     invariant_dimension_series,
+    invariant_hilbert,
     parse_rational_function,
     skew_square_character,
     skew_square_rule,
@@ -25,10 +30,14 @@ from metalie.series import (
     symmetric_square_rule,
     vk_character,
     verify_symmetrization,
+    weight_character,
+    weight_slices,
     weight_substitute,
     young_tensor_rule,
+    _divide_by_t1_minus_t2,
 )
 from metalie.sl2 import ModuleSpec, invariant_dimension
+from strategies import module_specs
 
 
 def ints(series):
@@ -283,3 +292,70 @@ class TestKernelOracleAgreement:
         dims = ints(series)
         for n in range(1, bound + 1):
             assert dims[n] == invariant_dimension(spec, n, space), (blocks, space, n)
+
+
+ORACLES = {"polyring": hilbert_polyring, "module": hilbert_metabelian_module,
+           "algebra": hilbert_metabelian}
+CATALOG = load_catalog()
+
+
+def enumerated_character(spec, truncation, space):
+    """The enumeration route: every monomial in z_1..z_d, collapsed to weights."""
+    return weight_substitute(ORACLES[space](spec.dimension, truncation), spec)
+
+
+def assert_routes_agree(spec, truncation, space):
+    character = enumerated_character(spec, truncation, space)
+    assert weight_character(spec, truncation, space) == character
+    assert invariant_dimension_series(spec, truncation, space) == \
+        invariant_hilbert(extract_multiplicities(character))
+
+
+class TestWeightSpaceRoute:
+    """The direct weight-space construction against the monomial enumeration."""
+
+    @pytest.mark.parametrize("space", SPACES)
+    @pytest.mark.parametrize("case_id", list(CATALOG))
+    def test_catalog_specs_to_degree_12(self, case_id, space):
+        assert_routes_agree(CATALOG[case_id].spec, 12, space)
+
+    @given(module_specs(max_blocks=3, max_k=5).filter(lambda spec: spec.dimension <= 6),
+           st.integers(0, 8), st.sampled_from(SPACES))
+    def test_random_specs(self, spec, truncation, space):
+        if space != "polyring" and spec.dimension < 2:
+            with pytest.raises(ValueError, match="two generators"):
+                invariant_dimension_series(spec, truncation, space)
+            return
+        assert_routes_agree(spec, truncation, space)
+
+    def test_catalog_closed_forms_to_degree_64(self):
+        for case in CATALOG.values():
+            assert invariant_dimension_series(case.spec, 64, "polyring") == case.ring_series(64)
+            assert invariant_dimension_series(case.spec, 64, "module") == case.module_series(64)
+
+    def test_slices_of_one_v1_block(self):
+        # weights +1, -1: Sym^n V_1 = V_n, and the commutator ideal is det (x) V_{n-2}
+        assert weight_slices([1, -1], 3) == [{0: 1}, {1: 1, -1: 1},
+                                             {2: 1, 0: 1, -2: 1}, {3: 1, 1: 1, -1: 1, -3: 1}]
+        assert weight_slices([1, -1], 3, "module") == [{}, {}, {0: 1}, {1: 1, -1: 1}]
+        assert weight_slices([1, -1], 3, "algebra") == [{}, {1: 1, -1: 1}, {0: 1}, {1: 1, -1: 1}]
+
+    def test_unknown_space(self):
+        with pytest.raises(ValueError, match="unknown space"):
+            weight_slices([0], 3, "ideal")
+
+
+class TestDivision:
+    @given(st.dictionaries(st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 3)),
+                           st.integers(-3, 3)))
+    def test_division_inverts_multiplication_by_t1_minus_t2(self, table):
+        quotient = {key: Fraction(c) for key, c in table.items() if c}
+        product: dict = {}
+        for (a, b, n), c in quotient.items():
+            product[(a + 1, b, n)] = product.get((a + 1, b, n), 0) + c
+            product[(a, b + 1, n)] = product.get((a, b + 1, n), 0) - c
+        product = {key: c for key, c in product.items() if c}
+        assert _divide_by_t1_minus_t2(product) == quotient
+        # a multiple of t1 - t2 vanishes at t1 = t2; adding t1 breaks that
+        product[(1, 0, 0)] = product.get((1, 0, 0), 0) + 1
+        assert _divide_by_t1_minus_t2(product) is None
