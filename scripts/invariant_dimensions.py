@@ -4,7 +4,8 @@
 Prints, degree by degree, the dimensions of the invariant ring, the invariant
 part of the commutator ideal, and (optionally) the direct kernel recomputation
 as an independent check of the character pipeline.  With --cross-check the
-exit status is 1 when any dimension disagrees.
+exit status is 1 when any dimension disagrees; a malformed or rank-1
+specification is refused with exit status 2.
 """
 
 import argparse
@@ -22,9 +23,13 @@ def main() -> int:
                         help="recompute every dimension by exact kernel linear algebra")
     args = parser.parse_args()
 
-    spec = ModuleSpec.parse(args.spec)
-    ring = invariant_dimension_series(spec, args.truncation, "polyring")
-    module = invariant_dimension_series(spec, args.truncation, "module")
+    try:
+        spec = ModuleSpec.parse(args.spec)
+        ring = invariant_dimension_series(spec, args.truncation, "polyring")
+        module = invariant_dimension_series(spec, args.truncation, "module")
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     ring_dims = [int(c) for c in ring.univariate_coefficients()]
     module_dims = [int(c) for c in module.univariate_coefficients()]
 

@@ -22,13 +22,14 @@ from .invariants import (
     verify_catalog,
 )
 from .metabelian import (
+    LieContext,
     NotInCommutatorIdeal,
     format_commutator_expansion,
     lie_normal_form,
     parse_lie_expr,
     to_commutator_basis,
 )
-from .poly import ParseError, Poly
+from .poly import ParseError, Poly, tokenize, var_key
 from .series import invariant_dimension_series
 from .sl2 import ModuleSpec, failing_derivation_image, is_invariant
 
@@ -222,31 +223,14 @@ def cmd_catalog(args) -> int:
 
 
 def cmd_normalize(args) -> int:
-    from .metabelian import LieContext
-
     expr = _parse_expression(args.expression)
     if isinstance(expr, Poly):
         print(str(expr))
         return 0
-    indices = [g.index for g in _generators_of(expr)]
-    value = expr.evaluate(LieContext(max(indices, default=1)))
-    print(lie_normal_form(value))
+    rank = max((var_key(tok)[1] for kind, tok, _ in tokenize(args.expression)
+                if kind == "name" and var_key(tok)[0] == "x"), default=1)
+    print(lie_normal_form(expr.evaluate(LieContext(rank))))
     return 0
-
-
-def _generators_of(expr):
-    from .metabelian import Ad, Bracket, Gen, Scale, Sum
-
-    if isinstance(expr, Gen):
-        yield expr
-    elif isinstance(expr, Bracket):
-        for item in expr.items:
-            yield from _generators_of(item)
-    elif isinstance(expr, (Scale, Ad)):
-        yield from _generators_of(expr.arg)
-    elif isinstance(expr, Sum):
-        for item in expr.items:
-            yield from _generators_of(item)
 
 
 def build_parser() -> argparse.ArgumentParser:

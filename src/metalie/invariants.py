@@ -443,24 +443,21 @@ class CatalogReport:
         }
 
 
-def _ring_monomial_products(ring_gens: Sequence[Poly], degree: int) -> list[Poly]:
-    """All products of the ring generators of the given total degree."""
-    degrees = [f.total_degree() for f in ring_gens]
+def _ring_monomial_table(ring_gens: Sequence[Poly], max_degree: int) -> list[list[Poly]]:
+    """Row n: all products of the ring generators of total degree n.
 
-    def rec(i: int, remaining: int) -> list[Poly]:
-        if i == len(ring_gens):
-            return [Poly.one()] if remaining == 0 else []
-        out = []
-        power = Poly.one()
-        e = 0
-        while e * degrees[i] <= remaining:
-            for rest in rec(i + 1, remaining - e * degrees[i]):
-                out.append(power * rest)
-            e += 1
-            power = power * ring_gens[i]
-        return out
-
-    return rec(0, degree)
+    Each product is one of lower degree times one generator; generators are
+    multiplied in non-decreasing index order, so each product occurs once.
+    """
+    table: list[list[tuple[int, Poly]]] = [[(0, Poly.one())]]
+    for n in range(1, max_degree + 1):
+        row = []
+        for i, g in enumerate(ring_gens):
+            dg = g.total_degree()
+            if dg <= n:
+                row.extend((i, p * g) for last, p in table[n - dg] if last <= i)
+        table.append(row)
+    return [[p for _, p in row] for row in table]
 
 
 def verify_catalog(case: CatalogCase, truncation: int = 12,
@@ -518,12 +515,11 @@ def verify_catalog(case: CatalogCase, truncation: int = 12,
         verify_symmetrization(module_table.multiplicity_series(), module_character)
         and verify_symmetrization(ring_table.multiplicity_series(), ring_character)))
 
+    products = _ring_monomial_table(ring_gens, rank_degree)
     ring_dims = computed_ring.univariate_coefficients()
     bad = []
     for n in range(rank_degree + 1):
-        products = _ring_monomial_products(ring_gens, n)
-        rows = [{m: c for m, c in p.terms.items()} for p in products]
-        if linalg.rank(rows) != ring_dims[n]:
+        if linalg.rank([p.terms for p in products[n]]) != ring_dims[n]:
             bad.append(str(n))
     checks.append(CheckResult("ring-generators-span", not bad,
                               f"rank defect in degree(s) {', '.join(bad)}" if bad else ""))
@@ -536,8 +532,7 @@ def verify_catalog(case: CatalogCase, truncation: int = 12,
             dv = v.total_degree()
             if dv > n:
                 continue
-            for p in _ring_monomial_products(ring_gens, n - dv):
-                rows.append(v.ad_action(p).coordinates())
+            rows.extend(v.ad_action(p).coordinates() for p in products[n - dv])
         if linalg.rank(rows) != module_dims[n]:
             bad.append(str(n))
     checks.append(CheckResult("module-generators-span", not bad,

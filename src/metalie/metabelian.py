@@ -9,8 +9,14 @@ products a_i*a_j, carrying the Poisson bracket determined by
 The Lie subalgebra generated by x_j = a_j + y_j is the free metabelian Lie
 algebra on d generators; its commutator ideal consists of the elements
 sum a_i*f_i(Y) with sum y_i*f_i(Y) = 0, and has the left-normed basis
-[x_{j1}, x_{j2}, ..., x_{jk}] with j1 > j2 <= j3 <= ... <= jk.  Everything
-here is exact and immutable; all operations are pure functions.
+[x_{j1}, x_{j2}, ..., x_{jk}] with j1 > j2 <= j3 <= ... <= jk.
+
+That word is (a_{j1} y_{j2} - a_{j2} y_{j1}) y_{j3} ... y_{jk}.  Its term
+a_{j1} Y^q has j1 above the smallest index of q, and no other basis word has
+such a term, so the expansion of an ideal element is read off its monomials:
+each term c a_i Y^q with i > min(q) contributes c [x_i, x_{q1}, ..., x_{qm}]
+(q1 <= ... <= qm), and no other term contributes.  Everything here is exact
+and immutable; all operations are pure functions.
 """
 
 from __future__ import annotations
@@ -19,7 +25,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from . import linalg
 from .poly import (
     Monomial,
     ParseError,
@@ -271,16 +276,6 @@ class WreathElement:
     def is_homogeneous(self) -> bool:
         return self.poly.is_homogeneous()
 
-    def multidegree_components(self) -> dict[tuple[int, ...], "WreathElement"]:
-        """Split along the Z^d-grading (a_i and y_i both count as degree e_i)."""
-        comps: dict[tuple[int, ...], dict[Monomial, Fraction]] = {}
-        for m, c in self.poly.terms.items():
-            vec = [0] * self.ctx.dim
-            for v, e in m:
-                vec[var_key(v)[1] - 1] += e
-            comps.setdefault(tuple(vec), {})[m] = c
-        return {deg: WreathElement(self.ctx, Poly(t)) for deg, t in sorted(comps.items())}
-
     def coordinates(self) -> dict[Monomial, Fraction]:
         """Coordinates in the monomial basis {Y^q, a_i Y^q} of the envelope."""
         return dict(self.poly.terms)
@@ -388,19 +383,17 @@ def from_commutator_basis(ctx: LieContext,
 def to_commutator_basis(u: WreathElement) -> list[tuple[Fraction, CommutatorWord]]:
     """Unique expansion of a commutator-ideal element in the left-normed basis.
 
-    Works one multidegree at a time: the normal words of that multidegree are
-    mapped into the envelope and the exact linear system is solved.
+    Read off the envelope: the coefficient of [x_i, x_q1, ..., x_qm]
+    (q1 <= ... <= qm, i > q1) is the coefficient of a_i * y_q1 ... y_qm.
     """
     if not u.is_in_commutator_ideal():
         raise NotInCommutatorIdeal("element is not in the commutator ideal")
     expansion: list[tuple[Fraction, CommutatorWord]] = []
-    for multidegree, component in u.multidegree_components().items():
-        words = words_of_multidegree(multidegree)
-        if not words:
-            raise NotInCommutatorIdeal(f"no basis words of multidegree {multidegree}")
-        columns = [w.to_wreath(u.ctx).coordinates() for w in words]
-        coeffs = linalg.solve_unique(columns, component.coordinates())
-        expansion.extend((c, w) for c, w in zip(coeffs, words) if c)
+    for i, f in u.split()[1].items():
+        for m, c in f.terms.items():
+            q = [var_key(v)[1] for v, e in m for _ in range(e)]
+            if i > q[0]:
+                expansion.append((c, CommutatorWord((i, *q))))
     expansion.sort(key=lambda item: item[1].sort_key())
     return expansion
 

@@ -408,10 +408,15 @@ def is_pairwise_jacobian_zero(f1: Poly, f2: Poly, variables: Iterable[str] | Non
 
 _TOKEN_RE = re.compile(r"(\d+)|([A-Za-z]+\d*)|(\*\*|[-+*/^()\[\],.])|(\S)")
 
+# Deepest "(" / "[" nesting the recursive-descent parsers accept; they use a
+# few stack frames per level, so this keeps them far below the recursion limit.
+MAX_NESTING = 100
+
 
 def tokenize(text: str) -> list[tuple[str, str, int]]:
     """Split into (kind, text, position) tokens; kinds: num, name, op."""
     tokens = []
+    depth = 0
     for m in _TOKEN_RE.finditer(text):
         if m.group(4):
             raise ParseError(f"unexpected character {m.group(4)!r} at position {m.start()}")
@@ -421,6 +426,13 @@ def tokenize(text: str) -> list[tuple[str, str, int]]:
             tokens.append(("name", m.group(2), m.start()))
         else:
             op = "^" if m.group(3) == "**" else m.group(3)
+            if op in ("(", "["):
+                depth += 1
+                if depth > MAX_NESTING:
+                    raise ParseError(f"nesting deeper than {MAX_NESTING} levels "
+                                     f"at position {m.start()}")
+            elif op in (")", "]"):
+                depth -= 1
             tokens.append(("op", op, m.start()))
     return tokens
 

@@ -62,16 +62,18 @@ def envelope_elements(draw, dim=3, max_y_degree=3, max_terms=3):
 
 
 @st.composite
-def commutator_combinations(draw, dim=3, max_word_length=4, max_terms=3):
-    """Random rational combination of normal-form basis words."""
+def commutator_combinations(draw, min_dim=3, max_dim=3, max_word_length=4, max_terms=3):
+    """Random rational combination of normal-form basis words in a drawn rank;
+    returns the context and the (word, coefficient) picks."""
     from metalie.metabelian import words_of_degree
 
+    dim = draw(st.integers(min_dim, max_dim))
     pool = []
     for n in range(2, max_word_length + 1):
         pool.extend(words_of_degree(dim, n))
     picks = draw(st.lists(st.tuples(st.sampled_from(pool), rationals),
                           min_size=0, max_size=max_terms))
-    return picks
+    return LieContext(dim), picks
 
 
 @st.composite

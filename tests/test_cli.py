@@ -12,6 +12,10 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def deeply_nested(text, depth=3000):
+    return "(" * depth + text + ")" * depth
+
+
 class TestDecide:
     def test_finitely_generated_with_generators(self, capsys):
         code, out, _ = run(capsys, "decide", "1,0,0", "--json")
@@ -139,6 +143,13 @@ class TestCheck:
         assert code == 2
         assert "x3" in err
 
+    def test_deep_nesting_is_parse_error(self, capsys, tmp_path):
+        path = tmp_path / "expr.txt"
+        path.write_text(deeply_nested("[x2,x1]"))
+        code, _, err = run(capsys, "check", "1", str(path))
+        assert code == 2
+        assert err.startswith("error: nesting deeper than")
+
 
 class TestPi:
     def test_known_element(self, capsys):
@@ -158,6 +169,11 @@ class TestPi:
     def test_non_homogeneous_is_usage_error(self, capsys):
         code, _, err = run(capsys, "pi", "2,0", "x4 + x4^2", "x1")
         assert code == 2
+
+    def test_deep_nesting_is_parse_error(self, capsys):
+        code, _, err = run(capsys, "pi", "2", deeply_nested("x1"), "x2")
+        assert code == 2
+        assert err.startswith("error: nesting deeper than")
 
     def test_deterministic_output(self, capsys):
         _, first, _ = run(capsys, "pi", "2,0", "x4", "x2^2 - x1*x3")
@@ -227,3 +243,13 @@ class TestNormalize:
     def test_parse_error(self, capsys):
         code, _, err = run(capsys, "normalize", "[x1,")
         assert code == 2
+
+    def test_rank_covers_module_action_generators(self, capsys):
+        code, out, _ = run(capsys, "normalize", "[x2,x1].x3")
+        assert code == 0
+        assert out.strip() == "[x2,x1,x3]"
+
+    def test_deep_nesting_is_parse_error(self, capsys):
+        code, _, err = run(capsys, "normalize", deeply_nested("[x2,x1]"))
+        assert code == 2
+        assert err.startswith("error: nesting deeper than")

@@ -2,11 +2,14 @@
 
 import random
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given
 
 import strategies as strat
+from metalie.invariants import infinite_family_witness, pi
+from metalie.linalg import solve_unique
 from metalie.metabelian import (
     CommutatorWord,
     ContextMismatch,
@@ -22,11 +25,31 @@ from metalie.metabelian import (
     words_of_degree,
     words_of_multidegree,
 )
-from metalie.poly import ParseError, Poly
+from metalie.poly import ParseError, Poly, var_key
+from metalie.sl2 import ModuleSpec
 
 
 def wreath(ctx, text):
     return parse_lie_expr(text).evaluate(ctx)
+
+
+def solve_in_word_basis(u):
+    """Oracle for `to_commutator_basis`: split u by multidegree and solve, in
+    each, for the coefficients of the bracket-evaluated normal words."""
+    components = {}
+    for m, c in u.poly.terms.items():
+        multidegree = [0] * u.ctx.dim
+        for v, e in m:
+            multidegree[var_key(v)[1] - 1] += e
+        components.setdefault(tuple(multidegree), {})[m] = c
+    expansion = []
+    for multidegree, target in components.items():
+        words = words_of_multidegree(multidegree)
+        columns = [w.to_wreath(u.ctx).coordinates() for w in words]
+        coeffs = solve_unique(columns, target)
+        expansion.extend((c, w) for c, w in zip(coeffs, words) if c)
+    expansion.sort(key=lambda item: item[1].sort_key())
+    return expansion
 
 
 class TestGenerators:
@@ -91,9 +114,10 @@ class TestBracket:
         v = wreath(ctx, "[x4,x3,x3]")
         assert u.bracket(v).is_zero()
 
-    @given(picks1=strat.commutator_combinations(), picks2=strat.commutator_combinations())
-    def test_metabelian_law_on_random_ideal_elements(self, picks1, picks2):
-        ctx = LieContext(3)
+    @given(combination1=strat.commutator_combinations(),
+           combination2=strat.commutator_combinations())
+    def test_metabelian_law_on_random_ideal_elements(self, combination1, combination2):
+        (ctx, picks1), (_, picks2) = combination1, combination2
         u = from_commutator_basis(ctx, [(c, w) for w, c in picks1])
         v = from_commutator_basis(ctx, [(c, w) for w, c in picks2])
         assert u.bracket(v).is_zero()
@@ -193,9 +217,9 @@ class TestWordBasis:
         u = wreath(ctx, "[x2,x1,x1]")
         assert to_commutator_basis(u) == [(Fraction(1), CommutatorWord((2, 1, 1)))]
 
-    @given(picks=strat.commutator_combinations())
-    def test_basis_round_trip_random(self, picks):
-        ctx = LieContext(3)
+    @given(combination=strat.commutator_combinations(min_dim=2, max_dim=5))
+    def test_basis_round_trip_random(self, combination):
+        ctx, picks = combination
         combined = {}
         for word, coeff in picks:
             combined[word] = combined.get(word, Fraction(0)) + coeff
@@ -211,11 +235,27 @@ class TestWordBasis:
         with pytest.raises(NotInCommutatorIdeal):
             to_commutator_basis(WreathElement(ctx, Poly.parse("a1*y1")))
 
+    @pytest.mark.parametrize("blocks", [(1, 1), (2, 0), (2, 1), (2, 2), (3,), (4,)])
+    def test_read_off_matches_the_linear_solve_on_witnesses(self, blocks):
+        family = infinite_family_witness(ModuleSpec(blocks))
+        for u in islice(family, 4):
+            assert to_commutator_basis(u) == solve_in_word_basis(u)
+
+    @pytest.mark.parametrize("dim,f1,f2", [
+        (4, "x4", "x2^2 - x1*x3"),
+        (5, "x1*x5 - 4*x2*x4 + 3*x3^2",
+         "-x1*x3*x5 - 2*x2*x3*x4 + x3^3 + x1*x4^2 + x2^2*x5"),
+        (3, "x1^2 + x2*x3", "x3^3 - x1*x2^2"),
+        (5, "x5*x1 + x4^2", "x2^2*x3 - x5^3"),
+    ])
+    def test_read_off_matches_the_linear_solve_on_pi_images(self, dim, f1, f2):
+        u = pi(Poly.parse(f1), Poly.parse(f2), LieContext(dim))
+        assert not u.is_zero()
+        assert to_commutator_basis(u) == solve_in_word_basis(u)
+
     def test_pi_image_expansion(self):
         # pi(x4, x2^2 - x1 x3) in normal form; the left-normed rewrite of
         # 2[x4,x2,x2] - [x4,x1,x3] - [x4,x3,x1]
-        from metalie.invariants import pi
-
         ctx = LieContext(4)
         value = pi(Poly.variable("x4"), Poly.parse("x2^2 - x1*x3"), ctx)
         assert value == wreath(ctx, "2*[x4,x2,x2] - [x4,x1,x3] - [x4,x3,x1]")
@@ -288,12 +328,6 @@ class TestLieExpressions:
 
 
 class TestGrading:
-    def test_multidegree_split(self):
-        ctx = LieContext(2)
-        u = wreath(ctx, "[x2,x1] + [x2,x1,x1]")
-        comps = u.multidegree_components()
-        assert set(comps) == {(1, 1), (2, 1)}
-
     @given(u=strat.envelope_elements(), v=strat.envelope_elements())
     def test_product_is_commutative_and_truncates_a(self, u, v):
         assert u * v == v * u

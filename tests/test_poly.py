@@ -6,13 +6,16 @@ import pytest
 from hypothesis import given, settings
 
 import strategies as strat
+from metalie.metabelian import parse_lie_expr
 from metalie.poly import (
+    MAX_NESTING,
     ParseError,
     Poly,
     is_pairwise_jacobian_zero,
     jacobian_minor,
     mono_degree,
 )
+from metalie.series import parse_rational_function
 
 x1, x2, x3 = (Poly.variable(v) for v in ("x1", "x2", "x3"))
 
@@ -169,6 +172,16 @@ class TestParsePrint:
     def test_parse_errors(self, text):
         with pytest.raises(ParseError):
             Poly.parse(text)
+
+    @pytest.mark.parametrize("parse,nest", [
+        (Poly.parse, lambda depth: "(" * depth + "x1" + ")" * depth),
+        (parse_lie_expr, lambda depth: "[" * depth + "x2" + ",x1]" * depth),
+        (parse_rational_function, lambda depth: "1/" + "(" * depth + "1-z" + ")" * depth),
+    ])
+    def test_nesting_limit(self, parse, nest):
+        parse(nest(MAX_NESTING))
+        with pytest.raises(ParseError, match="nesting deeper than"):
+            parse(nest(MAX_NESTING + 1))
 
     @given(p=strat.polys())
     def test_round_trip(self, p):

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = ROOT / "scripts"
 
@@ -21,6 +23,14 @@ def test_invariant_dimensions_cross_check():
     result = run_script("invariant_dimensions.py", "2,1", "-N", "6", "--cross-check")
     assert result.returncode == 0, result.stdout + result.stderr
     assert "MISMATCH" not in result.stdout
+
+
+@pytest.mark.parametrize("spec", ["0", "2,,1"])
+def test_invariant_dimensions_refuses_bad_specs(spec):
+    result = run_script("invariant_dimensions.py", spec, "-N", "3")
+    assert result.returncode == 2
+    assert result.stderr.startswith("error: ")
+    assert "Traceback" not in result.stderr
 
 
 def test_reproduce_catalog():
