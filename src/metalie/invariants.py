@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
 from math import comb
+from time import perf_counter
 from typing import Iterator, Sequence
 
 from . import linalg
@@ -70,9 +70,11 @@ def pi(f1: Poly, f2: Poly, ctx: LieContext) -> WreathElement:
     _require_x_poly(f1, ctx)
     _require_x_poly(f2, ctx)
     g1, g2 = _to_y(f1, ctx), _to_y(f2, ctx)
+    # a minor vanishes unless both of its variables occur in f1 or f2
+    present = sorted({var_key(v)[1] for v in g1.variables() + g2.variables()})
     acc = Poly.zero()
-    for i in range(1, ctx.dim + 1):
-        for j in range(i + 1, ctx.dim + 1):
+    for pos, i in enumerate(present):
+        for j in present[pos + 1:]:
             minor = jacobian_minor(g1, g2, f"y{i}", f"y{j}")
             if minor.is_zero():
                 continue
@@ -99,7 +101,7 @@ def w_poly(m: int) -> Poly:
         raise ValueError("need m >= 1")
     acc = Poly.zero()
     for i in range(1, 2 * m + 2):
-        c = Fraction(comb(2 * m, i - 1) * (-1) ** (i - 1))
+        c = comb(2 * m, i - 1) * (-1) ** (i - 1)
         acc = acc + c * Poly.variable(f"x{i}") * Poly.variable(f"x{2 * m + 2 - i}")
     return acc
 
@@ -113,7 +115,7 @@ def w_lie(m: int) -> LieExpr:
         raise ValueError("need m >= 0")
     pieces = []
     for i in range(1, m + 2):
-        c = Fraction(2 * comb(2 * m + 1, i - 1) * (-1) ** (i - 1))
+        c = 2 * comb(2 * m + 1, i - 1) * (-1) ** (i - 1)
         pieces.append(Scale(c, Bracket((Gen(i), Gen(2 * m + 3 - i)))))
     return pieces[0] if len(pieces) == 1 else Sum(tuple(pieces))
 
@@ -174,7 +176,7 @@ def discriminant(k: int) -> Poly:
     computed as Res(F, F')/lc(F), with content one and positive leading term."""
     if k < 2:
         raise ValueError("need a form of degree at least 2")
-    coeffs = [Fraction(comb(k, j)) * Poly.variable(f"x{j + 1}") for j in range(k + 1)]
+    coeffs = [comb(k, j) * Poly.variable(f"x{j + 1}") for j in range(k + 1)]
     # coefficient of t^i is coeffs_by_t[i]
     coeffs_by_t = list(reversed(coeffs))
     derivative = [i * coeffs_by_t[i] for i in range(1, k + 1)]
@@ -413,9 +415,14 @@ def load_catalog() -> dict[str, CatalogCase]:
 
 @dataclass(frozen=True)
 class CheckResult:
+    """Outcome of one catalog check, with the seconds it took and its problem
+    size (what `size` counts is listed in `verify_catalog`)."""
+
     name: str
     passed: bool
     detail: str = ""
+    elapsed: float = 0.0
+    size: int = 0
 
 
 @dataclass
@@ -437,10 +444,23 @@ class CatalogReport:
             "truncation": self.truncation,
             "passed": self.passed,
             "checks": [
-                {"name": c.name, "passed": c.passed, **({"detail": c.detail} if c.detail else {})}
+                {"name": c.name, "passed": c.passed, "elapsed": round(c.elapsed, 6),
+                 "size": c.size, **({"detail": c.detail} if c.detail else {})}
                 for c in self.checks
             ],
         }
+
+
+class _Lap:
+    """Seconds since the previous call (or since construction)."""
+
+    def __init__(self):
+        self.last = perf_counter()
+
+    def __call__(self) -> float:
+        now = perf_counter()
+        elapsed, self.last = now - self.last, now
+        return elapsed
 
 
 def _ring_monomial_table(ring_gens: Sequence[Poly], max_degree: int) -> list[list[Poly]]:
@@ -470,12 +490,18 @@ def verify_catalog(case: CatalogCase, truncation: int = 12,
     truncation; (d) monomials in the ring generators span the ring invariants
     and push the module generators onto the module invariants degree by
     degree (exact rank checks, up to `rank_degree`).
+
+    Each check records the seconds spent on it and its size: the generators
+    checked for (a), the relations evaluated for (b), the terms of the
+    character decomposed for the series checks, the terms of the two
+    multiplicity series for the symmetrization, and the rows ranked for (d).
     """
     if rank_degree is None:
         rank_degree = truncation
     spec = case.spec
     report = CatalogReport(case.case_id, truncation)
     checks = report.checks
+    lap = _Lap()
 
     module_gens = case.module_generators()
     ring_gens = case.ring_generators()
@@ -485,47 +511,46 @@ def verify_catalog(case: CatalogCase, truncation: int = 12,
             if not (is_invariant(g, spec) and is_invariant_by_derivations(g, spec)):
                 bad.append(f"{label[0]}{idx}")
         checks.append(CheckResult(f"{label}-generators-invariant", not bad,
-                                  f"not invariant: {', '.join(bad)}" if bad else ""))
+                                  f"not invariant: {', '.join(bad)}" if bad else "",
+                                  lap(), len(items)))
 
-    bad = []
-    for idx, value in enumerate(case.relation_values(), start=1):
-        if not value.is_zero():
-            bad.append(str(idx))
+    values = case.relation_values()
+    bad = [str(idx) for idx, value in enumerate(values, start=1) if not value.is_zero()]
     checks.append(CheckResult("relations-vanish", not bad,
-                              f"nonzero relation(s): {', '.join(bad)}" if bad else ""))
+                              f"nonzero relation(s): {', '.join(bad)}" if bad else "",
+                              lap(), len(values)))
 
-    module_character = weight_character(spec, truncation, "module")
-    ring_character = weight_character(spec, truncation, "polyring")
-    module_table = extract_multiplicities(module_character)
-    ring_table = extract_multiplicities(ring_character)
-    computed_module = invariant_hilbert(module_table)
-    computed_ring = invariant_hilbert(ring_table)
-    stated_module = case.module_series(truncation)
-    stated_ring = case.ring_series(truncation)
-    checks.append(CheckResult(
-        "module-series-matches", computed_module == stated_module,
-        "" if computed_module == stated_module else
-        f"stated {stated_module} != computed {computed_module}"))
-    checks.append(CheckResult(
-        "ring-series-matches", computed_ring == stated_ring,
-        "" if computed_ring == stated_ring else
-        f"stated {stated_ring} != computed {computed_ring}"))
+    dims, symmetrized = {}, []
+    for label, space, stated in (("module", "module", case.module_series),
+                                 ("ring", "polyring", case.ring_series)):
+        character = weight_character(spec, truncation, space)
+        table = extract_multiplicities(character)
+        computed, expected = invariant_hilbert(table), stated(truncation)
+        dims[label] = computed.univariate_coefficients()
+        symmetrized.append((table.multiplicity_series(), character))
+        checks.append(CheckResult(
+            f"{label}-series-matches", computed == expected,
+            "" if computed == expected else f"stated {expected} != computed {computed}",
+            lap(), len(character.coefficients)))
+
     checks.append(CheckResult(
         "symmetrization-identity",
-        verify_symmetrization(module_table.multiplicity_series(), module_character)
-        and verify_symmetrization(ring_table.multiplicity_series(), ring_character)))
+        all(verify_symmetrization(m, character) for m, character in symmetrized),
+        "", lap(), sum(len(m.coefficients) for m, _ in symmetrized)))
 
     products = _ring_monomial_table(ring_gens, rank_degree)
-    ring_dims = computed_ring.univariate_coefficients()
+    ring_dims = dims["ring"]
     bad = []
     for n in range(rank_degree + 1):
         if linalg.rank([p.terms for p in products[n]]) != ring_dims[n]:
             bad.append(str(n))
     checks.append(CheckResult("ring-generators-span", not bad,
-                              f"rank defect in degree(s) {', '.join(bad)}" if bad else ""))
+                              f"rank defect in degree(s) {', '.join(bad)}" if bad else "",
+                              lap(), sum(len(row) for row in products)))
 
-    module_dims = computed_module.univariate_coefficients()
+    module_dims = dims["module"]
     bad = []
+    rows_ranked = 0
     for n in range(2, rank_degree + 1):
         rows = []
         for v in module_gens:
@@ -533,8 +558,10 @@ def verify_catalog(case: CatalogCase, truncation: int = 12,
             if dv > n:
                 continue
             rows.extend(v.ad_action(p).coordinates() for p in products[n - dv])
+        rows_ranked += len(rows)
         if linalg.rank(rows) != module_dims[n]:
             bad.append(str(n))
     checks.append(CheckResult("module-generators-span", not bad,
-                              f"rank defect in degree(s) {', '.join(bad)}" if bad else ""))
+                              f"rank defect in degree(s) {', '.join(bad)}" if bad else "",
+                              lap(), rows_ranked))
     return report

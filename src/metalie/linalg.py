@@ -1,20 +1,26 @@
-"""Exact linear algebra over Fraction: small dense matrices, sparse ranks."""
+"""Exact linear algebra over the rationals: small dense matrices, sparse ranks.
+
+Entries are `int`, or `Fraction` where a division happens: `mat_scale` by a
+fraction and `solve_unique`.  `rank` is fraction-free: it clears
+denominators and eliminates over the integers.
+"""
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 
 class LinearSolveError(ValueError):
     """Raised when an exact linear system has no (unique) solution."""
 
 
-def identity(n: int) -> list[list[Fraction]]:
-    return [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
+def identity(n: int) -> list[list[int]]:
+    return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
-def zero_matrix(n: int) -> list[list[Fraction]]:
-    return [[Fraction(0)] * n for _ in range(n)]
+def zero_matrix(n: int) -> list[list[int]]:
+    return [[0] * n for _ in range(n)]
 
 
 def mat_add(a, b):
@@ -32,7 +38,7 @@ def mat_scale(a, c):
 
 def mat_mul(a, b):
     n, k, m = len(a), len(b), len(b[0])
-    out = [[Fraction(0)] * m for _ in range(n)]
+    out = [[0] * m for _ in range(n)]
     for i in range(n):
         row = a[i]
         for t in range(k):
@@ -49,32 +55,50 @@ def is_zero_matrix(a) -> bool:
     return all(not x for row in a for x in row)
 
 
-def rank(rows) -> int:
-    """Rank of a family of sparse vectors given as dicts key -> Fraction.
+def _primitive(row: dict) -> dict:
+    """The row divided by the gcd of its (integer) entries."""
+    g = gcd(*row.values())
+    return {k: v // g for k, v in row.items()} if g > 1 else row
 
-    Keys may be arbitrary hashables; zero entries need not be stored.
+
+def rank(rows) -> int:
+    """Rank of a family of sparse vectors given as dicts key -> int or Fraction.
+
+    Keys may be arbitrary hashables; zero entries need not be stored.  Each
+    row is scaled to a primitive integer vector and reduced against the
+    earlier pivot rows by cross-multiplication, p * row - c * pivot_row with
+    the gcd of the pivot entries p, c divided out; no fraction is formed.
     """
-    basis: list[dict] = []
-    pivots: list = []
-    r = 0
+    basis: list[tuple[object, int, dict]] = []
     for row in rows:
-        row = {k: Fraction(v) for k, v in row.items() if v}
-        for pivot, vec in zip(pivots, basis):
+        row = {k: v for k, v in row.items() if v}
+        if not row:
+            continue
+        if any(type(v) is not int for v in row.values()):
+            den = lcm(*(v.denominator for v in row.values()))
+            row = {k: v.numerator * (den // v.denominator) for k, v in row.items()}
+        row = _primitive(row)
+        for pivot, p, vec in basis:
             c = row.get(pivot)
-            if c:
-                factor = c / vec[pivot]
-                for k, v in vec.items():
-                    s = row.get(k, 0) - factor * v
-                    if s:
-                        row[k] = s
-                    else:
-                        row.pop(k, None)
+            if not c:
+                continue
+            g = gcd(p, c)
+            p_, c_ = p // g, c // g
+            if p_ != 1:
+                row = {k: p_ * v for k, v in row.items()}
+            for k, v in vec.items():
+                s = row.get(k, 0) - c_ * v
+                if s:
+                    row[k] = s
+                else:
+                    del row[k]
+            if not row:
+                break
+            row = _primitive(row)
         if row:
             pivot = next(iter(row))
-            pivots.append(pivot)
-            basis.append(row)
-            r += 1
-    return r
+            basis.append((pivot, row[pivot], row))
+    return len(basis)
 
 
 def solve_unique(columns, target):

@@ -32,6 +32,7 @@ from .poly import (
     TokenStream,
     _PolyParser,
     mono_degree,
+    parse_quotient,
     tokenize,
     var_key,
 )
@@ -132,8 +133,8 @@ class WreathElement:
 
     def split(self) -> tuple[Poly, dict[int, Poly]]:
         """Return (y-only part, {i: coefficient of a_i}); coefficients in K[Y]."""
-        y_terms: dict[Monomial, Fraction] = {}
-        a_parts: dict[int, dict[Monomial, Fraction]] = {}
+        y_terms: dict[Monomial, int | Fraction] = {}
+        a_parts: dict[int, dict[Monomial, int | Fraction]] = {}
         for m, c in self.poly.terms.items():
             a_index = None
             rest = []
@@ -150,10 +151,10 @@ class WreathElement:
         return Poly(y_terms), {i: Poly(t) for i, t in a_parts.items()}
 
     @property
-    def y_linear(self) -> list[Fraction]:
+    def y_linear(self) -> list[int | Fraction]:
         """Coefficient vector of y_1..y_d; raises if the y-part is not linear."""
         y_part, _ = self.split()
-        coeffs = [Fraction(0)] * self.ctx.dim
+        coeffs = [0] * self.ctx.dim
         for m, c in y_part.terms.items():
             if mono_degree(m) != 1:
                 raise ValueError("y-part is not linear")
@@ -276,7 +277,7 @@ class WreathElement:
     def is_homogeneous(self) -> bool:
         return self.poly.is_homogeneous()
 
-    def coordinates(self) -> dict[Monomial, Fraction]:
+    def coordinates(self) -> dict[Monomial, int | Fraction]:
         """Coordinates in the monomial basis {Y^q, a_i Y^q} of the envelope."""
         return dict(self.poly.terms)
 
@@ -380,7 +381,7 @@ def from_commutator_basis(ctx: LieContext,
     return acc
 
 
-def to_commutator_basis(u: WreathElement) -> list[tuple[Fraction, CommutatorWord]]:
+def to_commutator_basis(u: WreathElement) -> list[tuple[int | Fraction, CommutatorWord]]:
     """Unique expansion of a commutator-ideal element in the left-normed basis.
 
     Read off the envelope: the coefficient of [x_i, x_q1, ..., x_qm]
@@ -388,7 +389,7 @@ def to_commutator_basis(u: WreathElement) -> list[tuple[Fraction, CommutatorWord
     """
     if not u.is_in_commutator_ideal():
         raise NotInCommutatorIdeal("element is not in the commutator ideal")
-    expansion: list[tuple[Fraction, CommutatorWord]] = []
+    expansion: list[tuple[int | Fraction, CommutatorWord]] = []
     for i, f in u.split()[1].items():
         for m, c in f.terms.items():
             q = [var_key(v)[1] for v, e in m for _ in range(e)]
@@ -398,10 +399,10 @@ def to_commutator_basis(u: WreathElement) -> list[tuple[Fraction, CommutatorWord
     return expansion
 
 
-def format_commutator_expansion(terms: Sequence[tuple[Fraction, CommutatorWord]],
-                                linear: Mapping[int, Fraction] | None = None) -> str:
+def format_commutator_expansion(terms: Sequence[tuple[int | Fraction, CommutatorWord]],
+                                linear: Mapping[int, int | Fraction] | None = None) -> str:
     """Render `x3 + 2[x4,x2,x2] - [x4,x1,x3]` style output, deterministically."""
-    parts: list[tuple[Fraction, str]] = []
+    parts: list[tuple[int | Fraction, str]] = []
     if linear:
         for j in sorted(linear):
             if linear[j]:
@@ -485,7 +486,7 @@ class Bracket(LieExpr):
 
 @dataclass(frozen=True)
 class Scale(LieExpr):
-    coeff: Fraction
+    coeff: int | Fraction
     arg: LieExpr
 
     def evaluate(self, ctx: LieContext) -> WreathElement:
@@ -547,21 +548,19 @@ def _parse_lie_sum(stream: TokenStream) -> LieExpr:
 
 
 def _parse_lie_term(stream: TokenStream, sign: int) -> LieExpr:
-    coeff = Fraction(sign)
+    coeff = sign
     kind, tok, _ = stream.peek()
     if kind == "num":
         stream.next()
-        numerator = int(tok)
-        denominator = 1
+        coeff *= int(tok)
         save = stream.pos
         if stream.accept_op("/"):
-            kind2, tok2, _ = stream.peek()
+            kind2, tok2, pos2 = stream.peek()
             if kind2 == "num":
                 stream.next()
-                denominator = int(tok2)
+                coeff = parse_quotient(coeff, int(tok2), pos2)
             else:
                 stream.pos = save
-        coeff *= Fraction(numerator, denominator)
         stream.accept_op("*")
     base = _parse_lie_factor(stream)
     multiplier = None

@@ -4,7 +4,9 @@ A monomial is a tuple of (variable, exponent) pairs with positive exponents,
 sorted by a fixed global variable order.  Variable names consist of a letter
 part and an optional numeric suffix ("x1", "y3", "a2", "z", "t1"); they are
 ordered by (letters, number), so the x-, y- and a-alphabets can coexist in a
-single polynomial.  Coefficients are `fractions.Fraction`; there is no
+single polynomial.  Coefficients are `int`; a `fractions.Fraction` appears
+only where a division happens (`/`, a parsed `a/b`, `normalized`), and one
+whose denominator is 1 is turned back into an `int` (`exact`).  There is no
 floating point anywhere in this package.
 """
 
@@ -41,14 +43,28 @@ def var_name(letter: str, index: int) -> str:
 
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
+    """Product of two monomials: one linear merge of the sorted factors."""
     if not a:
         return b
     if not b:
         return a
-    merged: dict[str, int] = dict(a)
-    for v, e in b:
-        merged[v] = merged.get(v, 0) + e
-    return tuple(sorted(merged.items(), key=lambda item: var_key(item[0])))
+    out = []
+    i = j = 0
+    na, nb = len(a), len(b)
+    while i < na and j < nb:
+        va, ea = a[i]
+        vb, eb = b[j]
+        if va == vb:
+            out.append((va, ea + eb))
+            i += 1
+            j += 1
+        elif var_key(va) < var_key(vb):
+            out.append(a[i])
+            i += 1
+        else:
+            out.append(b[j])
+            j += 1
+    return tuple(out) + a[i:] + b[j:]
 
 
 def mono_degree(m: Monomial) -> int:
@@ -73,16 +89,29 @@ def mono_str(m: Monomial) -> str:
     return "*".join(v if e == 1 else f"{v}^{e}" for v, e in m)
 
 
-def _as_fraction(c) -> Fraction:
-    if isinstance(c, Fraction):
+def exact(c) -> int | Fraction:
+    """Canonical exact scalar: an `int`, or a `Fraction` whose denominator is
+    not 1."""
+    if type(c) is int:
         return c
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
     if isinstance(c, int):
-        return Fraction(c)
+        return int(c)
     raise TypeError(f"not an exact scalar: {c!r}")
 
 
+def _canonical(terms: dict) -> dict:
+    """Turn the Fraction values with denominator 1 of `terms` into ints, in
+    place; the other values are left as they are."""
+    for key, c in terms.items():
+        if type(c) is not int and c.denominator == 1:
+            terms[key] = c.numerator
+    return terms
+
+
 class Poly:
-    """Polynomial with Fraction coefficients in named variables.
+    """Polynomial with exact coefficients (see `exact`) in named variables.
 
     Instances are immutable by convention: no method mutates `terms`, and all
     operations return fresh objects, so values are safe to share across
@@ -91,11 +120,12 @@ class Poly:
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[Monomial, Fraction] | None = None):
-        canonical: dict[Monomial, Fraction] = {}
+    def __init__(self, terms: Mapping[Monomial, int | Fraction] | None = None):
+        canonical: dict[Monomial, int | Fraction] = {}
         if terms:
             for m, c in terms.items():
-                c = _as_fraction(c)
+                if type(c) is not int:
+                    c = exact(c)
                 if c:
                     canonical[m] = c
         self.terms = canonical
@@ -108,20 +138,20 @@ class Poly:
 
     @classmethod
     def one(cls) -> "Poly":
-        return cls({ONE_MONOMIAL: Fraction(1)})
+        return cls({ONE_MONOMIAL: 1})
 
     @classmethod
     def const(cls, c) -> "Poly":
-        return cls({ONE_MONOMIAL: _as_fraction(c)})
+        return cls({ONE_MONOMIAL: c})
 
     @classmethod
     def variable(cls, name: str) -> "Poly":
         var_key(name)
-        return cls({((name, 1),): Fraction(1)})
+        return cls({((name, 1),): 1})
 
     @classmethod
     def monomial(cls, m: Monomial, c=1) -> "Poly":
-        return cls({m: _as_fraction(c)})
+        return cls({m: c})
 
     # -- ring operations ---------------------------------------------------
 
@@ -149,7 +179,7 @@ class Poly:
         for m, c in other.terms.items():
             s = terms.get(m, 0) + c
             if s:
-                terms[m] = s
+                terms[m] = s if type(s) is int else exact(s)
             else:
                 terms.pop(m, None)
         out = Poly.__new__(Poly)
@@ -175,15 +205,15 @@ class Poly:
 
     def __mul__(self, other) -> "Poly":
         if isinstance(other, (int, Fraction)):
-            c = _as_fraction(other)
+            c = exact(other)
             if not c:
                 return Poly.zero()
             out = Poly.__new__(Poly)
-            out.terms = {m: v * c for m, v in self.terms.items()}
+            out.terms = _canonical({m: v * c for m, v in self.terms.items()})
             return out
         if not isinstance(other, Poly):
             return NotImplemented
-        terms: dict[Monomial, Fraction] = {}
+        terms: dict[Monomial, int | Fraction] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = mono_mul(m1, m2)
@@ -193,13 +223,13 @@ class Poly:
                 else:
                     terms.pop(m, None)
         out = Poly.__new__(Poly)
-        out.terms = terms
+        out.terms = _canonical(terms)
         return out
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Poly":
-        return self * (Fraction(1) / _as_fraction(other))
+        return self * (Fraction(1) / exact(other))
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
@@ -225,23 +255,23 @@ class Poly:
             return -1
         return max(mono_degree(m) for m in self.terms)
 
-    def coefficient(self, m: Monomial) -> Fraction:
-        return self.terms.get(m, Fraction(0))
+    def coefficient(self, m: Monomial) -> int | Fraction:
+        return self.terms.get(m, 0)
 
-    def constant_term(self) -> Fraction:
-        return self.terms.get(ONE_MONOMIAL, Fraction(0))
+    def constant_term(self) -> int | Fraction:
+        return self.terms.get(ONE_MONOMIAL, 0)
 
     def is_homogeneous(self) -> bool:
         degrees = {mono_degree(m) for m in self.terms}
         return len(degrees) <= 1
 
     def homogeneous_components(self) -> dict[int, "Poly"]:
-        comps: dict[int, dict[Monomial, Fraction]] = {}
+        comps: dict[int, dict[Monomial, int | Fraction]] = {}
         for m, c in self.terms.items():
             comps.setdefault(mono_degree(m), {})[m] = c
         return {n: Poly(t) for n, t in sorted(comps.items())}
 
-    def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
+    def sorted_terms(self) -> list[tuple[Monomial, int | Fraction]]:
         return sorted(self.terms.items(), key=lambda item: mono_sort_key(item[0]))
 
     def leading_monomial(self) -> Monomial:
@@ -254,7 +284,7 @@ class Poly:
     def partial(self, var: str) -> "Poly":
         """Formal partial derivative with respect to `var`."""
         var_key(var)
-        terms: dict[Monomial, Fraction] = {}
+        terms: dict[Monomial, int | Fraction] = {}
         for m, c in self.terms.items():
             e = mono_exponent(m, var)
             if not e:
@@ -266,7 +296,7 @@ class Poly:
             else:
                 terms.pop(reduced, None)
         out = Poly.__new__(Poly)
-        out.terms = terms
+        out.terms = _canonical(terms)
         return out
 
     def substitute(self, images: Mapping[str, "Poly"]) -> "Poly":
@@ -274,9 +304,9 @@ class Poly:
 
         Variables not listed in `images` are left untouched.
         """
-        power_cache: dict[tuple[str, int], dict[Monomial, Fraction]] = {}
+        power_cache: dict[tuple[str, int], dict[Monomial, int | Fraction]] = {}
 
-        def image_power(v: str, e: int) -> dict[Monomial, Fraction]:
+        def image_power(v: str, e: int) -> dict[Monomial, int | Fraction]:
             key = (v, e)
             cached = power_cache.get(key)
             if cached is None:
@@ -284,12 +314,12 @@ class Poly:
                 power_cache[key] = cached
             return cached
 
-        acc: dict[Monomial, Fraction] = {}
+        acc: dict[Monomial, int | Fraction] = {}
         for m, c in self.terms.items():
-            prod: dict[Monomial, Fraction] = {ONE_MONOMIAL: c}
+            prod: dict[Monomial, int | Fraction] = {ONE_MONOMIAL: c}
             for v, e in m:
-                factor = image_power(v, e) if v in images else {((v, e),): Fraction(1)}
-                step: dict[Monomial, Fraction] = {}
+                factor = image_power(v, e) if v in images else {((v, e),): 1}
+                step: dict[Monomial, int | Fraction] = {}
                 for m1, c1 in prod.items():
                     for m2, c2 in factor.items():
                         key = mono_mul(m1, m2)
@@ -306,12 +336,12 @@ class Poly:
                 else:
                     acc.pop(mm, None)
         out = Poly.__new__(Poly)
-        out.terms = acc
+        out.terms = _canonical(acc)
         return out
 
     def rename(self, mapping: Mapping[str, str]) -> "Poly":
         """Rename variables; the map must keep monomials collision-free."""
-        terms: dict[Monomial, Fraction] = {}
+        terms: dict[Monomial, int | Fraction] = {}
         for m, c in self.terms.items():
             renamed = tuple(sorted(((mapping.get(v, v), e) for v, e in m),
                                    key=lambda item: var_key(item[0])))
@@ -324,16 +354,16 @@ class Poly:
 
     # -- normalization -----------------------------------------------------
 
-    def content(self) -> Fraction:
+    def content(self) -> int | Fraction:
         """gcd of numerators over lcm of denominators (0 for the zero poly)."""
         if not self.terms:
-            return Fraction(0)
+            return 0
         num = 0
         den = 1
         for c in self.terms.values():
-            num = gcd(num, abs(c.numerator))
+            num = gcd(num, c.numerator)
             den = den * c.denominator // gcd(den, c.denominator)
-        return Fraction(num, den)
+        return exact(Fraction(num, den))
 
     def normalized(self) -> "Poly":
         """Divide out the content and make the leading coefficient positive."""
@@ -437,6 +467,13 @@ def tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+def parse_quotient(numerator: int, denominator: int, pos: int) -> int | Fraction:
+    """The scalar of a parsed `a/b`; a zero denominator is a parse error."""
+    if not denominator:
+        raise ParseError(f"division by zero at position {pos}")
+    return exact(Fraction(numerator, denominator))
+
+
 class TokenStream:
     def __init__(self, tokens):
         self.tokens = tokens
@@ -511,10 +548,10 @@ class _PolyParser:
             numerator = int(text)
             save = self.stream.pos
             if self.stream.accept_op("/"):
-                kind2, text2, _ = self.stream.peek()
+                kind2, text2, pos2 = self.stream.peek()
                 if kind2 == "num":
                     self.stream.next()
-                    return Poly.const(Fraction(numerator, int(text2)))
+                    return Poly.const(parse_quotient(numerator, int(text2), pos2))
                 self.stream.pos = save
             return Poly.const(numerator)
         if kind == "name":

@@ -14,15 +14,20 @@ slice is built directly in weight space:
   3. `weight_character` grades by the pair (p, q) and returns the
      two-variable character of each slice, which `extract_multiplicities`
      decomposes by the weight-difference rule
-     m(k, l) = c_{k+l, l} - c_{k+l+1, l-1}.
+     m(k, l) = c_{k+l, l} - c_{k+l+1, l-1}; a slice is a character exactly
+     when it is symmetric under t1 <-> t2 and every such m is a nonnegative
+     integer.
 
 The multigraded series `hilbert_polyring`, `hilbert_metabelian` and
 `hilbert_metabelian_module`, collapsed by `weight_substitute`, enumerate all
 C(N + d, d) monomials in z_1..z_d; they stay as the independent oracle the
 direct construction is tested against.
 
-Everything is exact; series arithmetic drops terms beyond the truncation
-bound eagerly.
+Everything is exact: coefficients, characters and multiplicities are
+`int`, and a `Fraction` appears only where a division happens
+(`expand_rational` divides by the constant terms of the denominator
+factors).  Series arithmetic drops terms beyond the truncation bound
+eagerly.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .poly import ParseError, Poly, TokenStream, _PolyParser, tokenize
+from .poly import ParseError, Poly, TokenStream, _PolyParser, exact, tokenize
 from .sl2 import ModuleSpec
 
 Exponents = tuple[int, ...]
@@ -48,7 +53,8 @@ class TruncationMismatch(ValueError):
 
 @dataclass(eq=False)
 class TruncatedSeries:
-    """Power series with exact coefficients, truncated in the graded variables.
+    """Power series with exact coefficients (see `poly.exact`), truncated in
+    the graded variables.
 
     `graded` names the variables whose exponent sum is capped at `truncation`;
     the remaining variables (weights t1, t2) are carried along unbounded.
@@ -56,7 +62,7 @@ class TruncatedSeries:
 
     variables: tuple[str, ...]
     truncation: int
-    coefficients: dict[Exponents, Fraction] = field(default_factory=dict)
+    coefficients: dict[Exponents, int | Fraction] = field(default_factory=dict)
     graded: tuple[str, ...] = None
 
     def __post_init__(self):
@@ -70,7 +76,8 @@ class TruncatedSeries:
         for exps, c in self.coefficients.items():
             if len(exps) != len(self.variables):
                 raise TruncationMismatch("exponent vector length mismatch")
-            c = Fraction(c)
+            if type(c) is not int:
+                c = exact(c)
             if c and self._graded_degree(exps, mask) <= self.truncation:
                 cleaned[exps] = c
         self.coefficients = cleaned
@@ -91,11 +98,11 @@ class TruncatedSeries:
     @classmethod
     def one(cls, variables, truncation, graded=None) -> "TruncatedSeries":
         variables = tuple(variables)
-        return cls(variables, truncation, {(0,) * len(variables): Fraction(1)}, graded)
+        return cls(variables, truncation, {(0,) * len(variables): 1}, graded)
 
     @classmethod
     def term(cls, variables, truncation, exps, coeff=1, graded=None) -> "TruncatedSeries":
-        return cls(tuple(variables), truncation, {tuple(exps): Fraction(coeff)}, graded)
+        return cls(tuple(variables), truncation, {tuple(exps): coeff}, graded)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -135,7 +142,7 @@ class TruncatedSeries:
                                    self.graded)
         self._compatible(other)
         mask = self._mask()
-        coeffs: dict[Exponents, Fraction] = {}
+        coeffs: dict[Exponents, int | Fraction] = {}
         for e1, c1 in self.coefficients.items():
             for e2, c2 in other.coefficients.items():
                 exps = tuple(a + b for a, b in zip(e1, e2))
@@ -158,19 +165,19 @@ class TruncatedSeries:
 
     # -- access ----------------------------------------------------------------
 
-    def coefficient(self, exps: Exponents) -> Fraction:
-        return self.coefficients.get(tuple(exps), Fraction(0))
+    def coefficient(self, exps: Exponents) -> int | Fraction:
+        return self.coefficients.get(tuple(exps), 0)
 
-    def univariate_coefficients(self) -> list[Fraction]:
+    def univariate_coefficients(self) -> list[int | Fraction]:
         """Coefficient list [c_0, ..., c_N] of a single-variable series."""
         if len(self.variables) != 1:
             raise TruncationMismatch("not a univariate series")
-        return [self.coefficients.get((n,), Fraction(0)) for n in range(self.truncation + 1)]
+        return [self.coefficients.get((n,), 0) for n in range(self.truncation + 1)]
 
-    def slices_by(self, var: str) -> dict[int, dict[Exponents, Fraction]]:
+    def slices_by(self, var: str) -> dict[int, dict[Exponents, int | Fraction]]:
         """Group coefficients by the exponent of one variable, dropping it."""
         idx = self.variables.index(var)
-        out: dict[int, dict[Exponents, Fraction]] = {}
+        out: dict[int, dict[Exponents, int | Fraction]] = {}
         for exps, c in self.coefficients.items():
             rest = exps[:idx] + exps[idx + 1:]
             out.setdefault(exps[idx], {})[rest] = c
@@ -204,7 +211,7 @@ def hilbert_polyring(d: int, truncation: int) -> TruncatedSeries:
     every monomial appears with coefficient one."""
     if d < 1 or truncation < 0:
         raise ValueError("need d >= 1 and a nonnegative truncation")
-    coeffs = {exps: Fraction(1) for exps in _exponents_up_to(d, truncation)}
+    coeffs = {exps: 1 for exps in _exponents_up_to(d, truncation)}
     return TruncatedSeries(_z_variables(d), truncation, coeffs)
 
 
@@ -250,7 +257,7 @@ def weight_substitute(h: TruncatedSeries, spec: ModuleSpec) -> TruncatedSeries:
         raise TruncationMismatch(
             f"series in {len(h.variables)} variables against a rank-{d} specification")
     weights = spec.weights()
-    coeffs: dict[Exponents, Fraction] = {}
+    coeffs: dict[Exponents, int | Fraction] = {}
     for exps, c in h.coefficients.items():
         t1 = sum(e * w[0] for e, w in zip(exps, weights))
         t2 = sum(e * w[1] for e, w in zip(exps, weights))
@@ -326,17 +333,17 @@ def invariant_dimension_series(spec: ModuleSpec, truncation: int,
 
 # -- characters and Schur decomposition ------------------------------------------
 
-Character = dict[tuple[int, int], Fraction]
+Character = dict[tuple[int, int], int]
 
 
 def vk_character(k: int) -> Character:
     """Torus character of the degree-k binary form module."""
-    return {(k - i, i): Fraction(1) for i in range(k + 1)}
+    return {(k - i, i): 1 for i in range(k + 1)}
 
 
 def schur_function(k: int, l: int) -> Character:
     """Character of det^l tensor V_k: (t1 t2)^l * (t1^k + ... + t2^k)."""
-    return {(k + l - i, l + i): Fraction(1) for i in range(k + 1)}
+    return {(k + l - i, l + i): 1 for i in range(k + 1)}
 
 
 def character_product(c1: Character, c2: Character) -> Character:
@@ -356,51 +363,51 @@ def _doubled(c: Character) -> Character:
     return {(2 * a, 2 * b): x for (a, b), x in c.items()}
 
 
-def symmetric_square_character(c: Character) -> Character:
+def _half_square(c: Character, sign: int) -> Character:
+    """Half of c(t)^2 + sign * c(t^2), exactly: an int on a character."""
     square = character_product(c, c)
     doubled = _doubled(c)
     out: Character = {}
     for key in set(square) | set(doubled):
-        s = (square.get(key, 0) + doubled.get(key, 0)) / 2
+        s = exact(Fraction(square.get(key, 0) + sign * doubled.get(key, 0), 2))
         if s:
             out[key] = s
     return out
+
+
+def symmetric_square_character(c: Character) -> Character:
+    return _half_square(c, 1)
 
 
 def skew_square_character(c: Character) -> Character:
-    square = character_product(c, c)
-    doubled = _doubled(c)
-    out: Character = {}
-    for key in set(square) | set(doubled):
-        s = (square.get(key, 0) - doubled.get(key, 0)) / 2
-        if s:
-            out[key] = s
-    return out
+    return _half_square(c, -1)
 
 
-def decompose_character(character: Mapping[tuple[int, int], Fraction]) -> dict[tuple[int, int], int]:
+def decompose_character(character: Mapping[tuple[int, int], int | Fraction]
+                        ) -> dict[tuple[int, int], int]:
     """Multiplicities {(k, l): m} with the character equal to
-    sum m(k,l) S_{(k+l,l)}; the weight-difference rule is exact here.
+    sum m(k,l) S_{(k+l,l)}, by the weight-difference rule
+    m(k, l) = c(k+l, l) - c(k+l+1, l-1).
 
-    Raises NotACharacter when the input is not a genuine character.
+    The rule is taken at every weight (a, b), a >= b, where c(a, b) or
+    c(a+1, b-1) is nonzero.  The input is a character exactly when it is
+    symmetric under t1 <-> t2 and all these m are nonnegative integers:
+    summed down each antidiagonal, the m telescope back to c.  Raises
+    NotACharacter otherwise.
     """
+    c = {key: v for key, v in character.items() if v}
     result: dict[tuple[int, int], int] = {}
-    for (a, b), c in character.items():
-        if a < b:
-            continue
-        m = c - character.get((a + 1, b - 1), 0)
-        if m:
-            if m < 0 or m.denominator != 1:
-                raise NotACharacter(f"multiplicity {m} at weight {(a, b)}")
-            result[(a - b, b)] = int(m)
-    # the symmetric half must agree, otherwise the input was not a character
-    reconstructed: Character = {}
-    for (k, l), m in result.items():
-        for key, v in schur_function(k, l).items():
-            reconstructed[key] = reconstructed.get(key, 0) + m * v
-    cleaned = {key: c for key, c in character.items() if c}
-    if {k: v for k, v in reconstructed.items() if v} != cleaned:
-        raise NotACharacter("weight table is not symmetric under t1 <-> t2")
+    for (a, b), v in c.items():
+        if c.get((b, a), 0) != v:
+            raise NotACharacter("weight table is not symmetric under t1 <-> t2")
+        for x, y in ((a, b), (a - 1, b + 1)):
+            if x < y:
+                continue
+            m = c.get((x, y), 0) - c.get((x + 1, y - 1), 0)
+            if m:
+                if m < 0 or m.denominator != 1:
+                    raise NotACharacter(f"multiplicity {m} at weight {(x, y)}")
+                result[(x - y, y)] = int(m)
     return result
 
 
@@ -425,12 +432,12 @@ class MultiplicityTable:
 
     def multiplicity_series(self) -> TruncatedSeries:
         """The series sum m_n(k,l) t1^(k+l) t2^l z^n."""
-        coeffs = {(k + l, l, n): Fraction(m) for (n, k, l), m in self.entries.items()}
+        coeffs = {(k + l, l, n): m for (n, k, l), m in self.entries.items()}
         return TruncatedSeries(("t1", "t2", "z"), self.truncation, coeffs, graded=("z",))
 
     def multiplicity_series_tu(self) -> TruncatedSeries:
         """The same data in the variables t, u: sum m_n(k,l) t^k u^l z^n."""
-        coeffs = {(k, l, n): Fraction(m) for (n, k, l), m in self.entries.items()}
+        coeffs = {(k, l, n): m for (n, k, l), m in self.entries.items()}
         return TruncatedSeries(("t", "u", "z"), self.truncation, coeffs, graded=("z",))
 
 
@@ -455,7 +462,7 @@ def invariant_hilbert(table: MultiplicityTable) -> TruncatedSeries:
     for n in range(table.truncation + 1):
         dim = table.invariant_dimension(n)
         if dim:
-            coeffs[(n,)] = Fraction(dim)
+            coeffs[(n,)] = dim
     return TruncatedSeries(("z",), table.truncation, coeffs)
 
 
@@ -470,7 +477,7 @@ def verify_symmetrization(candidate: TruncatedSeries, hgl: TruncatedSeries) -> b
         raise TruncationMismatch("expected series in (t1, t2, z)")
     if candidate.truncation != hgl.truncation:
         raise TruncationMismatch("truncations differ")
-    numerator: dict[Exponents, Fraction] = {}
+    numerator: dict[Exponents, int | Fraction] = {}
     for (a, b, n), c in candidate.coefficients.items():
         plus = (a + 1, b, n)          # t1 * f(t1, t2, z)
         minus = (b, a + 1, n)         # t2 * f(t2, t1, z)
@@ -483,7 +490,7 @@ def verify_symmetrization(candidate: TruncatedSeries, hgl: TruncatedSeries) -> b
     return quotient == {k: v for k, v in hgl.coefficients.items() if v}
 
 
-def _divide_by_t1_minus_t2(numerator: dict[Exponents, Fraction]):
+def _divide_by_t1_minus_t2(numerator: dict[Exponents, int | Fraction]):
     """Exact division of a (t1, t2, z) table by (t1 - t2); None if impossible.
 
     Each slice of fixed z degree n and t-degree a + b = s divides on its own:
@@ -491,10 +498,10 @@ def _divide_by_t1_minus_t2(numerator: dict[Exponents, Fraction]):
     t1^(a-1) t2^(s-a) is the running sum of the numerator coefficients from
     a up, and the sum over the whole slice must vanish.
     """
-    slices: dict[tuple[int, int], dict[int, Fraction]] = {}
+    slices: dict[tuple[int, int], dict[int, int | Fraction]] = {}
     for (a, b, n), c in numerator.items():
         slices.setdefault((n, a + b), {})[a] = c
-    quotient: dict[Exponents, Fraction] = {}
+    quotient: dict[Exponents, int | Fraction] = {}
     for (n, s), row in slices.items():
         carry = 0
         for a in range(max(row), 0, -1):

@@ -115,19 +115,15 @@ class _GeneratorMatrix:
     """
 
     spec: ModuleSpec
-    matrix: tuple[tuple[Fraction, ...], ...]
+    matrix: tuple[tuple[int | Fraction, ...], ...]
 
     def __eq__(self, other):
         return type(other) is type(self) and self.spec == other.spec \
             and self.matrix == other.matrix
 
     def column_image(self, letter: str, j: int) -> Poly:
-        acc = Poly.zero()
-        for i in range(self.spec.dimension):
-            c = self.matrix[i][j - 1]
-            if c:
-                acc = acc + c * Poly.variable(f"{letter}{i + 1}")
-        return acc
+        return Poly({((f"{letter}{i + 1}", 1),): row[j - 1]
+                     for i, row in enumerate(self.matrix) if row[j - 1]})
 
     def _images(self, p: Poly, letters: str) -> dict[str, Poly]:
         """Image of each variable of p; each must be one of the generators."""
@@ -177,22 +173,22 @@ def _leibniz(p: Poly, images: dict[str, Poly]) -> Poly:
 def g1_matrix(spec: ModuleSpec) -> LinearAction:
     """Action of the upper unitriangular generator on each block."""
     d = spec.dimension
-    m = [[Fraction(0)] * d for _ in range(d)]
+    m = [[0] * d for _ in range(d)]
     for k, offset in zip(spec.blocks, spec.offsets()):
         for l in range(k + 1):
             for j in range(l + 1):
-                m[offset + j][offset + l] = Fraction(comb(l, j))
+                m[offset + j][offset + l] = comb(l, j)
     return LinearAction(spec, tuple(tuple(row) for row in m))
 
 
 def g2_matrix(spec: ModuleSpec) -> LinearAction:
     """Action of the lower unitriangular generator, mirroring g1."""
     d = spec.dimension
-    m = [[Fraction(0)] * d for _ in range(d)]
+    m = [[0] * d for _ in range(d)]
     for k, offset in zip(spec.blocks, spec.offsets()):
         for l in range(k + 1):
             for j in range(l + 1):
-                m[offset + k - j][offset + k - l] = Fraction(comb(l, j))
+                m[offset + k - j][offset + k - l] = comb(l, j)
     return LinearAction(spec, tuple(tuple(row) for row in m))
 
 
@@ -243,12 +239,12 @@ def derivations(spec: ModuleSpec) -> tuple[Derivation, Derivation]:
     `g1_matrix` and `g2_matrix` gives the same matrices the slow way.
     """
     d = spec.dimension
-    raising = [[Fraction(0)] * d for _ in range(d)]
-    lowering = [[Fraction(0)] * d for _ in range(d)]
+    raising = [[0] * d for _ in range(d)]
+    lowering = [[0] * d for _ in range(d)]
     for k, offset in zip(spec.blocks, spec.offsets()):
         for l in range(1, k + 1):
-            raising[offset + l - 1][offset + l] = Fraction(l)
-            lowering[offset + l][offset + l - 1] = Fraction(k - l + 1)
+            raising[offset + l - 1][offset + l] = l
+            lowering[offset + l][offset + l - 1] = k - l + 1
     return (Derivation(spec, tuple(tuple(row) for row in raising)),
             Derivation(spec, tuple(tuple(row) for row in lowering)))
 

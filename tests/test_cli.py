@@ -2,8 +2,13 @@
 
 import json
 
-from metalie.cli import main
+import pytest
+
+from metalie import invariants
+from metalie.cli import MAX_RANK, main
+from metalie.linalg import LinearSolveError
 from metalie.metabelian import LieContext, parse_lie_expr
+from metalie.series import NotACharacter, TruncationMismatch
 
 
 def run(capsys, *argv):
@@ -150,6 +155,19 @@ class TestCheck:
         assert code == 2
         assert err.startswith("error: nesting deeper than")
 
+    def test_directory_is_usage_error(self, capsys, tmp_path):
+        code, _, err = run(capsys, "check", "1", str(tmp_path))
+        assert code == 2
+        assert err.startswith("error: ")
+
+    def test_zero_denominator_is_parse_error(self, capsys, tmp_path):
+        for text in ("1/0*x1", "1/0*[x2,x1]"):
+            path = tmp_path / "expr.txt"
+            path.write_text(text)
+            code, _, err = run(capsys, "check", "1", str(path))
+            assert code == 2
+            assert err.startswith("error: division by zero")
+
 
 class TestPi:
     def test_known_element(self, capsys):
@@ -253,3 +271,57 @@ class TestNormalize:
         code, _, err = run(capsys, "normalize", deeply_nested("[x2,x1]"))
         assert code == 2
         assert err.startswith("error: nesting deeper than")
+
+
+class TestRankBudget:
+    def test_huge_block_is_refused(self, capsys):
+        code, out, err = run(capsys, "hilbert", str(10 ** 70), "polyring", "-N", "64")
+        assert code == 2
+        assert out == ""
+        assert "budget" in err
+
+    def test_huge_normalize_rank_is_refused(self, capsys):
+        code, out, err = run(capsys, "normalize", "[x1000000,x1]")
+        assert code == 2
+        assert out == ""
+        assert "budget" in err
+
+    def test_check_over_the_budget_is_refused(self, capsys, tmp_path):
+        path = tmp_path / "expr.txt"
+        path.write_text("x1")
+        code, out, err = run(capsys, "check", "2000", str(path))
+        assert code == 2
+        assert out == ""
+        assert "budget" in err
+
+    def test_rank_at_the_budget_is_accepted(self, capsys, tmp_path):
+        path = tmp_path / "expr.txt"
+        path.write_text("x1")
+        code, _, _ = run(capsys, "check", str(MAX_RANK - 1), str(path), "--json")
+        assert code == 1
+        code, out, _ = run(capsys, "pi", str(MAX_RANK - 1), "x1", "x2")
+        assert (code, out.strip()) == (0, "-[x2,x1]")
+        code, _, err = run(capsys, "check", str(MAX_RANK), str(path))
+        assert code == 2 and "budget" in err
+
+
+class TestInternalErrors:
+    @pytest.mark.parametrize("error", [
+        NotACharacter("degree 3 slice: multiplicity -1 at weight (2, 1)"),
+        TruncationMismatch("series shapes differ"),
+        LinearSolveError("inconsistent linear system"),
+        AssertionError("unreachable"),
+        RuntimeError("first line\nsecond line"),
+    ])
+    def test_exit_three_with_one_line(self, capsys, monkeypatch, error):
+        def fail(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(invariants, "extract_multiplicities", fail)
+        code, out, err = run(capsys, "catalog", "verify", "--case", "i", "--degree", "4")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("internal error: ")
+        assert err.count("\n") == 1
+        assert type(error).__name__ in err
+        assert "Traceback" not in err

@@ -297,6 +297,22 @@ class TestCatalog:
         ]
         assert report.to_json()["passed"] is True
 
+    def test_report_times_and_sizes_each_check(self):
+        report = verify_catalog(load_catalog()["vii"], truncation=8, rank_degree=6)
+        payload = report.to_json()
+        assert [c["name"] for c in payload["checks"]] == [c.name for c in report.checks]
+        for check, entry in zip(report.checks, payload["checks"]):
+            assert check.elapsed >= 0 and entry["elapsed"] == round(check.elapsed, 6)
+            assert entry["size"] == check.size
+        sizes = {c.name: c.size for c in report.checks}
+        case = load_catalog()["vii"]
+        assert sizes["module-generators-invariant"] == len(case.module_generator_texts)
+        assert sizes["ring-generators-invariant"] == len(case.ring_generator_texts)
+        assert sizes["relations-vanish"] == len(case.relation_texts)
+        assert all(sizes[name] > 0 for name in (
+            "module-series-matches", "ring-series-matches", "symmetrization-identity",
+            "ring-generators-span", "module-generators-span"))
+
 
 class TestRandomPiConsistency:
     def test_seeded_random_pairs(self):

@@ -14,6 +14,8 @@ from metalie.poly import (
     is_pairwise_jacobian_zero,
     jacobian_minor,
     mono_degree,
+    mono_mul,
+    var_key,
 )
 from metalie.series import parse_rational_function
 
@@ -52,6 +54,22 @@ class TestBasics:
         assert Poly.zero().total_degree() == -1
         assert Poly.one().total_degree() == 0
         assert (x1 * x2 ** 2).total_degree() == 3
+
+
+class TestMonomialProduct:
+    MIXED = ("a1", "a12", "x1", "x2", "x10", "x11", "y3", "y20", "z")
+
+    @given(strat.monomials(MIXED, max_degree=5), strat.monomials(MIXED, max_degree=5))
+    def test_merge_keeps_the_variable_order(self, a, b):
+        exponents = dict(a)
+        for v, e in b:
+            exponents[v] = exponents.get(v, 0) + e
+        expected = tuple(sorted(exponents.items(), key=lambda item: var_key(item[0])))
+        assert mono_mul(a, b) == expected
+
+    def test_indices_compare_as_numbers(self):
+        assert mono_mul((("x10", 1),), (("x2", 1),)) == (("x2", 1), ("x10", 1))
+        assert (Poly.variable("x10") * x2).terms == {(("x2", 1), ("x10", 1)): 1}
 
 
 class TestPartial:
@@ -172,6 +190,12 @@ class TestParsePrint:
     def test_parse_errors(self, text):
         with pytest.raises(ParseError):
             Poly.parse(text)
+
+    def test_zero_denominator(self):
+        for parse, text in ((Poly.parse, "1/0*x1"), (parse_lie_expr, "3/0*[x2,x1]"),
+                            (parse_rational_function, "2/0 / (1 - z)")):
+            with pytest.raises(ParseError, match="division by zero"):
+                parse(text)
 
     @pytest.mark.parametrize("parse,nest", [
         (Poly.parse, lambda depth: "(" * depth + "x1" + ")" * depth),

@@ -2,6 +2,7 @@
 
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -37,6 +38,9 @@ def test_reproduce_catalog():
     result = run_script("reproduce_catalog.py", "--degree", "6")
     assert result.returncode == 0, result.stdout + result.stderr
     assert "FAIL" not in result.stdout
+    check_lines = [line for line in result.stdout.splitlines() if "[ok  ]" in line]
+    assert len(check_lines) == 7 * 8
+    assert all(re.search(r" \d+\.\d{3}s  size +\d+$", line) for line in check_lines)
 
 
 def test_cross_check_mismatch_fails_the_run(monkeypatch, capsys):
