@@ -1,0 +1,169 @@
+#!/usr/bin/env python3
+"""Layer microbenchmarks and end-to-end timings, written to BENCH_6.json.
+
+    python3 scripts/bench.py [--src DIR] [--column NAME] [--out FILE] [--tiny]
+
+Each entry is timed with `time.perf_counter` (best of several runs for the
+layer timings, one run end to end) and run once more under `tracemalloc` for
+its peak memory.  It is stored with its problem sizes (terms, maximum
+exponent) under the column named by `--column`; the other columns of an
+existing output file are kept, so running the script once per checkout gives
+a before/after table of the same inputs.  `--src` measures the `metalie`
+package of another checkout, e.g. an unpacked copy of the parent commit.
+`--tiny` runs every entry at a small size (a smoke test).  Only the standard
+library is used.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+import platform
+import random
+import sys
+import tracemalloc
+from itertools import islice
+from pathlib import Path
+from time import perf_counter
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def max_exponent(p) -> int:
+    """Largest exponent of p, whether monomials are packed ints or tuples."""
+    from metalie import poly
+
+    decode = getattr(poly, "decode", lambda m: m)
+    return max((e for m in p.terms for _, e in decode(m)), default=0)
+
+
+def random_poly(rng, terms: int, variables: int, top: int):
+    from metalie.poly import Poly
+
+    monomials = set()
+    while len(monomials) < terms:
+        monomials.add(tuple(rng.randint(0, top) for _ in range(variables)))
+    text = " + ".join(f"{rng.randint(1, 9)}*"
+                      + "*".join(f"x{j + 1}^{e}" for j, e in enumerate(m))
+                      for m in sorted(monomials))
+    return Poly.parse(text)
+
+
+def layer_entries(tiny: bool):
+    """(name, what, thunk, sizes) for the Poly and envelope layers."""
+    from metalie.invariants import discriminant, infinite_family_witness
+    from metalie.metabelian import LieContext
+    from metalie.sl2 import ModuleSpec, g1_matrix
+
+    rng = random.Random(6)
+    n = 20 if tiny else 150
+    a, b = random_poly(rng, n, 6, 3), random_poly(rng, n, 6, 3)
+    product = a * b
+    yield ("poly.mul", f"product of two {n}-term polynomials in 6 variables",
+           lambda: a * b, {"terms_a": len(a.terms), "terms_b": len(b.terms),
+                           "terms_out": len(product.terms),
+                           "max_exponent": max_exponent(product)})
+
+    variables = product.variables()
+    yield ("poly.partial", "partial derivative of that product by each of its variables",
+           lambda: [product.partial(v) for v in variables],
+           {"terms": len(product.terms), "variables": len(variables),
+            "max_exponent": max_exponent(product)})
+
+    spec = ModuleSpec((3,))
+    count = 2 if tiny else 6
+    u = list(islice(infinite_family_witness(spec), count))[-1]
+    g = g1_matrix(spec)
+    images = {f"{letter}{j}": g.column_image(letter, j)
+              for letter in "ay" for j in range(1, spec.dimension + 1)}
+    image = u.poly.substitute(images)
+    yield ("poly.substitute", f"g1 substituted into the degree-{u.total_degree()} "
+                              "V3 witness",
+           lambda: u.poly.substitute(images),
+           {"terms_in": len(u.poly.terms), "terms_out": len(image.terms),
+            "max_exponent": max_exponent(u.poly)})
+
+    k = 3 if tiny else 5
+    ctx = LieContext(k + 2)
+    f = discriminant(k)
+    shifted = f.rename({f"x{j}": f"x{j + 1}" for j in range(1, k + 2)})
+    f1, f2 = ctx.embed_poly(f), ctx.embed_poly(shifted)
+    bracket = f1.bracket(f2)
+    yield ("metabelian.bracket", f"bracket of the embedded discriminant({k}) in x1..x{k + 1} "
+                                 f"and in x2..x{k + 2}",
+           lambda: f1.bracket(f2),
+           {"terms_a": len(f1.poly.terms), "terms_b": len(f2.poly.terms),
+            "terms_out": len(bracket.poly.terms), "max_exponent": max_exponent(bracket.poly)})
+
+
+def cli_entries(tiny: bool):
+    """(name, what, thunk, sizes) for whole `metalie` commands."""
+    from metalie.cli import main
+
+    def command(*argv):
+        def run():
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main(list(argv))
+            if code != 0:
+                raise RuntimeError(f"{' '.join(argv)} exited {code}")
+            return out.getvalue()
+        return run
+
+    witness = ("witness", "3", "--count", "2" if tiny else "6", "--json")
+    rows = json.loads(command(*witness)())
+    yield (" ".join(witness[:4]), "witness family of V3, each member checked by substitution",
+           command(*witness), {"elements": len(rows), "max_degree": rows[-1]["degree"]})
+
+    catalog = ("catalog", "verify", "--degree", "6" if tiny else "20", "--json")
+    reports = [json.loads(line) for line in command(*catalog)().splitlines()]
+    rows_ranked = sum(c["size"] for r in reports for c in r["checks"]
+                      if c["name"].endswith("-span"))
+    yield (" ".join(catalog[:4]), "every catalog case, span checks to the same degree",
+           command(*catalog), {"cases": len(reports), "rows_ranked": rows_ranked})
+
+
+def measure(thunk, repeats: int) -> dict:
+    best = float("inf")
+    for _ in range(repeats):
+        start = perf_counter()
+        thunk()
+        best = min(best, perf_counter() - start)
+    tracemalloc.start()
+    thunk()
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    return {"seconds": round(best, 6), "peak_kb": round(peak / 1024, 1)}
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--src", default=str(ROOT / "src"),
+                        help="directory holding the metalie package to measure")
+    parser.add_argument("--column", default="change", help="column to write (default change)")
+    parser.add_argument("--out", default=str(ROOT / "BENCH_6.json"))
+    parser.add_argument("--tiny", action="store_true", help="small sizes, for a smoke test")
+    args = parser.parse_args()
+    sys.path.insert(0, args.src)
+
+    out = Path(args.out)
+    report = json.loads(out.read_text()) if out.exists() else {}
+    report["script"] = "scripts/bench.py" + (" --tiny" if args.tiny else "")
+    report["host"] = {"python": platform.python_version(), "machine": platform.machine(),
+                      "processor": platform.processor() or "unknown"}
+    entries = report.setdefault("entries", {})
+    for group, repeats in ((layer_entries, 5), (cli_entries, 1)):
+        for name, what, thunk, sizes in group(args.tiny):
+            result = measure(thunk, 1 if args.tiny else repeats)
+            entry = entries.setdefault(name, {"what": what})
+            entry[args.column] = {**result, "sizes": sizes}
+            print(f"{name:32} {result['seconds']:10.4f} s {result['peak_kb']:10.1f} KB  {sizes}")
+    out.write_text(json.dumps(report, indent=2) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -18,6 +18,7 @@ from math import comb
 from .invariants import (
     NoKnownWitness,
     NonHomogeneousInput,
+    check_span_budget,
     decide_finite_generation,
     infinite_family_witness,
     load_catalog,
@@ -223,7 +224,12 @@ def cmd_catalog(args) -> int:
         return 0
     n = _check_truncation(args.degree)
     rank_degree = args.rank_degree if args.rank_degree is not None else n
-    _check_truncation(rank_degree)
+    if not 0 <= rank_degree <= n:
+        raise UsageError("--rank-degree must be between 0 and --degree")
+    if len(cases) > 1:
+        # refuse a run over several cases before verifying any of them
+        for case_id in cases:
+            check_span_budget(catalog[case_id], rank_degree)
     all_passed = True
     for case_id in cases:
         report = verify_catalog(catalog[case_id], n, rank_degree)

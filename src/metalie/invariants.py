@@ -28,7 +28,8 @@ from .metabelian import (
     WreathElement,
     parse_lie_expr,
 )
-from .poly import Poly, jacobian_minor, var_key
+from .poly import (Poly, encode, fields, jacobian_minor, mono_exponent, mono_str, slot,
+                   slot_key, slot_name, var_key)
 from .series import (
     TruncatedSeries,
     expand_rational,
@@ -47,6 +48,15 @@ class NonHomogeneousInput(ValueError):
 
 class NoKnownWitness(LookupError):
     """Raised when no witness pair is on file for a module specification."""
+
+
+class SpanBudgetExceeded(ValueError):
+    """Raised when the span rank checks would build more rows than the budget."""
+
+
+# Budget on the rows the span rank checks of `verify_catalog` build.  At
+# degree 20 the largest catalog case needs 1606 rows, at degree 24 2639.
+MAX_SPAN_ROWS = 3000
 
 
 # -- the pi operator -----------------------------------------------------------
@@ -181,15 +191,12 @@ def discriminant(k: int) -> Poly:
     coeffs_by_t = list(reversed(coeffs))
     derivative = [i * coeffs_by_t[i] for i in range(1, k + 1)]
     res = resultant(coeffs_by_t, derivative)
+    x1 = encode((("x1", 1),))
     divided = {}
     for m, c in res.terms.items():
-        e = dict(m)
-        if e.get("x1", 0) < 1:
+        if not mono_exponent(m, slot("x1")):
             raise AssertionError("resultant is not divisible by the leading coefficient")
-        e["x1"] -= 1
-        mono = tuple(sorted(((v, x) for v, x in e.items() if x),
-                            key=lambda item: var_key(item[0])))
-        divided[mono] = c
+        divided[m - x1] = c
     return Poly(divided).normalized()
 
 
@@ -252,12 +259,6 @@ class ExtensionBasis:
 
     def elements(self) -> list[WreathElement]:
         return list(self.from_lie) + list(self.from_ring)
-
-    def dimensions(self) -> dict[int, int]:
-        dims: dict[int, int] = {}
-        for u in self.elements():
-            dims[u.total_degree()] = dims.get(u.total_degree(), 0) + 1
-        return dict(sorted(dims.items()))
 
 
 def extend_by_trivial_variable(lie_basis: Sequence[WreathElement],
@@ -375,18 +376,19 @@ class CatalogCase:
             for mono, coeff in combo.terms.items():
                 v_index = None
                 multiplier = Poly.const(coeff)
-                for name, e in mono:
-                    letter, index = var_key(name)
+                for s, e in fields(mono):
+                    letter, index = slot_key(s)
                     if letter == "v":
                         if e != 1 or v_index is not None:
-                            raise ValueError(f"relation term {mono} is not linear in the v's")
+                            raise ValueError(f"relation term {mono_str(mono)} is not linear "
+                                             "in the v's")
                         v_index = index
                     elif letter == "f":
                         multiplier = multiplier * ring[index - 1] ** e
                     else:
-                        raise ValueError(f"unexpected symbol {name} in a relation")
+                        raise ValueError(f"unexpected symbol {slot_name(s)} in a relation")
                 if v_index is None:
-                    raise ValueError(f"relation term {mono} lacks a module generator")
+                    raise ValueError(f"relation term {mono_str(mono)} lacks a module generator")
                 acc = acc + gens[v_index - 1].ad_action(multiplier)
             values.append(acc)
         return values
@@ -480,6 +482,36 @@ def _ring_monomial_table(ring_gens: Sequence[Poly], max_degree: int) -> list[lis
     return [[p for _, p in row] for row in table]
 
 
+def span_rows(ring_degrees: Sequence[int], module_degrees: Sequence[int],
+              rank_degree: int) -> int:
+    """Rows the two span checks of `verify_catalog` build, from the degrees.
+
+    The ring products of degree n number the coefficient of z^n in
+    prod_i 1/(1 - z^(deg f_i)); a module generator of degree e contributes the
+    products of degree n - e to the module rows of degree n, for 2 <= n.
+    """
+    products = [1] + [0] * rank_degree
+    for d in ring_degrees:
+        for n in range(d, rank_degree + 1):
+            products[n] += products[n - d]
+    return sum(products) + sum(products[n - e] for n in range(2, rank_degree + 1)
+                               for e in module_degrees if e <= n)
+
+
+def check_span_budget(case: CatalogCase, rank_degree: int, module_gens=None,
+                      ring_gens=None) -> list[int]:
+    """Refuse span checks of more than `MAX_SPAN_ROWS` rows with
+    `SpanBudgetExceeded`; returns the degrees of the module generators."""
+    if module_gens is None:
+        module_gens, ring_gens = case.module_generators(), case.ring_generators()
+    module_degrees = [v.total_degree() for v in module_gens]
+    rows = span_rows([g.total_degree() for g in ring_gens], module_degrees, rank_degree)
+    if rows > MAX_SPAN_ROWS:
+        raise SpanBudgetExceeded(f"case {case.case_id}: span checks to degree {rank_degree} "
+                                 f"need {rows} rows, over the budget of {MAX_SPAN_ROWS}")
+    return module_degrees
+
+
 def verify_catalog(case: CatalogCase, truncation: int = 12,
                    rank_degree: int | None = None) -> CatalogReport:
     """Re-derive everything the catalog claims for one case.
@@ -495,6 +527,8 @@ def verify_catalog(case: CatalogCase, truncation: int = 12,
     checked for (a), the relations evaluated for (b), the terms of the
     character decomposed for the series checks, the terms of the two
     multiplicity series for the symmetrization, and the rows ranked for (d).
+    Span checks that would rank more than `MAX_SPAN_ROWS` rows are refused
+    with `SpanBudgetExceeded` before any check runs.
     """
     if rank_degree is None:
         rank_degree = truncation
@@ -505,6 +539,7 @@ def verify_catalog(case: CatalogCase, truncation: int = 12,
 
     module_gens = case.module_generators()
     ring_gens = case.ring_generators()
+    module_degrees = check_span_budget(case, rank_degree, module_gens, ring_gens)
     for label, items in (("module", module_gens), ("ring", ring_gens)):
         bad = []
         for idx, g in enumerate(items, start=1):
@@ -553,8 +588,7 @@ def verify_catalog(case: CatalogCase, truncation: int = 12,
     rows_ranked = 0
     for n in range(2, rank_degree + 1):
         rows = []
-        for v in module_gens:
-            dv = v.total_degree()
+        for v, dv in zip(module_gens, module_degrees):
             if dv > n:
                 continue
             rows.extend(v.ad_action(p).coordinates() for p in products[n - dv])

@@ -31,8 +31,14 @@ from .poly import (
     Poly,
     TokenStream,
     _PolyParser,
+    decode,
+    encode,
+    fields,
+    letter_mask,
     mono_degree,
     parse_quotient,
+    slot_key,
+    slot_name,
     tokenize,
     var_key,
 )
@@ -74,8 +80,7 @@ class LieContext:
             if not 1 <= a_index <= self.dim:
                 raise IndexError(f"index {a_index} out of range 1..{self.dim}")
             mono.append((f"a{a_index}", 1))
-        mono.sort(key=lambda item: var_key(item[0]))
-        return WreathElement(self, Poly.monomial(tuple(mono)))
+        return WreathElement(self, Poly.monomial(encode(mono)))
 
     def embed_poly(self, p: Poly) -> "WreathElement":
         """Image of p(x1,...,xd) under x_j -> a_j + y_j, computed by arithmetic
@@ -84,7 +89,7 @@ class LieContext:
         acc = self.zero()
         for mono, coeff in p.terms.items():
             term = WreathElement(self, Poly.const(coeff))
-            for v, e in mono:
+            for v, e in decode(mono):
                 if v not in gens:
                     raise ContextMismatch(f"variable {v} is not one of x1..x{self.dim}")
                 term = term * (gens[v] ** e)
@@ -110,18 +115,15 @@ class WreathElement:
     __slots__ = ("ctx", "poly")
 
     def __init__(self, ctx: LieContext, poly: Poly):
-        for m in poly.terms:
-            a_deg = 0
-            for v, e in m:
-                letter, index = var_key(v)
-                if letter == "a":
-                    a_deg += e
-                elif letter != "y":
-                    raise ContextMismatch(f"variable {v} is not in the a/y alphabets")
-                if index < 1 or index > ctx.dim:
-                    raise ContextMismatch(f"variable {v} outside rank {ctx.dim}")
-            if a_deg > 1:
-                raise ContextMismatch("a-degree exceeds one; not reduced")
+        for s, _ in fields(poly.support()):
+            letter, index = slot_key(s)
+            if letter not in ("a", "y"):
+                raise ContextMismatch(f"variable {slot_name(s)} is not in the a/y alphabets")
+            if index < 1 or index > ctx.dim:
+                raise ContextMismatch(f"variable {slot_name(s)} outside rank {ctx.dim}")
+        a_mask = letter_mask("a")
+        if any(_a_degree(m, a_mask) > 1 for m in poly.terms):
+            raise ContextMismatch("a-degree exceeds one; not reduced")
         self.ctx = ctx
         self.poly = poly
 
@@ -134,21 +136,15 @@ class WreathElement:
     def split(self) -> tuple[Poly, dict[int, Poly]]:
         """Return (y-only part, {i: coefficient of a_i}); coefficients in K[Y]."""
         y_terms: dict[Monomial, int | Fraction] = {}
-        a_parts: dict[int, dict[Monomial, int | Fraction]] = {}
+        a_parts: dict[Monomial, dict[Monomial, int | Fraction]] = {}
+        a_mask = letter_mask("a")
         for m, c in self.poly.terms.items():
-            a_index = None
-            rest = []
-            for v, e in m:
-                letter, index = var_key(v)
-                if letter == "a":
-                    a_index = index
-                else:
-                    rest.append((v, e))
-            if a_index is None:
-                y_terms[m] = c
+            a = m & a_mask
+            if a:
+                a_parts.setdefault(a, {})[m - a] = c
             else:
-                a_parts.setdefault(a_index, {})[tuple(rest)] = c
-        return Poly(y_terms), {i: Poly(t) for i, t in a_parts.items()}
+                y_terms[m] = c
+        return Poly(y_terms), {_index(a): Poly(t) for a, t in a_parts.items()}
 
     @property
     def y_linear(self) -> list[int | Fraction]:
@@ -158,7 +154,7 @@ class WreathElement:
         for m, c in y_part.terms.items():
             if mono_degree(m) != 1:
                 raise ValueError("y-part is not linear")
-            coeffs[var_key(m[0][0])[1] - 1] = c
+            coeffs[_index(m) - 1] = c
         return coeffs
 
     # -- algebra -------------------------------------------------------------
@@ -198,7 +194,8 @@ class WreathElement:
         if isinstance(other, WreathElement):
             self._check(other)
             product = self.poly * other.poly
-            reduced = {m: c for m, c in product.terms.items() if _a_degree(m) <= 1}
+            a_mask = letter_mask("a")
+            reduced = {m: c for m, c in product.terms.items() if _a_degree(m, a_mask) <= 1}
             out = WreathElement.__new__(WreathElement)
             out.ctx, out.poly = self.ctx, Poly(reduced)
             return out
@@ -262,12 +259,15 @@ class WreathElement:
         y_part, _ = self.split()
         if any(mono_degree(m) != 1 for m in y_part.terms):
             return False
-        linear = self.y_linear
+        return (self - self._linear_part()[1]).is_in_commutator_ideal()
+
+    def _linear_part(self) -> tuple[dict[int, int | Fraction], "WreathElement"]:
+        """({j: c_j}, sum c_j x_j) for the y-part sum c_j y_j; raises if not linear."""
+        linear = {j: c for j, c in enumerate(self.y_linear, start=1) if c}
         shift = self.ctx.zero()
-        for j, beta in enumerate(linear, start=1):
-            if beta:
-                shift = shift + beta * self.ctx.generator(j)
-        return (self - shift).is_in_commutator_ideal()
+        for j, beta in linear.items():
+            shift = shift + beta * self.ctx.generator(j)
+        return linear, shift
 
     # -- grading ---------------------------------------------------------------
 
@@ -288,8 +288,14 @@ class WreathElement:
         return f"WreathElement(d={self.ctx.dim}, {self.poly})"
 
 
-def _a_degree(m: Monomial) -> int:
-    return sum(e for v, e in m if var_key(v)[0] == "a")
+def _index(m: Monomial) -> int:
+    """Index of the variable of a monomial of degree one."""
+    return slot_key(next(fields(m))[0])[1]
+
+
+def _a_degree(m: Monomial, a_mask: int) -> int:
+    """Degree of m in the a-variables; a_mask is `letter_mask("a")`."""
+    return mono_degree(m & a_mask)
 
 
 # -- left-normed commutator words ---------------------------------------------
@@ -310,15 +316,6 @@ class CommutatorWord:
     def is_normal(self) -> bool:
         j = self.indices
         return j[0] > j[1] and all(j[t] <= j[t + 1] for t in range(1, len(j) - 1))
-
-    def degree(self) -> int:
-        return len(self.indices)
-
-    def multidegree(self, dim: int) -> tuple[int, ...]:
-        vec = [0] * dim
-        for j in self.indices:
-            vec[j - 1] += 1
-        return tuple(vec)
 
     def to_wreath(self, ctx: LieContext) -> WreathElement:
         j = self.indices
@@ -392,7 +389,7 @@ def to_commutator_basis(u: WreathElement) -> list[tuple[int | Fraction, Commutat
     expansion: list[tuple[int | Fraction, CommutatorWord]] = []
     for i, f in u.split()[1].items():
         for m, c in f.terms.items():
-            q = [var_key(v)[1] for v, e in m for _ in range(e)]
+            q = sorted(slot_key(s)[1] for s, e in fields(m) for _ in range(e))
             if i > q[0]:
                 expansion.append((c, CommutatorWord((i, *q))))
     expansion.sort(key=lambda item: item[1].sort_key())
@@ -425,10 +422,7 @@ def lie_normal_form(u: WreathElement) -> str:
     """Canonical printed form of an element of the embedded Lie algebra."""
     if not u.is_lie_element():
         raise NotInCommutatorIdeal("element is not in the embedded Lie algebra")
-    linear = {j: c for j, c in enumerate(u.y_linear, start=1) if c}
-    shift = u.ctx.zero()
-    for j, beta in linear.items():
-        shift = shift + beta * u.ctx.generator(j)
+    linear, shift = u._linear_part()
     return format_commutator_expansion(to_commutator_basis(u - shift), linear)
 
 

@@ -1,32 +1,50 @@
 """Sparse multivariate polynomial arithmetic over exact rationals.
 
-A monomial is a tuple of (variable, exponent) pairs with positive exponents,
-sorted by a fixed global variable order.  Variable names consist of a letter
-part and an optional numeric suffix ("x1", "y3", "a2", "z", "t1"); they are
-ordered by (letters, number), so the x-, y- and a-alphabets can coexist in a
-single polynomial.  Coefficients are `int`; a `fractions.Fraction` appears
-only where a division happens (`/`, a parsed `a/b`, `normalized`), and one
-whose denominator is 1 is turned back into an `int` (`exact`).  There is no
-floating point anywhere in this package.
+A monomial is one `int`, a packed exponent vector (Monagan and Pearce, CASC
+2007): the exponent of the variable in slot s occupies bits [W*s, W*s + W),
+W = 16.  A registry hands out slots in first-seen order and keeps each
+slot's name, e.g. "x12", and its key ("x", 12).  Names survive only in the
+parser, the printer and `variables()`, which sort by key, so no output
+depends on slot order.  A product of monomials is the sum of their ints:
+exponents stay within the budget `MAX_EXPONENT` = 2^(W-1) - 1, so fields
+never carry into each other, and one AND with the guard mask (the top bit of
+every field) finds an exponent over the budget, which is refused with
+`ExponentOverflow`, never wrapped.  Coefficients are `int`; a `Fraction`
+appears only where a division happens (`/`, a parsed `a/b`, `normalized`),
+and one whose denominator is 1 is turned back into an `int` (`exact`).
+There is no floating point anywhere in this package.
 """
 
 from __future__ import annotations
 
 import re
+import threading
 from fractions import Fraction
-from functools import lru_cache
-from math import gcd
-from typing import Iterable, Mapping
+from functools import lru_cache, reduce
+from math import comb, gcd
+from operator import or_
+from typing import Iterable, Iterator, Mapping
 
-Monomial = tuple[tuple[str, int], ...]
+Monomial = int
 
-ONE_MONOMIAL: Monomial = ()
+ONE_MONOMIAL: Monomial = 0
+
+W = 16
+MAX_EXPONENT = (1 << (W - 1)) - 1
+_FIELD = (1 << W) - 1
 
 _VAR_RE = re.compile(r"^([A-Za-z]+)(\d*)$")
 
 
 class ParseError(ValueError):
     """Raised when an expression string cannot be parsed."""
+
+
+class ExponentOverflow(ValueError):
+    """Raised when an exponent would leave its W-bit field."""
+
+    def __init__(self):
+        super().__init__(f"exponent over the budget of {MAX_EXPONENT}")
 
 
 @lru_cache(maxsize=None)
@@ -38,55 +56,121 @@ def var_key(name: str) -> tuple[str, int]:
     return m.group(1), int(m.group(2) or 0)
 
 
-def var_name(letter: str, index: int) -> str:
-    return f"{letter}{index}"
+# The slot registry is append-only, and a slot is published in `_slot_of` only
+# after its name, key, letter mask and guard bit are in place.
+
+_registry_lock = threading.Lock()
+_slot_of: dict[str, int] = {}
+_slot_names: list[str] = []
+_slot_keys: list[tuple[str, int]] = []
+_letter_masks: dict[str, int] = {}
+_guard = 0
+
+
+def slot(name: str) -> int:
+    """Slot of a variable, registered on first sight."""
+    s = _slot_of.get(name)
+    if s is None:
+        key = var_key(name)
+        with _registry_lock:
+            s = _slot_of.get(name)
+            if s is None:
+                global _guard
+                s = len(_slot_names)
+                _slot_names.append(name)
+                _slot_keys.append(key)
+                _letter_masks[key[0]] = _letter_masks.get(key[0], 0) | _FIELD << W * s
+                _guard |= 1 << (W * s + W - 1)
+                _slot_of[name] = s
+    return s
+
+
+def slot_name(s: int) -> str:
+    return _slot_names[s]
+
+
+def slot_key(s: int) -> tuple[str, int]:
+    return _slot_keys[s]
+
+
+def letter_mask(letter: str) -> int:
+    """The fields of all registered variables named `letter`<k>."""
+    return _letter_masks.get(letter, 0)
+
+
+def fields(m: Monomial) -> Iterator[tuple[int, int]]:
+    """(slot, exponent) of each variable of m, by slot; skips empty fields."""
+    while m:
+        low = (m & -m).bit_length() - 1
+        shift = low - low % W
+        e = (m >> shift) & _FIELD
+        yield shift // W, e
+        m ^= e << shift
+
+
+def encode(pairs: Iterable[tuple[str, int]]) -> Monomial:
+    """Monomial of (name, exponent) pairs; exponents of a repeated name add."""
+    m = 0
+    for name, e in pairs:
+        if e < 0:
+            raise ValueError(f"negative exponent of {name}")
+        if e > MAX_EXPONENT:
+            raise ExponentOverflow()
+        m = mono_mul(m, e << W * slot(name))
+    return m
+
+
+def decode(m: Monomial) -> tuple[tuple[str, int], ...]:
+    """(name, exponent) pairs of m in the variable order of `var_key`."""
+    return tuple((_slot_names[s], e)
+                 for s, e in sorted(fields(m), key=lambda f: _slot_keys[f[0]]))
 
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    """Product of two monomials: one linear merge of the sorted factors."""
-    if not a:
-        return b
-    if not b:
-        return a
-    out = []
-    i = j = 0
-    na, nb = len(a), len(b)
-    while i < na and j < nb:
-        va, ea = a[i]
-        vb, eb = b[j]
-        if va == vb:
-            out.append((va, ea + eb))
-            i += 1
-            j += 1
-        elif var_key(va) < var_key(vb):
-            out.append(a[i])
-            i += 1
-        else:
-            out.append(b[j])
-            j += 1
-    return tuple(out) + a[i:] + b[j:]
+    """Product of two monomials: one addition, checked against the guard."""
+    m = a + b
+    if m & _guard:
+        raise ExponentOverflow()
+    return m
+
+
+def _mul_terms(a: dict, b: dict) -> dict:
+    """Product of two {monomial: coefficient} dicts; no sum of two monomials
+    carries, so one guard test over the result suffices."""
+    terms: dict[Monomial, int | Fraction] = {}
+    get = terms.get
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = m1 + m2
+            s = get(m, 0) + c1 * c2
+            if s:
+                terms[m] = s
+            else:
+                del terms[m]
+    if reduce(or_, terms, 0) & _guard:
+        raise ExponentOverflow()
+    return terms
+
+
+def mono_exponent(m: Monomial, s: int) -> int:
+    """Exponent of the variable in slot s."""
+    return (m >> W * s) & _FIELD
 
 
 def mono_degree(m: Monomial) -> int:
-    return sum(e for _, e in m)
-
-
-def mono_exponent(m: Monomial, var: str) -> int:
-    for v, e in m:
-        if v == var:
-            return e
-    return 0
+    return sum(e for _, e in fields(m))
 
 
 def mono_sort_key(m: Monomial):
     """Graded-lex key: higher degree first, then priority to earlier variables."""
-    return (-mono_degree(m), tuple((var_key(v), -e) for v, e in m))
+    pairs = sorted((_slot_keys[s], -e) for s, e in fields(m))
+    return (sum(e for _, e in pairs), tuple(pairs))
 
 
 def mono_str(m: Monomial) -> str:
     if not m:
         return "1"
-    return "*".join(v if e == 1 else f"{v}^{e}" for v, e in m)
+    return "*".join(v if e == 1 else f"{v}^{e}" for v, e in decode(m))
 
 
 def exact(c) -> int | Fraction:
@@ -146,8 +230,7 @@ class Poly:
 
     @classmethod
     def variable(cls, name: str) -> "Poly":
-        var_key(name)
-        return cls({((name, 1),): 1})
+        return cls({1 << W * slot(name): 1})
 
     @classmethod
     def monomial(cls, m: Monomial, c=1) -> "Poly":
@@ -204,26 +287,17 @@ class Poly:
         return (-self) + other
 
     def __mul__(self, other) -> "Poly":
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, Poly):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             c = exact(other)
             if not c:
                 return Poly.zero()
             out = Poly.__new__(Poly)
             out.terms = _canonical({m: v * c for m, v in self.terms.items()})
             return out
-        if not isinstance(other, Poly):
-            return NotImplemented
-        terms: dict[Monomial, int | Fraction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = mono_mul(m1, m2)
-                s = terms.get(m, 0) + c1 * c2
-                if s:
-                    terms[m] = s
-                else:
-                    terms.pop(m, None)
         out = Poly.__new__(Poly)
-        out.terms = _canonical(terms)
+        out.terms = _canonical(_mul_terms(self.terms, other.terms))
         return out
 
     __rmul__ = __mul__
@@ -245,9 +319,12 @@ class Poly:
 
     # -- structure ---------------------------------------------------------
 
+    def support(self) -> Monomial:
+        """OR of the monomials: the fields of the variables that occur."""
+        return reduce(or_, self.terms, 0)
+
     def variables(self) -> list[str]:
-        seen = {v for m in self.terms for v, _ in m}
-        return sorted(seen, key=var_key)
+        return sorted((_slot_names[s] for s, _ in fields(self.support())), key=var_key)
 
     def total_degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
@@ -283,13 +360,14 @@ class Poly:
 
     def partial(self, var: str) -> "Poly":
         """Formal partial derivative with respect to `var`."""
-        var_key(var)
+        shift = W * slot(var)
+        unit = 1 << shift
         terms: dict[Monomial, int | Fraction] = {}
         for m, c in self.terms.items():
-            e = mono_exponent(m, var)
+            e = (m >> shift) & _FIELD
             if not e:
                 continue
-            reduced = tuple((v, k - 1 if v == var else k) for v, k in m if not (v == var and k == 1))
+            reduced = m - unit
             s = terms.get(reduced, 0) + c * e
             if s:
                 terms[reduced] = s
@@ -304,35 +382,31 @@ class Poly:
 
         Variables not listed in `images` are left untouched.
         """
-        power_cache: dict[tuple[str, int], dict[Monomial, int | Fraction]] = {}
+        by_slot = {slot(v): image for v, image in images.items()}
+        replaced = 0
+        for s in by_slot:
+            replaced |= _FIELD << W * s
+        power_cache: dict[tuple[int, int], dict[Monomial, int | Fraction]] = {}
 
-        def image_power(v: str, e: int) -> dict[Monomial, int | Fraction]:
-            key = (v, e)
+        def image_power(s: int, e: int) -> dict[Monomial, int | Fraction]:
+            key = (s, e)
             cached = power_cache.get(key)
             if cached is None:
-                cached = (images[v] ** e).terms
+                cached = (by_slot[s] ** e).terms
                 power_cache[key] = cached
             return cached
 
         acc: dict[Monomial, int | Fraction] = {}
         for m, c in self.terms.items():
-            prod: dict[Monomial, int | Fraction] = {ONE_MONOMIAL: c}
-            for v, e in m:
-                factor = image_power(v, e) if v in images else {((v, e),): 1}
-                step: dict[Monomial, int | Fraction] = {}
-                for m1, c1 in prod.items():
-                    for m2, c2 in factor.items():
-                        key = mono_mul(m1, m2)
-                        s = step.get(key, 0) + c1 * c2
-                        if s:
-                            step[key] = s
-                        else:
-                            step.pop(key, None)
-                prod = step
+            # the variables without an image pass through unchanged
+            inner = m & replaced
+            prod: dict[Monomial, int | Fraction] = {m - inner: c}
+            for s, e in fields(inner):
+                prod = _mul_terms(prod, image_power(s, e))
             for mm, cc in prod.items():
-                s = acc.get(mm, 0) + cc
-                if s:
-                    acc[mm] = s
+                total = acc.get(mm, 0) + cc
+                if total:
+                    acc[mm] = total
                 else:
                     acc.pop(mm, None)
         out = Poly.__new__(Poly)
@@ -340,13 +414,25 @@ class Poly:
         return out
 
     def rename(self, mapping: Mapping[str, str]) -> "Poly":
-        """Rename variables; the map must keep monomials collision-free."""
+        """Rename variables; distinct variables must keep distinct names."""
+        kept = 0
+        moves = []
+        targets = set()
+        for s, _ in fields(self.support()):
+            name = _slot_names[s]
+            t = slot(mapping.get(name, name))
+            if t in targets:
+                raise ValueError("variable renaming collides")
+            targets.add(t)
+            if t == s:
+                kept |= _FIELD << W * s
+            else:
+                moves.append((W * s, W * t))
         terms: dict[Monomial, int | Fraction] = {}
         for m, c in self.terms.items():
-            renamed = tuple(sorted(((mapping.get(v, v), e) for v, e in m),
-                                   key=lambda item: var_key(item[0])))
-            if renamed in terms:
-                raise ValueError("variable renaming collides")
+            renamed = m & kept
+            for source, target in moves:
+                renamed |= ((m >> source) & _FIELD) << target
             terms[renamed] = c
         out = Poly.__new__(Poly)
         out.terms = terms
@@ -441,6 +527,12 @@ _TOKEN_RE = re.compile(r"(\d+)|([A-Za-z]+\d*)|(\*\*|[-+*/^()\[\],.])|(\S)")
 # Deepest "(" / "[" nesting the recursive-descent parsers accept; they use a
 # few stack frames per level, so this keeps them far below the recursion limit.
 MAX_NESTING = 100
+# Budget of the polynomial parser on the term pairs of one product, checked
+# before anything is expanded: t1*t2 for a product, and for a power of a t-term
+# base to the n, whose repeated squaring multiplies at most
+# C(h+t-1, t-1) * C(n-h+t-1, t-1) pairs per step (h = n // 2), a bound above
+# its C(n+t-1, t-1) terms.  The slowest accepted powers take about 2 s.
+MAX_TERM_PAIRS = 1_000_000
 
 
 def tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -472,6 +564,12 @@ def parse_quotient(numerator: int, denominator: int, pos: int) -> int | Fraction
     if not denominator:
         raise ParseError(f"division by zero at position {pos}")
     return exact(Fraction(numerator, denominator))
+
+
+def _check_term_pairs(pairs: int, what: str, pos: int) -> None:
+    if pairs > MAX_TERM_PAIRS:
+        raise ParseError(f"{what} at position {pos} needs up to {pairs} term pairs, "
+                         f"over the budget of {MAX_TERM_PAIRS}")
 
 
 class TokenStream:
@@ -523,14 +621,14 @@ class _PolyParser:
     def parse_term(self) -> Poly:
         acc = self.parse_factor()
         while True:
-            if self.stream.accept_op("*"):
-                acc = acc * self.parse_factor()
-                continue
-            kind, _, _ = self.stream.peek()
-            if kind in ("num", "name") or (kind == "op" and self.stream.peek()[1] == "("):
-                acc = acc * self.parse_factor()
-                continue
-            return acc
+            if not self.stream.accept_op("*"):
+                kind, text, _ = self.stream.peek()
+                if not (kind in ("num", "name") or (kind == "op" and text == "(")):
+                    return acc
+            pos = self.stream.peek()[2]
+            factor = self.parse_factor()
+            _check_term_pairs(len(acc.terms) * len(factor.terms), "product", pos)
+            acc = acc * factor
 
     def parse_factor(self) -> Poly:
         base = self.parse_atom()
@@ -538,7 +636,16 @@ class _PolyParser:
             kind, text, pos = self.stream.next()
             if kind != "num":
                 raise ParseError(f"expected integer exponent at position {pos}")
-            return base ** int(text)
+            n = int(text) if len(text) <= len(str(MAX_EXPONENT)) else MAX_EXPONENT + 1
+            if n > MAX_EXPONENT:
+                raise ParseError(f"exponent {text} at position {pos} over the budget "
+                                 f"of {MAX_EXPONENT}")
+            t = len(base.terms)
+            if t > 1:
+                h = n // 2
+                _check_term_pairs(comb(h + t - 1, min(h, t - 1))
+                                  * comb(n - h + t - 1, min(n - h, t - 1)), "power", pos)
+            return base ** n
         return base
 
     def parse_atom(self) -> Poly:

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .poly import ParseError, Poly, TokenStream, _PolyParser, exact, tokenize
+from .poly import ParseError, Poly, TokenStream, _PolyParser, exact, mono_degree, tokenize
 from .sl2 import ModuleSpec
 
 Exponents = tuple[int, ...]
@@ -341,11 +341,6 @@ def vk_character(k: int) -> Character:
     return {(k - i, i): 1 for i in range(k + 1)}
 
 
-def schur_function(k: int, l: int) -> Character:
-    """Character of det^l tensor V_k: (t1 t2)^l * (t1^k + ... + t2^k)."""
-    return {(k + l - i, l + i): 1 for i in range(k + 1)}
-
-
 def character_product(c1: Character, c2: Character) -> Character:
     out: Character = {}
     for (a1, b1), x in c1.items():
@@ -426,9 +421,6 @@ class MultiplicityTable:
 
     def invariant_dimension(self, n: int) -> int:
         return sum(m for (deg, k, _), m in self.entries.items() if deg == n and k == 0)
-
-    def invariant_dimensions(self) -> list[int]:
-        return [self.invariant_dimension(n) for n in range(self.truncation + 1)]
 
     def multiplicity_series(self) -> TruncatedSeries:
         """The series sum m_n(k,l) t1^(k+l) t2^l z^n."""
@@ -532,7 +524,7 @@ def expand_rational(numerator: Poly, denominator_factors: Sequence[Poly],
     def to_series(p: Poly) -> TruncatedSeries:
         coeffs = {}
         for m, c in p.terms.items():
-            exp = m[0][1] if m else 0
+            exp = mono_degree(m)
             if exp <= truncation:
                 coeffs[(exp,)] = c
         return TruncatedSeries((var,), truncation, coeffs)
@@ -593,27 +585,3 @@ def parse_rational_function(text: str) -> tuple[Poly, list[Poly]]:
             raise ParseError(f"trailing input {tok!r} at position {pos}")
     return numerator, factors
 
-
-# -- stated decomposition rules (tensor, symmetric and skew squares) -------------
-
-
-def young_tensor_rule(k: int, m: int) -> dict[tuple[int, int], int]:
-    """V_k (x) V_m = sum_n det^n (x) V_{k+m-2n} for n = 0..min(k, m)."""
-    lo = min(k, m)
-    return {(k + m - 2 * n, n): 1 for n in range(lo + 1)}
-
-
-def symmetric_square_rule(k: int) -> dict[tuple[int, int], int]:
-    if k % 2 == 0:
-        m = k // 2
-        return {(4 * (m - n), 2 * n): 1 for n in range(m + 1)}
-    m = (k - 1) // 2
-    return {(4 * (m - n) + 2, 2 * n): 1 for n in range(m + 1)}
-
-
-def skew_square_rule(k: int) -> dict[tuple[int, int], int]:
-    if k % 2 == 0:
-        m = k // 2
-        return {(4 * (m - n) + 2, 2 * n - 1): 1 for n in range(1, m + 1)}
-    m = (k - 1) // 2
-    return {(4 * (m - n), 2 * n + 1): 1 for n in range(m + 1)}

@@ -30,7 +30,7 @@ from typing import Literal
 
 from . import linalg
 from .metabelian import LieContext, WreathElement, _compositions, words_of_degree
-from .poly import Monomial, Poly, var_key
+from .poly import Monomial, Poly, encode, fields, slot_key, slot_name
 
 
 class NotUnipotent(ValueError):
@@ -75,19 +75,11 @@ class ModuleSpec:
             acc += k + 1
         return out
 
-    def block_of(self, j: int) -> tuple[int, int]:
-        """(block degree k, position l within block) of variable x_j."""
-        if not 1 <= j <= self.dimension:
-            raise IndexError(f"variable index {j} out of range")
-        for k, offset in zip(self.blocks, self.offsets()):
-            if offset < j <= offset + k + 1:
-                return k, j - offset - 1
-        raise AssertionError("unreachable")
-
     def weight(self, j: int) -> tuple[int, int]:
         """Torus weight of x_j: xi_l in a degree-k block weighs (k-l, l)."""
-        k, l = self.block_of(j)
-        return k - l, l
+        if not 1 <= j <= self.dimension:
+            raise IndexError(f"variable index {j} out of range")
+        return self.weights()[j - 1]
 
     def weights(self) -> list[tuple[int, int]]:
         """Torus weights of x_1, ..., x_d in order."""
@@ -96,10 +88,10 @@ class ModuleSpec:
 
 def _weight_of_monomial(m: Monomial, spec: ModuleSpec) -> tuple[int, int]:
     w1 = w2 = 0
-    for v, e in m:
-        letter, index = var_key(v)
+    for s, e in fields(m):
+        letter, index = slot_key(s)
         if letter not in ("x", "y", "a"):
-            raise ValueError(f"variable {v} carries no weight")
+            raise ValueError(f"variable {slot_name(s)} carries no weight")
         p, q = spec.weight(index)
         w1 += e * p
         w2 += e * q
@@ -122,19 +114,19 @@ class _GeneratorMatrix:
             and self.matrix == other.matrix
 
     def column_image(self, letter: str, j: int) -> Poly:
-        return Poly({((f"{letter}{i + 1}", 1),): row[j - 1]
+        return Poly({encode(((f"{letter}{i + 1}", 1),)): row[j - 1]
                      for i, row in enumerate(self.matrix) if row[j - 1]})
 
     def _images(self, p: Poly, letters: str) -> dict[str, Poly]:
         """Image of each variable of p; each must be one of the generators."""
         d = self.spec.dimension
         images = {}
-        for v in p.variables():
-            letter, index = var_key(v)
+        for s, _ in fields(p.support()):
+            letter, index = slot_key(s)
             if letter not in letters or not 1 <= index <= d:
-                raise ValueError(f"variable {v} is not one of "
+                raise ValueError(f"variable {slot_name(s)} is not one of "
                                  + ", ".join(f"{c}1..{c}{d}" for c in letters))
-            images[v] = self.column_image(letter, index)
+            images[slot_name(s)] = self.column_image(letter, index)
         return images
 
     def _map(self, obj, extend):
@@ -213,24 +205,6 @@ def log_unipotent(g: LinearAction) -> Derivation:
     return Derivation(g.spec, tuple(tuple(row) for row in acc))
 
 
-def exp_nilpotent(delta: Derivation) -> LinearAction:
-    """Exact matrix exponential of a nilpotent derivation matrix."""
-    d = delta.spec.dimension
-    n = [list(row) for row in delta.matrix]
-    acc = linalg.identity(d)
-    power = linalg.identity(d)
-    factorial = 1
-    for step in range(1, d + 1):
-        power = linalg.mat_mul(power, n)
-        factorial *= step
-        if linalg.is_zero_matrix(power):
-            break
-        acc = linalg.mat_add(acc, linalg.mat_scale(power, Fraction(1, factorial)))
-    else:
-        raise NotUnipotent("derivation matrix is not nilpotent")
-    return LinearAction(delta.spec, tuple(tuple(row) for row in acc))
-
-
 def derivations(spec: ModuleSpec) -> tuple[Derivation, Derivation]:
     """The logarithms (delta1, delta2) of g1 and g2, in closed form.
 
@@ -274,17 +248,13 @@ def is_invariant_by_derivations(u, spec: ModuleSpec) -> bool:
 
 def bidegree_components(u, spec: ModuleSpec):
     """Split into torus weight components; keys are bidegrees (p, q)."""
-    if isinstance(u, Poly):
-        comps: dict[tuple[int, int], dict] = {}
-        for m, c in u.terms.items():
-            comps.setdefault(_weight_of_monomial(m, spec), {})[m] = c
-        return {w: Poly(t) for w, t in sorted(comps.items())}
-    if isinstance(u, WreathElement):
-        comps = {}
-        for m, c in u.poly.terms.items():
-            comps.setdefault(_weight_of_monomial(m, spec), {})[m] = c
-        return {w: WreathElement(u.ctx, Poly(t)) for w, t in sorted(comps.items())}
-    raise TypeError(f"cannot grade {type(u).__name__}")
+    if not isinstance(u, (Poly, WreathElement)):
+        raise TypeError(f"cannot grade {type(u).__name__}")
+    comps: dict[tuple[int, int], dict] = {}
+    for m, c in (u.terms if isinstance(u, Poly) else u.poly.terms).items():
+        comps.setdefault(_weight_of_monomial(m, spec), {})[m] = c
+    wrap = Poly if isinstance(u, Poly) else lambda t: WreathElement(u.ctx, Poly(t))
+    return {w: wrap(t) for w, t in sorted(comps.items())}
 
 
 # -- direct invariant dimension (kernel of both derivations) -------------------
@@ -297,9 +267,7 @@ def _degree_basis(spec: ModuleSpec, degree: int,
     items = []
     if space in ("polyring",):
         for exps in _compositions(degree, d):
-            mono = tuple((f"x{j + 1}", e) for j, e in enumerate(exps) if e)
-            mono = tuple(sorted(mono, key=lambda it: var_key(it[0])))
-            items.append(Poly.monomial(mono))
+            items.append(Poly.monomial(encode((f"x{j + 1}", e) for j, e in enumerate(exps) if e)))
     elif space in ("module", "algebra"):
         ctx = spec.context()
         if space == "algebra" and degree == 1:

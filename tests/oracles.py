@@ -1,0 +1,157 @@
+"""Slow independent routes kept only to check the production code.
+
+The tuple-monomial polynomial below is the representation `metalie.poly` used
+before monomials were packed into ints: a monomial is a tuple of
+(variable, exponent) pairs sorted by `var_key`, and a polynomial is a dict
+from such tuples to coefficients.  `exp_nilpotent` is the matrix exponential
+that undoes `sl2.log_unipotent`.  The decomposition rules are the stated
+closed forms the computed tensor, symmetric and skew squares are checked
+against.
+"""
+
+from fractions import Fraction
+
+from metalie import linalg
+from metalie.poly import decode, exact, var_key
+from metalie.sl2 import Derivation, LinearAction, NotUnipotent
+
+
+def tuple_mono_mul(a, b):
+    """Product of two tuple monomials: one linear merge of the sorted factors."""
+    out = []
+    i = j = 0
+    while i < len(a) and j < len(b):
+        va, ea = a[i]
+        vb, eb = b[j]
+        if va == vb:
+            out.append((va, ea + eb))
+            i += 1
+            j += 1
+        elif var_key(va) < var_key(vb):
+            out.append(a[i])
+            i += 1
+        else:
+            out.append(b[j])
+            j += 1
+    return tuple(out) + a[i:] + b[j:]
+
+
+def tuple_terms(p):
+    """The terms of a `Poly` keyed by tuple monomials."""
+    return {decode(m): c for m, c in p.terms.items()}
+
+
+def _add_to(terms, m, c):
+    s = terms.get(m, 0) + c
+    if s:
+        terms[m] = exact(s)
+    else:
+        terms.pop(m, None)
+
+
+def tuple_mul(p, q):
+    out = {}
+    for m1, c1 in p.items():
+        for m2, c2 in q.items():
+            _add_to(out, tuple_mono_mul(m1, m2), c1 * c2)
+    return out
+
+
+def tuple_pow(p, n):
+    out = {(): 1}
+    for _ in range(n):
+        out = tuple_mul(out, p)
+    return out
+
+
+def tuple_partial(p, var):
+    out = {}
+    for m, c in p.items():
+        e = dict(m).get(var, 0)
+        if e:
+            reduced = tuple((v, k - 1 if v == var else k) for v, k in m
+                            if not (v == var and k == 1))
+            _add_to(out, reduced, c * e)
+    return out
+
+
+def tuple_substitute(p, images):
+    """images: variable -> tuple-keyed terms."""
+    out = {}
+    for m, c in p.items():
+        prod = {(): c}
+        for v, e in m:
+            prod = tuple_mul(prod, tuple_pow(images[v], e) if v in images else {((v, e),): 1})
+        for mm, cc in prod.items():
+            _add_to(out, mm, cc)
+    return out
+
+
+def tuple_rename(p, mapping):
+    return {tuple(sorted(((mapping.get(v, v), e) for v, e in m), key=lambda it: var_key(it[0]))): c
+            for m, c in p.items()}
+
+
+def tuple_str(p):
+    """The printed form: graded-lex order, higher degree first."""
+    if not p:
+        return "0"
+
+    def key(item):
+        m = item[0]
+        return (-sum(e for _, e in m), tuple((var_key(v), -e) for v, e in m))
+
+    parts = []
+    for m, c in sorted(p.items(), key=key):
+        mono = "*".join(v if e == 1 else f"{v}^{e}" for v, e in m)
+        body = str(abs(c)) if not m else mono if abs(c) == 1 else f"{abs(c)}*{mono}"
+        if not parts:
+            parts.append(body if c > 0 else f"-{body}")
+        else:
+            parts.append(f"+ {body}" if c > 0 else f"- {body}")
+    return " ".join(parts)
+
+
+def exp_nilpotent(delta: Derivation) -> LinearAction:
+    """Exact matrix exponential of a nilpotent derivation matrix."""
+    d = delta.spec.dimension
+    n = [list(row) for row in delta.matrix]
+    acc = linalg.identity(d)
+    power = linalg.identity(d)
+    factorial = 1
+    for step in range(1, d + 1):
+        power = linalg.mat_mul(power, n)
+        factorial *= step
+        if linalg.is_zero_matrix(power):
+            break
+        acc = linalg.mat_add(acc, linalg.mat_scale(power, Fraction(1, factorial)))
+    else:
+        raise NotUnipotent("derivation matrix is not nilpotent")
+    return LinearAction(delta.spec, tuple(tuple(row) for row in acc))
+
+
+def schur_function(k: int, l: int) -> dict[tuple[int, int], int]:
+    """Character of det^l tensor V_k: (t1 t2)^l * (t1^k + ... + t2^k)."""
+    return {(k + l - i, l + i): 1 for i in range(k + 1)}
+
+
+def young_tensor_rule(k: int, m: int) -> dict[tuple[int, int], int]:
+    """V_k (x) V_m = sum_n det^n (x) V_{k+m-2n} for n = 0..min(k, m)."""
+    lo = min(k, m)
+    return {(k + m - 2 * n, n): 1 for n in range(lo + 1)}
+
+
+def symmetric_square_rule(k: int) -> dict[tuple[int, int], int]:
+    if k % 2 == 0:
+        m = k // 2
+        return {(4 * (m - n), 2 * n): 1 for n in range(m + 1)}
+    m = (k - 1) // 2
+    return {(4 * (m - n) + 2, 2 * n): 1 for n in range(m + 1)}
+
+
+def skew_square_rule(k: int) -> dict[tuple[int, int], int]:
+    if k % 2 == 0:
+        m = k // 2
+        return {(4 * (m - n) + 2, 2 * n - 1): 1 for n in range(1, m + 1)}
+    m = (k - 1) // 2
+    return {(4 * (m - n), 2 * n + 1): 1 for n in range(m + 1)}

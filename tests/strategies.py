@@ -5,7 +5,7 @@ from fractions import Fraction
 import hypothesis.strategies as st
 
 from metalie.metabelian import LieContext
-from metalie.poly import Poly, var_key
+from metalie.poly import Poly, encode
 from metalie.sl2 import ModuleSpec
 
 rationals = st.fractions(min_value=Fraction(-4), max_value=Fraction(4), max_denominator=3)
@@ -18,8 +18,7 @@ def monomials(draw, variables, max_degree=3, min_degree=0):
     exps = [0] * len(variables)
     for _ in range(degree):
         exps[draw(st.integers(0, len(variables) - 1))] += 1
-    return tuple(sorted(((v, e) for v, e in zip(variables, exps) if e),
-                        key=lambda item: var_key(item[0])))
+    return encode((v, e) for v, e in zip(variables, exps) if e)
 
 
 @st.composite

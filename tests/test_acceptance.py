@@ -23,11 +23,8 @@ from metalie.series import (
     decompose_character,
     hilbert_metabelian,
     skew_square_character,
-    skew_square_rule,
     symmetric_square_character,
-    symmetric_square_rule,
     vk_character,
-    young_tensor_rule,
 )
 from metalie.sl2 import (
     ModuleSpec,
@@ -36,6 +33,7 @@ from metalie.sl2 import (
     is_invariant_by_derivations,
 )
 from metalie.invariants import decide_finite_generation
+from oracles import skew_square_rule, symmetric_square_rule, young_tensor_rule
 
 TRUNCATION = 12
 

@@ -1,6 +1,7 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
 import json
+from time import perf_counter
 
 import pytest
 
@@ -8,6 +9,7 @@ from metalie import invariants
 from metalie.cli import MAX_RANK, main
 from metalie.linalg import LinearSolveError
 from metalie.metabelian import LieContext, parse_lie_expr
+from metalie.poly import MAX_EXPONENT, MAX_TERM_PAIRS
 from metalie.series import NotACharacter, TruncationMismatch
 
 
@@ -238,6 +240,12 @@ class TestCatalog:
         code, _, err = run(capsys, "catalog", "verify", "--case", "viii")
         assert code == 2
 
+    def test_rank_degree_above_the_degree_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "catalog", "verify", "--case", "i", "--degree", "6",
+                             "--rank-degree", "9")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: --rank-degree")
+
 
 class TestNormalize:
     def test_poly_idempotent(self, capsys):
@@ -303,6 +311,60 @@ class TestRankBudget:
         assert (code, out.strip()) == (0, "-[x2,x1]")
         code, _, err = run(capsys, "check", str(MAX_RANK), str(path))
         assert code == 2 and "budget" in err
+
+
+class TestExpressionBudget:
+    def test_power_over_the_budget_is_refused_before_expanding(self, capsys):
+        start = perf_counter()
+        code, out, err = run(capsys, "normalize", "(x1+x2+x3+x4+x5+x6)^40")
+        assert perf_counter() - start < 0.1
+        assert (code, out) == (2, "")
+        assert f"budget of {MAX_TERM_PAIRS}" in err
+
+    def test_power_within_the_budget_is_expanded(self, capsys):
+        code, out, _ = run(capsys, "normalize", "(x1+x2+x3)^12")
+        assert code == 0
+        assert len(out.split(" + ")) == 91
+
+    def test_product_over_the_budget_is_refused(self, capsys):
+        code, out, err = run(capsys, "normalize",
+                             "(x1+x2+x3+x4+x5+x6)^12*(x1+x2+x3+x4+x5+x6)^12")
+        assert (code, out) == (2, "")
+        assert "product at position" in err and "budget" in err
+
+    def test_exponent_over_the_field_is_refused(self, capsys):
+        code, out, err = run(capsys, "normalize", "x1^123456789012")
+        assert (code, out) == (2, "")
+        assert f"budget of {MAX_EXPONENT}" in err
+        code, out, _ = run(capsys, "normalize", f"x1^{MAX_EXPONENT}")
+        assert (code, out.strip()) == (0, f"x1^{MAX_EXPONENT}")
+
+    def test_exponent_overflow_in_a_product_is_a_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "expr.txt"
+        path.write_text("x1^20000*x1^20000")
+        code, out, err = run(capsys, "check", "1", str(path))
+        assert (code, out) == (2, "")
+        assert err.strip() == f"error: exponent over the budget of {MAX_EXPONENT}"
+
+
+class TestCatalogBudget:
+    def test_degree_64_is_refused_up_front(self, capsys):
+        start = perf_counter()
+        code, out, err = run(capsys, "catalog", "verify", "--degree", "64")
+        assert perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert "rows, over the budget" in err
+
+    def test_single_case_over_the_budget(self, capsys):
+        code, out, err = run(capsys, "catalog", "verify", "--case", "vii", "--degree", "28")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: case vii: span checks to degree 28 need 3515 rows")
+
+    def test_small_rank_degree_keeps_a_high_truncation(self, capsys):
+        code, out, _ = run(capsys, "catalog", "verify", "--case", "vi", "--degree", "28",
+                           "--rank-degree", "12", "--json")
+        assert code == 0
+        assert json.loads(out)["passed"] is True
 
 
 class TestInternalErrors:

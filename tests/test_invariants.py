@@ -9,9 +9,12 @@ from hypothesis import given
 
 import strategies as strat
 from metalie.invariants import (
+    MAX_SPAN_ROWS,
     ExtensionBasis,
     NoKnownWitness,
     NonHomogeneousInput,
+    SpanBudgetExceeded,
+    check_span_budget,
     decide_finite_generation,
     discriminant,
     extend_by_trivial_variable,
@@ -19,6 +22,7 @@ from metalie.invariants import (
     load_catalog,
     pi,
     pi_via_bracket,
+    span_rows,
     verify_catalog,
     w_lie,
     w_poly,
@@ -26,7 +30,7 @@ from metalie.invariants import (
 )
 from metalie.linalg import rank
 from metalie.metabelian import LieContext, parse_lie_expr
-from metalie.poly import Poly, is_pairwise_jacobian_zero
+from metalie.poly import Poly, encode, is_pairwise_jacobian_zero
 from metalie.series import invariant_dimension_series
 from metalie.sl2 import ModuleSpec, is_invariant, is_invariant_by_derivations
 
@@ -80,7 +84,7 @@ class TestQuadraticFamilies:
 
     def test_w_poly_of_a_large_block(self):
         # a block of degree 1520: the binomials must not recurse on the degree
-        assert w_poly(760).coefficient((("x761", 2),)) == comb(1520, 760)
+        assert w_poly(760).coefficient(encode((("x761", 2),))) == comb(1520, 760)
 
     def test_w_poly_rejects_zero(self):
         with pytest.raises(ValueError):
@@ -312,6 +316,31 @@ class TestCatalog:
         assert all(sizes[name] > 0 for name in (
             "module-series-matches", "ring-series-matches", "symmetrization-identity",
             "ring-generators-span", "module-generators-span"))
+
+
+class TestSpanBudget:
+    def test_row_count_matches_the_rows_ranked(self):
+        for case in load_catalog().values():
+            report = verify_catalog(case, truncation=9)
+            sizes = {c.name: c.size for c in report.checks}
+            module_degrees = [v.total_degree() for v in case.module_generators()]
+            ring_degrees = [g.total_degree() for g in case.ring_generators()]
+            assert span_rows(ring_degrees, module_degrees, 9) == \
+                sizes["ring-generators-span"] + sizes["module-generators-span"], case.case_id
+
+    def test_row_count_of_one_quadratic_generator(self):
+        # ring rows: f^0..f^3 at degrees 0, 2, 4, 6; one module generator of
+        # degree 2 adds the products of degree n - 2 for n = 2..6
+        assert span_rows([2], [2], 6) == 4 + 3
+
+    def test_catalog_degrees_up_to_20_are_accepted(self):
+        for case in load_catalog().values():
+            for degree in (8, 12, 20):
+                check_span_budget(case, degree)
+
+    def test_degree_64_is_refused(self):
+        with pytest.raises(SpanBudgetExceeded, match=f"over the budget of {MAX_SPAN_ROWS}"):
+            verify_catalog(load_catalog()["vi"], truncation=64)
 
 
 class TestRandomPiConsistency:

@@ -25,7 +25,7 @@ from metalie.metabelian import (
     words_of_degree,
     words_of_multidegree,
 )
-from metalie.poly import ParseError, Poly, var_key
+from metalie.poly import ParseError, Poly, decode, var_key
 from metalie.sl2 import ModuleSpec
 
 
@@ -39,7 +39,7 @@ def solve_in_word_basis(u):
     components = {}
     for m, c in u.poly.terms.items():
         multidegree = [0] * u.ctx.dim
-        for v, e in m:
+        for v, e in decode(m):
             multidegree[var_key(v)[1] - 1] += e
         components.setdefault(tuple(multidegree), {})[m] = c
     expansion = []
@@ -332,5 +332,5 @@ class TestGrading:
     def test_product_is_commutative_and_truncates_a(self, u, v):
         assert u * v == v * u
         for m in (u * v).poly.terms:
-            a_deg = sum(e for name, e in m if name.startswith("a"))
+            a_deg = sum(e for name, e in decode(m) if name.startswith("a"))
             assert a_deg <= 1

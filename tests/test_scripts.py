@@ -1,6 +1,7 @@
 """The experiment scripts run end to end and report failures in their exit status."""
 
 import importlib.util
+import json
 import os
 import re
 import subprocess
@@ -53,3 +54,16 @@ def test_cross_check_mismatch_fails_the_run(monkeypatch, capsys):
                                       "--cross-check"])
     assert script.main() == 1
     assert "MISMATCH" in capsys.readouterr().out
+
+
+def test_bench_at_a_tiny_size(tmp_path):
+    out = tmp_path / "bench.json"
+    for column in ("before", "after"):
+        result = run_script("bench.py", "--tiny", "--out", str(out), "--column", column)
+        assert result.returncode == 0, result.stdout + result.stderr
+    entries = json.loads(out.read_text())["entries"]
+    assert {"poly.mul", "poly.substitute", "poly.partial", "metabelian.bracket"} <= set(entries)
+    for entry in entries.values():
+        assert entry["before"]["sizes"] == entry["after"]["sizes"]
+        assert entry["after"]["seconds"] >= 0 and entry["after"]["peak_kb"] > 0
+    assert entries["poly.mul"]["after"]["sizes"]["terms_a"] == 20

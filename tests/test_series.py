@@ -25,18 +25,16 @@ from metalie.series import (
     invariant_hilbert,
     parse_rational_function,
     skew_square_character,
-    skew_square_rule,
     symmetric_square_character,
-    symmetric_square_rule,
     vk_character,
     verify_symmetrization,
     weight_character,
     weight_slices,
     weight_substitute,
-    young_tensor_rule,
     _divide_by_t1_minus_t2,
 )
 from metalie.sl2 import ModuleSpec, invariant_dimension
+from oracles import skew_square_rule, symmetric_square_rule, young_tensor_rule
 from strategies import module_specs
 
 

@@ -14,7 +14,6 @@ from metalie.sl2 import (
     NotUnipotent,
     bidegree_components,
     derivations,
-    exp_nilpotent,
     g1_matrix,
     g2_matrix,
     invariant_dimension,
@@ -22,6 +21,7 @@ from metalie.sl2 import (
     is_invariant_by_derivations,
     log_unipotent,
 )
+from oracles import exp_nilpotent
 
 
 # module specifications of rank 3, to match the three-variable strategies
