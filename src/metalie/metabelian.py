@@ -122,7 +122,7 @@ class WreathElement:
             if index < 1 or index > ctx.dim:
                 raise ContextMismatch(f"variable {slot_name(s)} outside rank {ctx.dim}")
         a_mask = letter_mask("a")
-        if any(_a_degree(m, a_mask) > 1 for m in poly.terms):
+        if any(mono_degree(m & a_mask) > 1 for m in poly.terms):
             raise ContextMismatch("a-degree exceeds one; not reduced")
         self.ctx = ctx
         self.poly = poly
@@ -195,7 +195,7 @@ class WreathElement:
             self._check(other)
             product = self.poly * other.poly
             a_mask = letter_mask("a")
-            reduced = {m: c for m, c in product.terms.items() if _a_degree(m, a_mask) <= 1}
+            reduced = {m: c for m, c in product.terms.items() if mono_degree(m & a_mask) <= 1}
             out = WreathElement.__new__(WreathElement)
             out.ctx, out.poly = self.ctx, Poly(reduced)
             return out
@@ -291,11 +291,6 @@ class WreathElement:
 def _index(m: Monomial) -> int:
     """Index of the variable of a monomial of degree one."""
     return slot_key(next(fields(m))[0])[1]
-
-
-def _a_degree(m: Monomial, a_mask: int) -> int:
-    """Degree of m in the a-variables; a_mask is `letter_mask("a")`."""
-    return mono_degree(m & a_mask)
 
 
 # -- left-normed commutator words ---------------------------------------------

@@ -121,9 +121,10 @@ def encode(pairs: Iterable[tuple[str, int]]) -> Monomial:
 
 
 def decode(m: Monomial) -> tuple[tuple[str, int], ...]:
-    """(name, exponent) pairs of m in the variable order of `var_key`."""
-    return tuple((_slot_names[s], e)
-                 for s, e in sorted(fields(m), key=lambda f: _slot_keys[f[0]]))
+    """(name, exponent) pairs of m in the variable order: by `var_key`, then
+    by name, which parts "x01" from "x1"."""
+    return tuple((_slot_names[s], e) for s, e in
+                 sorted(fields(m), key=lambda f: (_slot_keys[f[0]], _slot_names[f[0]])))
 
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
@@ -163,8 +164,8 @@ def mono_degree(m: Monomial) -> int:
 
 def mono_sort_key(m: Monomial):
     """Graded-lex key: higher degree first, then priority to earlier variables."""
-    pairs = sorted((_slot_keys[s], -e) for s, e in fields(m))
-    return (sum(e for _, e in pairs), tuple(pairs))
+    pairs = sorted((_slot_keys[s], _slot_names[s], -e) for s, e in fields(m))
+    return (sum(pair[2] for pair in pairs), tuple(pairs))
 
 
 def mono_str(m: Monomial) -> str:
@@ -324,7 +325,7 @@ class Poly:
         return reduce(or_, self.terms, 0)
 
     def variables(self) -> list[str]:
-        return sorted((_slot_names[s] for s, _ in fields(self.support())), key=var_key)
+        return sorted(sorted(_slot_names[s] for s, _ in fields(self.support())), key=var_key)
 
     def total_degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
