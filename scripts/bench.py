@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Layer microbenchmarks and end-to-end timings, written to BENCH_6.json.
+"""Layer microbenchmarks and end-to-end timings, written to BENCH_7.json.
 
     python3 scripts/bench.py [--src DIR] [--column NAME] [--out FILE] [--tiny]
 
@@ -54,7 +54,7 @@ def random_poly(rng, terms: int, variables: int, top: int):
 def layer_entries(tiny: bool):
     """(name, what, thunk, sizes) for the Poly and envelope layers."""
     from metalie.invariants import discriminant, infinite_family_witness
-    from metalie.metabelian import LieContext
+    from metalie.metabelian import LieContext, to_commutator_basis
     from metalie.sl2 import ModuleSpec, g1_matrix
 
     rng = random.Random(6)
@@ -97,6 +97,50 @@ def layer_entries(tiny: bool):
            {"terms_a": len(f1.poly.terms), "terms_b": len(f2.poly.terms),
             "terms_out": len(bracket.poly.terms), "max_exponent": max_exponent(bracket.poly)})
 
+    yield ("metabelian.to_commutator_basis", "expansion of that V3 witness in the word basis",
+           lambda: to_commutator_basis(u),
+           {"terms_in": len(u.poly.terms), "words_out": len(to_commutator_basis(u))})
+
+
+def catalog_entries(tiny: bool):
+    """(name, what, thunk, sizes) for the series and rank layers of `catalog verify`."""
+    from metalie import invariants
+    from metalie.linalg import rank
+    from metalie.series import (decompose_character, expand_rational,
+                                parse_rational_function, weight_character)
+
+    n = 6 if tiny else 12
+    case = invariants.load_catalog()["vii"]
+    character = weight_character(case.spec, n, "polyring")
+    square = character * character
+    yield ("series.mul", f"square of the degree-{n} polynomial-ring character of "
+                         f"{case.spec} in (t1, t2, z)",
+           lambda: character * character,
+           {"terms_a": len(character.coefficients), "terms_out": len(square.coefficients)})
+
+    slices = list(square.slices_by("z").values())
+    yield ("series.decompose_character", "decomposition of every degree slice of that square",
+           lambda: [decompose_character(s) for s in slices],
+           {"slices": len(slices), "terms": len(square.coefficients)})
+
+    gens = [invariants.parse_lie_expr(text).evaluate(case.context())
+            for text in case.module_generator_texts]
+    ring = case.ring_generators()
+    products = invariants._ring_monomial_table(ring, n)
+    rows = [v.ad_action(p).coordinates() for v in gens for p in products[n - v.total_degree()]]
+    yield ("linalg.rank", f"rank of the degree-{n} module span rows of case vii",
+           lambda: rank(rows),
+           {"rows": len(rows), "columns": len(set().union(*rows)), "rank": rank(rows)})
+
+    truncation = 16 if tiny else 64
+    stated = [parse_rational_function(text) for c in invariants.load_catalog().values()
+              for text in (c.module_series_text, c.ring_series_text)]
+    yield ("series.expand_rational", f"the {len(stated)} stated catalog series to degree "
+                                     f"{truncation}",
+           lambda: [expand_rational(numer, factors, truncation) for numer, factors in stated],
+           {"series": len(stated), "factors": sum(len(f) for _, f in stated),
+            "truncation": truncation})
+
 
 def cli_entries(tiny: bool):
     """(name, what, thunk, sizes) for whole `metalie` commands."""
@@ -117,12 +161,13 @@ def cli_entries(tiny: bool):
     yield (" ".join(witness[:4]), "witness family of V3, each member checked by substitution",
            command(*witness), {"elements": len(rows), "max_degree": rows[-1]["degree"]})
 
-    catalog = ("catalog", "verify", "--degree", "6" if tiny else "20", "--json")
-    reports = [json.loads(line) for line in command(*catalog)().splitlines()]
-    rows_ranked = sum(c["size"] for r in reports for c in r["checks"]
-                      if c["name"].endswith("-span"))
-    yield (" ".join(catalog[:4]), "every catalog case, span checks to the same degree",
-           command(*catalog), {"cases": len(reports), "rows_ranked": rows_ranked})
+    for degree in ("6", "8") if tiny else ("12", "20"):
+        catalog = ("catalog", "verify", "--degree", degree, "--json")
+        reports = [json.loads(line) for line in command(*catalog)().splitlines()]
+        rows_ranked = sum(c["size"] for r in reports for c in r["checks"]
+                          if c["name"].endswith("-span"))
+        yield (" ".join(catalog[:4]), "every catalog case, span checks to the same degree",
+               command(*catalog), {"cases": len(reports), "rows_ranked": rows_ranked})
 
 
 def measure(thunk, repeats: int) -> dict:
@@ -144,7 +189,7 @@ def main() -> int:
     parser.add_argument("--src", default=str(ROOT / "src"),
                         help="directory holding the metalie package to measure")
     parser.add_argument("--column", default="change", help="column to write (default change)")
-    parser.add_argument("--out", default=str(ROOT / "BENCH_6.json"))
+    parser.add_argument("--out", default=str(ROOT / "BENCH_7.json"))
     parser.add_argument("--tiny", action="store_true", help="small sizes, for a smoke test")
     args = parser.parse_args()
     sys.path.insert(0, args.src)
@@ -155,7 +200,7 @@ def main() -> int:
     report["host"] = {"python": platform.python_version(), "machine": platform.machine(),
                       "processor": platform.processor() or "unknown"}
     entries = report.setdefault("entries", {})
-    for group, repeats in ((layer_entries, 5), (cli_entries, 1)):
+    for group, repeats in ((layer_entries, 5), (catalog_entries, 5), (cli_entries, 1)):
         for name, what, thunk, sizes in group(args.tiny):
             result = measure(thunk, 1 if args.tiny else repeats)
             entry = entries.setdefault(name, {"what": what})

@@ -49,6 +49,9 @@ MAX_RANK = 1024
 # builder touches (about d * N * (N * k_max + 1)); an input at the budget takes
 # about 2 s.
 MAX_HILBERT_CELLS = 10_000_000
+# Budget on the members `witness --count` asks for; `witness 1,1 --count 40`
+# takes about 2.5 s.
+MAX_WITNESS_COUNT = 64
 
 
 class UsageError(Exception):
@@ -171,6 +174,8 @@ def cmd_pi(args) -> int:
 
 def cmd_witness(args) -> int:
     spec = _parse_spec(args.spec)
+    if not 0 <= args.count <= MAX_WITNESS_COUNT:
+        raise UsageError(f"--count must be between 0 and {MAX_WITNESS_COUNT}")
     try:
         family = list(islice(infinite_family_witness(spec), args.count))
     except NoKnownWitness as exc:

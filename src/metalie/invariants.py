@@ -366,9 +366,13 @@ class CatalogCase:
 
     def relation_values(self) -> list[WreathElement]:
         """Evaluate each stored relation sum_i v_i * p_i(f_1, ..., f_r)."""
+        return self._relation_values(self.module_generators(), self.ring_generators())
+
+    def _relation_values(self, gens: Sequence[WreathElement],
+                         ring: Sequence[Poly]) -> list[WreathElement]:
+        """The relations evaluated at the given module generators v_i and ring
+        generators f_i."""
         ctx = self.context()
-        gens = self.module_generators()
-        ring = self.ring_generators()
         values = []
         for text in self.relation_texts:
             combo = Poly.parse(text)
@@ -523,6 +527,11 @@ def verify_catalog(case: CatalogCase, truncation: int = 12,
     and push the module generators onto the module invariants degree by
     degree (exact rank checks, up to `rank_degree`).
 
+    The generators are parsed and evaluated once per call and shared by all
+    checks; each module generator decides its ideal membership once, on its
+    first module action (see `WreathElement`), and the stated series are
+    expanded by the recurrence of `expand_rational`.
+
     Each check records the seconds spent on it and its size: the generators
     checked for (a), the relations evaluated for (b), the terms of the
     character decomposed for the series checks, the terms of the two
@@ -549,7 +558,7 @@ def verify_catalog(case: CatalogCase, truncation: int = 12,
                                   f"not invariant: {', '.join(bad)}" if bad else "",
                                   lap(), len(items)))
 
-    values = case.relation_values()
+    values = case._relation_values(module_gens, ring_gens)
     bad = [str(idx) for idx, value in enumerate(values, start=1) if not value.is_zero()]
     checks.append(CheckResult("relations-vanish", not bad,
                               f"nonzero relation(s): {', '.join(bad)}" if bad else "",

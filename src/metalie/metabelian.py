@@ -32,6 +32,7 @@ from .poly import (
     TokenStream,
     _PolyParser,
     decode,
+    describe_token,
     encode,
     fields,
     letter_mask,
@@ -110,9 +111,12 @@ class WreathElement:
     at most one.  The wreath product proper consists of the elements whose
     y-part is linear; membership in the embedded Lie algebra and in its
     commutator ideal is decided by `is_lie_element` / `is_in_commutator_ideal`.
+    Elements are immutable, so ideal membership is decided at most once per
+    element and kept; `ad_action` results are members from the start, since
+    the ideal is closed under the module action.
     """
 
-    __slots__ = ("ctx", "poly")
+    __slots__ = ("ctx", "poly", "_in_ideal")
 
     def __init__(self, ctx: LieContext, poly: Poly):
         for s, _ in fields(poly.support()):
@@ -126,6 +130,7 @@ class WreathElement:
             raise ContextMismatch("a-degree exceeds one; not reduced")
         self.ctx = ctx
         self.poly = poly
+        self._in_ideal: bool | None = None
 
     # -- helpers -------------------------------------------------------------
 
@@ -171,34 +176,24 @@ class WreathElement:
 
     def __add__(self, other: "WreathElement") -> "WreathElement":
         self._check(other)
-        out = WreathElement.__new__(WreathElement)
-        out.ctx, out.poly = self.ctx, self.poly + other.poly
-        return out
+        return _wrap(self.ctx, self.poly + other.poly)
 
     def __sub__(self, other: "WreathElement") -> "WreathElement":
         self._check(other)
-        out = WreathElement.__new__(WreathElement)
-        out.ctx, out.poly = self.ctx, self.poly - other.poly
-        return out
+        return _wrap(self.ctx, self.poly - other.poly)
 
     def __neg__(self) -> "WreathElement":
-        out = WreathElement.__new__(WreathElement)
-        out.ctx, out.poly = self.ctx, -self.poly
-        return out
+        return _wrap(self.ctx, -self.poly)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            out = WreathElement.__new__(WreathElement)
-            out.ctx, out.poly = self.ctx, self.poly * other
-            return out
+            return _wrap(self.ctx, self.poly * other)
         if isinstance(other, WreathElement):
             self._check(other)
             product = self.poly * other.poly
             a_mask = letter_mask("a")
             reduced = {m: c for m, c in product.terms.items() if mono_degree(m & a_mask) <= 1}
-            out = WreathElement.__new__(WreathElement)
-            out.ctx, out.poly = self.ctx, Poly(reduced)
-            return out
+            return _wrap(self.ctx, Poly(reduced))
         return NotImplemented
 
     __rmul__ = __mul__
@@ -233,26 +228,23 @@ class WreathElement:
         if not self.is_in_commutator_ideal():
             raise NotInCommutatorIdeal("module action is defined on the commutator ideal only")
         mapping = {}
-        for v in p.variables():
-            letter, index = var_key(v)
+        for s, _ in fields(p.support()):
+            letter, index = slot_key(s)
             if letter != "x" or not 1 <= index <= self.ctx.dim:
-                raise ContextMismatch(f"variable {v} is not one of x1..x{self.ctx.dim}")
-            mapping[v] = f"y{index}"
-        out = WreathElement.__new__(WreathElement)
-        out.ctx, out.poly = self.ctx, self.poly * p.rename(mapping)
-        return out
+                raise ContextMismatch(f"variable {slot_name(s)} is not one of x1..x{self.ctx.dim}")
+            mapping[slot_name(s)] = f"y{index}"
+        return _wrap(self.ctx, self.poly * p.rename(mapping), in_ideal=True)
 
     # -- membership ----------------------------------------------------------
 
     def is_in_commutator_ideal(self) -> bool:
-        """True when the y-part vanishes and sum_i y_i * f_i(Y) = 0."""
-        y_part, a_parts = self.split()
-        if not y_part.is_zero():
-            return False
-        acc = Poly.zero()
-        for i, f in a_parts.items():
-            acc = acc + Poly.variable(f"y{i}") * f
-        return acc.is_zero()
+        """True when the y-part vanishes and sum_i y_i * f_i(Y) = 0; decided
+        once per element."""
+        if self._in_ideal is None:
+            y_part, a_parts = self.split()
+            self._in_ideal = y_part.is_zero() and sum(
+                (Poly.variable(f"y{i}") * f for i, f in a_parts.items()), Poly.zero()).is_zero()
+        return self._in_ideal
 
     def is_lie_element(self) -> bool:
         """True when the element lies in the embedded free metabelian algebra."""
@@ -286,6 +278,14 @@ class WreathElement:
 
     def __repr__(self) -> str:
         return f"WreathElement(d={self.ctx.dim}, {self.poly})"
+
+
+def _wrap(ctx: LieContext, poly: Poly, in_ideal: bool | None = None) -> WreathElement:
+    """A `WreathElement` of a polynomial known to be reduced and in the a/y
+    alphabets of rank ctx.dim, built without the checks of `__init__`."""
+    out = WreathElement.__new__(WreathElement)
+    out.ctx, out.poly, out._in_ideal = ctx, poly, in_ideal
+    return out
 
 
 def _index(m: Monomial) -> int:
@@ -583,7 +583,7 @@ def _parse_lie_factor(stream: TokenStream) -> LieExpr:
             raise ParseError(f"expected a generator x<k> at position {pos}, found {tok!r}")
         stream.next()
         return Gen(index)
-    raise ParseError(f"unexpected token {tok!r} at position {pos}")
+    raise ParseError(f"unexpected {describe_token(kind, tok)} at position {pos}")
 
 
 def _parse_poly_factor(stream: TokenStream) -> Poly:

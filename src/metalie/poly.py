@@ -537,7 +537,8 @@ MAX_TERM_PAIRS = 1_000_000
 
 
 def tokenize(text: str) -> list[tuple[str, str, int]]:
-    """Split into (kind, text, position) tokens; kinds: num, name, op."""
+    """Split into (kind, text, position) tokens; kinds: num, name, op, and a
+    last token ("end", "end of input", len(text))."""
     tokens = []
     depth = 0
     for m in _TOKEN_RE.finditer(text):
@@ -557,7 +558,13 @@ def tokenize(text: str) -> list[tuple[str, str, int]]:
             elif op in (")", "]"):
                 depth -= 1
             tokens.append(("op", op, m.start()))
+    tokens.append(("end", "end of input", len(text)))
     return tokens
+
+
+def describe_token(kind: str, text: str) -> str:
+    """How an error message names a token: "token 'x1'" or "end of input"."""
+    return text if kind == "end" else f"token {text!r}"
 
 
 def parse_quotient(numerator: int, denominator: int, pos: int) -> int | Fraction:
@@ -574,14 +581,14 @@ def _check_term_pairs(pairs: int, what: str, pos: int) -> None:
 
 
 class TokenStream:
+    """Cursor over the tokens of `tokenize`; it stays on the end token."""
+
     def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
 
     def peek(self):
-        if self.pos < len(self.tokens):
-            return self.tokens[self.pos]
-        return ("end", "", -1)
+        return self.tokens[min(self.pos, len(self.tokens) - 1)]
 
     def next(self):
         tok = self.peek()
@@ -598,7 +605,8 @@ class TokenStream:
     def expect_op(self, op: str):
         if not self.accept_op(op):
             kind, text, pos = self.peek()
-            raise ParseError(f"expected {op!r}, found {text!r} at position {pos}")
+            raise ParseError(f"expected {op!r}, found {describe_token(kind, text)} "
+                             f"at position {pos}")
 
 
 class _PolyParser:
@@ -670,7 +678,7 @@ class _PolyParser:
             inner = self.parse_expression()
             self.stream.expect_op(")")
             return inner
-        raise ParseError(f"unexpected token {text!r} at position {pos}")
+        raise ParseError(f"unexpected {describe_token(kind, text)} at position {pos}")
 
     def expect_end(self):
         kind, text, pos = self.stream.peek()

@@ -26,8 +26,8 @@ direct construction is tested against.
 Everything is exact: coefficients, characters and multiplicities are
 `int`, and a `Fraction` appears only where a division happens
 (`expand_rational` divides by the constant terms of the denominator
-factors).  Series arithmetic drops terms beyond the truncation bound
-eagerly.
+factors, and stays in `int` when they are 1 or -1).  Series arithmetic
+drops terms beyond the truncation bound eagerly.
 """
 
 from __future__ import annotations
@@ -37,7 +37,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .poly import ParseError, Poly, TokenStream, _PolyParser, exact, mono_degree, tokenize
+from .poly import (ParseError, Poly, TokenStream, _PolyParser, describe_token, exact,
+                   mono_degree, tokenize)
 from .sl2 import ModuleSpec
 
 Exponents = tuple[int, ...]
@@ -512,7 +513,10 @@ def expand_rational(numerator: Poly, denominator_factors: Sequence[Poly],
                     truncation: int) -> TruncatedSeries:
     """Taylor expansion of numerator / prod(factors) in one variable, exact.
 
-    Every factor must have a nonzero constant term.
+    Divides by one factor f = c_0 + f_1 z + ... at a time: the quotient a of
+    a series b by f satisfies a_n = (b_n - sum_{k>=1} f_k a_(n-k)) / c_0.  The
+    coefficients stay `int` while every c_0 is 1 or -1.  Every factor must
+    have a nonzero constant term.
     """
     variables = set(numerator.variables())
     for f in denominator_factors:
@@ -521,30 +525,24 @@ def expand_rational(numerator: Poly, denominator_factors: Sequence[Poly],
         raise ValueError(f"rational function uses several variables: {sorted(variables)}")
     var = variables.pop() if variables else "z"
 
-    def to_series(p: Poly) -> TruncatedSeries:
-        coeffs = {}
+    def to_list(p: Poly) -> list[int | Fraction]:
+        coeffs = [0] * (truncation + 1)
         for m, c in p.terms.items():
             exp = mono_degree(m)
             if exp <= truncation:
-                coeffs[(exp,)] = c
-        return TruncatedSeries((var,), truncation, coeffs)
+                coeffs[exp] = c
+        return coeffs
 
-    acc = to_series(numerator)
-    one = TruncatedSeries.one((var,), truncation)
+    acc = to_list(numerator)
     for f in denominator_factors:
         c0 = f.constant_term()
         if not c0:
             raise ValueError(f"denominator factor {f} has zero constant term")
-        tail = one - to_series(f) * (Fraction(1) / c0)
-        inverse = one
-        power = one
-        for _ in range(truncation):
-            power = power * tail
-            if not power.coefficients:
-                break
-            inverse = inverse + power
-        acc = acc * inverse * (Fraction(1) / c0)
-    return acc
+        tail = [(k, c) for k, c in enumerate(to_list(f)) if k and c]
+        for n in range(truncation + 1):
+            b = acc[n] - sum(c * acc[n - k] for k, c in tail if k <= n)
+            acc[n] = b if c0 == 1 else -b if c0 == -1 else exact(Fraction(b) / c0)
+    return TruncatedSeries((var,), truncation, {(n,): c for n, c in enumerate(acc) if c})
 
 
 def parse_rational_function(text: str) -> tuple[Poly, list[Poly]]:
@@ -575,7 +573,7 @@ def parse_rational_function(text: str) -> tuple[Poly, list[Poly]]:
                     raise ParseError("missing denominator after '/'")
                 break
             else:
-                raise ParseError(f"unexpected token {tok!r} at position {pos}")
+                raise ParseError(f"unexpected {describe_token(kind, tok)} at position {pos}")
             kind, tok, _ = stream.peek()
             if kind == "end":
                 break

@@ -6,13 +6,15 @@ before monomials were packed into ints: a monomial is a tuple of
 from such tuples to coefficients.  `exp_nilpotent` is the matrix exponential
 that undoes `sl2.log_unipotent`.  The decomposition rules are the stated
 closed forms the computed tensor, symmetric and skew squares are checked
-against.
+against.  `expand_rational_by_power_sums` is the series route `expand_rational`
+took before its recurrence: each factor inverted as a truncated geometric sum.
 """
 
 from fractions import Fraction
 
 from metalie import linalg
-from metalie.poly import decode, exact, var_key
+from metalie.poly import decode, exact, mono_degree, var_key
+from metalie.series import TruncatedSeries
 from metalie.sl2 import Derivation, LinearAction, NotUnipotent
 
 
@@ -155,3 +157,29 @@ def skew_square_rule(k: int) -> dict[tuple[int, int], int]:
         return {(4 * (m - n) + 2, 2 * n - 1): 1 for n in range(1, m + 1)}
     m = (k - 1) // 2
     return {(4 * (m - n), 2 * n + 1): 1 for n in range(m + 1)}
+
+
+def expand_rational_by_power_sums(numerator, denominator_factors, truncation, var="z"):
+    """numerator / prod(factors) as `TruncatedSeries` products: 1/f is
+    (1/c_0) * sum_n (1 - f/c_0)^n, summed until the power vanishes."""
+
+    def to_series(p):
+        return TruncatedSeries((var,), truncation,
+                               {(mono_degree(m),): c for m, c in p.terms.items()})
+
+    acc = to_series(numerator)
+    one = TruncatedSeries.one((var,), truncation)
+    for f in denominator_factors:
+        c0 = f.constant_term()
+        if not c0:
+            raise ValueError(f"denominator factor {f} has zero constant term")
+        tail = one - to_series(f) * (Fraction(1) / c0)
+        inverse = one
+        power = one
+        for _ in range(truncation):
+            power = power * tail
+            if not power.coefficients:
+                break
+            inverse = inverse + power
+        acc = acc * inverse * (Fraction(1) / c0)
+    return acc

@@ -1,12 +1,13 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
+import io
 import json
 from time import perf_counter
 
 import pytest
 
 from metalie import invariants
-from metalie.cli import MAX_RANK, main
+from metalie.cli import MAX_RANK, MAX_WITNESS_COUNT, main
 from metalie.linalg import LinearSolveError
 from metalie.metabelian import LieContext, parse_lie_expr
 from metalie.poly import MAX_EXPONENT, MAX_TERM_PAIRS
@@ -143,6 +144,12 @@ class TestCheck:
         code, _, err = run(capsys, "check", "1", str(path))
         assert code == 2
 
+    def test_empty_stdin_names_the_end_of_input(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO(""))
+        code, _, err = run(capsys, "check", "1", "-")
+        assert code == 2
+        assert err == "error: unexpected end of input at position 0\n"
+
     def test_variable_outside_the_module_is_usage_error(self, capsys, tmp_path):
         path = tmp_path / "expr.txt"
         path.write_text("x3")
@@ -221,6 +228,13 @@ class TestWitness:
     def test_unknown_spec(self, capsys):
         code, _, err = run(capsys, "witness", "1,1,1,1")
         assert code == 2
+
+    @pytest.mark.parametrize("count", ["-1", str(10 ** 20), str(MAX_WITNESS_COUNT + 1)])
+    def test_count_out_of_range_is_usage_error(self, capsys, count):
+        code, out, err = run(capsys, "witness", "1,1", "--count", count)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --count must be between 0 and")
 
 
 class TestCatalog:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 
 import strategies as strat
+from metalie import invariants
 from metalie.invariants import (
     MAX_SPAN_ROWS,
     ExtensionBasis,
@@ -300,6 +301,22 @@ class TestCatalog:
             "module-generators-span",
         ]
         assert report.to_json()["passed"] is True
+
+    def test_module_generators_are_parsed_once_per_call(self, monkeypatch):
+        parsed = []
+
+        def counting_parse(text):
+            parsed.append(text)
+            return parse_lie_expr(text)
+
+        monkeypatch.setattr(invariants, "parse_lie_expr", counting_parse)
+        for case in load_catalog().values():
+            parsed.clear()
+            assert verify_catalog(case, truncation=6, rank_degree=6).passed
+            assert sorted(parsed) == sorted(case.module_generator_texts)
+            parsed.clear()
+            case.relation_values()
+            assert sorted(parsed) == sorted(case.module_generator_texts)
 
     def test_report_times_and_sizes_each_check(self):
         report = verify_catalog(load_catalog()["vii"], truncation=8, rank_degree=6)

@@ -1,6 +1,7 @@
 """Wreath envelope arithmetic, the Poisson axioms, and the word basis."""
 
 import random
+import re
 from fractions import Fraction
 from itertools import islice
 
@@ -143,8 +144,28 @@ class TestAdAction:
 
     def test_requires_commutator_ideal(self):
         ctx = LieContext(2)
-        with pytest.raises(NotInCommutatorIdeal):
-            ctx.generator(1).ad_action(Poly.variable("x2"))
+        x1 = ctx.generator(1)
+        for _ in range(2):  # the decided membership is kept, and still refuses
+            with pytest.raises(NotInCommutatorIdeal):
+                x1.ad_action(Poly.variable("x2"))
+
+    @given(strat.commutator_combinations(min_dim=2, max_dim=4),
+           strat.polys(variables=("x1", "x2"), max_degree=3))
+    def test_result_membership_agrees_with_a_fresh_element(self, combination, p):
+        ctx, picks = combination
+        u = from_commutator_basis(ctx, [(c, w) for w, c in picks])
+        result = u.ad_action(p)
+        fresh = WreathElement(ctx, result.poly)
+        assert result.is_in_commutator_ideal() is fresh.is_in_commutator_ideal() is True
+        for outside in (ctx.generator(1), ctx.monomial_element(None, [2] + [0] * (ctx.dim - 1))):
+            assert (result + outside).is_in_commutator_ideal() is False
+
+    def test_variable_outside_the_rank_is_refused(self):
+        ctx = LieContext(2)
+        u = wreath(ctx, "[x2,x1]")
+        for name in ("x3", "y1", "x0"):
+            with pytest.raises(ContextMismatch, match=name):
+                u.ad_action(Poly.variable(name))
 
     def test_permuted_tail_is_equal(self):
         rng = random.Random(7)
@@ -303,6 +324,15 @@ class TestLieExpressions:
     @pytest.mark.parametrize("text", ["[x1]", "[x1,", "x1+", "[x1,x2]]", "[y1,x2]"])
     def test_parse_errors(self, text):
         with pytest.raises(ParseError):
+            parse_lie_expr(text)
+
+    @pytest.mark.parametrize("text, message", [
+        ("[x2,x1].", "unexpected end of input at position 8"),
+        ("[x2,x1", "expected ']', found end of input at position 6"),
+        ("", "unexpected end of input at position 0"),
+    ])
+    def test_end_of_input_is_named(self, text, message):
+        with pytest.raises(ParseError, match=re.escape(message)):
             parse_lie_expr(text)
 
     def test_normal_form_printer_round_trip(self):

@@ -1,5 +1,6 @@
 """Polynomial arithmetic: frozen examples, ring axioms, sympy cross-checks."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -194,6 +195,15 @@ class TestParsePrint:
     @pytest.mark.parametrize("text", ["x1 +", "x1^x2", "(x1", "x1 @ x2", "^2", "x1/x2"])
     def test_parse_errors(self, text):
         with pytest.raises(ParseError):
+            Poly.parse(text)
+
+    @pytest.mark.parametrize("text, message", [
+        ("(x1", "expected ')', found end of input at position 3"),
+        ("x1 +", "unexpected end of input at position 4"),
+        ("", "unexpected end of input at position 0"),
+    ])
+    def test_end_of_input_is_named(self, text, message):
+        with pytest.raises(ParseError, match=re.escape(message)):
             Poly.parse(text)
 
     def test_zero_denominator(self):

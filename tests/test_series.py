@@ -1,5 +1,6 @@
 """Truncated series, Hilbert series, characters, and multiplicity extraction."""
 
+import re
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -34,7 +35,12 @@ from metalie.series import (
     _divide_by_t1_minus_t2,
 )
 from metalie.sl2 import ModuleSpec, invariant_dimension
-from oracles import skew_square_rule, symmetric_square_rule, young_tensor_rule
+from oracles import (
+    expand_rational_by_power_sums,
+    skew_square_rule,
+    symmetric_square_rule,
+    young_tensor_rule,
+)
 from strategies import module_specs
 
 
@@ -267,6 +273,42 @@ class TestExpandRational:
             parse_rational_function("1/")
         with pytest.raises(ParseError):
             parse_rational_function("1/(1-z^2) trailing")
+
+    @pytest.mark.parametrize("text, message", [
+        ("1/(1-z", "expected ')', found end of input at position 6"),
+        ("1/(1-z)^", "expected integer exponent at position 8"),
+        ("1 - ", "unexpected end of input at position 4"),
+    ])
+    def test_end_of_input_is_named(self, text, message):
+        with pytest.raises(ParseError, match=re.escape(message)):
+            parse_rational_function(text)
+
+    @pytest.mark.parametrize("case_id", sorted(load_catalog()))
+    def test_recurrence_matches_power_sums_on_the_catalog(self, case_id):
+        case = load_catalog()[case_id]
+        for text in (case.module_series_text, case.ring_series_text):
+            numer, factors = parse_rational_function(text)
+            for truncation in (0, 1, 24):
+                expected = expand_rational_by_power_sums(numer, factors, truncation)
+                assert expand_rational(numer, factors, truncation) == expected
+
+    @given(st.lists(st.integers(-3, 3), min_size=1, max_size=4),
+           st.lists(st.tuples(st.sampled_from([1, -1, 2, -3]),
+                              st.lists(st.integers(-2, 2), max_size=3)), max_size=3),
+           st.integers(0, 10))
+    def test_recurrence_matches_power_sums(self, numer, factors, truncation):
+        z = Poly.variable("z")
+
+        def poly(coeffs):
+            return sum((c * z ** k for k, c in enumerate(coeffs)), Poly.zero())
+
+        denominators = [poly([c0, *tail]) for c0, tail in factors]
+        got = expand_rational(poly(numer), denominators, truncation)
+        assert got == expand_rational_by_power_sums(poly(numer), denominators, truncation)
+        if all(abs(c0) == 1 for c0, _ in factors):
+            assert all(type(c) is int for c in got.coefficients.values())
+        with pytest.raises(ValueError, match="zero constant term"):
+            expand_rational(poly(numer), [*denominators, poly([0, *numer])], truncation)
 
 
 class TestKernelOracleAgreement:
