@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
-"""Layer microbenchmarks and end-to-end timings, written to BENCH_7.json.
+"""Layer microbenchmarks and end-to-end timings, written to BENCH_8.json.
 
     python3 scripts/bench.py [--src DIR] [--column NAME] [--out FILE] [--tiny]
 
-Each entry is timed with `time.perf_counter` (best of several runs for the
-layer timings, one run end to end) and run once more under `tracemalloc` for
-its peak memory.  It is stored with its problem sizes (terms, maximum
+Each entry is timed with `time.perf_counter` over several runs (7 for the
+layer timings, 3 end to end) and stored as the median `seconds` with the
+quartiles `q1` and `q3` of those runs, then run once more under `tracemalloc`
+for its peak memory.  It is stored with its problem sizes (terms, maximum
 exponent) under the column named by `--column`; the other columns of an
 existing output file are kept, so running the script once per checkout gives
 a before/after table of the same inputs.  `--src` measures the `metalie`
@@ -22,6 +23,7 @@ import io
 import json
 import platform
 import random
+import statistics
 import sys
 import tracemalloc
 from itertools import islice
@@ -54,8 +56,8 @@ def random_poly(rng, terms: int, variables: int, top: int):
 def layer_entries(tiny: bool):
     """(name, what, thunk, sizes) for the Poly and envelope layers."""
     from metalie.invariants import discriminant, infinite_family_witness
-    from metalie.metabelian import LieContext, to_commutator_basis
-    from metalie.sl2 import ModuleSpec, g1_matrix
+    from metalie.metabelian import LieContext, from_commutator_basis, to_commutator_basis
+    from metalie.sl2 import ModuleSpec, g1_matrix, invariant_dimension
 
     rng = random.Random(6)
     n = 20 if tiny else 150
@@ -97,9 +99,24 @@ def layer_entries(tiny: bool):
            {"terms_a": len(f1.poly.terms), "terms_b": len(f2.poly.terms),
             "terms_out": len(bracket.poly.terms), "max_exponent": max_exponent(bracket.poly)})
 
+    expansion = to_commutator_basis(u)
     yield ("metabelian.to_commutator_basis", "expansion of that V3 witness in the word basis",
            lambda: to_commutator_basis(u),
-           {"terms_in": len(u.poly.terms), "words_out": len(to_commutator_basis(u))})
+           {"terms_in": len(u.poly.terms), "words_out": len(expansion)})
+
+    yield ("metabelian.from_commutator_basis", "that V3 witness rebuilt from its expansion",
+           lambda: from_commutator_basis(u.ctx, expansion),
+           {"words_in": len(expansion), "terms_out": len(u.poly.terms)})
+
+    spec = ModuleSpec((2, 1))
+    top = 6 if tiny else 10
+    spaces = ("polyring", "module")
+    dims = [invariant_dimension(spec, n, space) for space in spaces for n in range(top + 1)]
+    yield ("sl2.invariant_dimension", f"invariant dimensions of {spec}, ring and module, "
+                                      f"degrees 0..{top}",
+           lambda: [invariant_dimension(spec, n, space) for space in spaces
+                    for n in range(top + 1)],
+           {"rank": spec.dimension, "degrees": top + 1, "dimension_sum": sum(dims)})
 
 
 def catalog_entries(tiny: bool):
@@ -171,16 +188,18 @@ def cli_entries(tiny: bool):
 
 
 def measure(thunk, repeats: int) -> dict:
-    best = float("inf")
+    times = []
     for _ in range(repeats):
         start = perf_counter()
         thunk()
-        best = min(best, perf_counter() - start)
+        times.append(perf_counter() - start)
+    q1, median, q3 = statistics.quantiles(times, n=4) if repeats > 1 else times * 3
     tracemalloc.start()
     thunk()
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
-    return {"seconds": round(best, 6), "peak_kb": round(peak / 1024, 1)}
+    return {"seconds": round(median, 6), "q1": round(q1, 6), "q3": round(q3, 6),
+            "repeats": repeats, "peak_kb": round(peak / 1024, 1)}
 
 
 def main() -> int:
@@ -189,7 +208,7 @@ def main() -> int:
     parser.add_argument("--src", default=str(ROOT / "src"),
                         help="directory holding the metalie package to measure")
     parser.add_argument("--column", default="change", help="column to write (default change)")
-    parser.add_argument("--out", default=str(ROOT / "BENCH_7.json"))
+    parser.add_argument("--out", default=str(ROOT / "BENCH_8.json"))
     parser.add_argument("--tiny", action="store_true", help="small sizes, for a smoke test")
     args = parser.parse_args()
     sys.path.insert(0, args.src)
@@ -200,12 +219,13 @@ def main() -> int:
     report["host"] = {"python": platform.python_version(), "machine": platform.machine(),
                       "processor": platform.processor() or "unknown"}
     entries = report.setdefault("entries", {})
-    for group, repeats in ((layer_entries, 5), (catalog_entries, 5), (cli_entries, 1)):
+    for group, repeats in ((layer_entries, 7), (catalog_entries, 7), (cli_entries, 3)):
         for name, what, thunk, sizes in group(args.tiny):
             result = measure(thunk, 1 if args.tiny else repeats)
             entry = entries.setdefault(name, {"what": what})
             entry[args.column] = {**result, "sizes": sizes}
-            print(f"{name:32} {result['seconds']:10.4f} s {result['peak_kb']:10.1f} KB  {sizes}")
+            print(f"{name:34} {result['seconds']:10.4f} s [{result['q1']:.4f}, {result['q3']:.4f}]"
+                  f" {result['peak_kb']:10.1f} KB  {sizes}")
     out.write_text(json.dumps(report, indent=2) + "\n")
     return 0
 

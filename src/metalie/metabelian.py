@@ -34,10 +34,12 @@ from .poly import (
     decode,
     describe_token,
     encode,
+    exact,
     fields,
     letter_mask,
     mono_degree,
     parse_quotient,
+    signed_sum,
     slot_key,
     slot_name,
     tokenize,
@@ -199,6 +201,8 @@ class WreathElement:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "WreathElement":
+        if n < 0:
+            raise ValueError("negative power of an envelope element")
         result = WreathElement(self.ctx, Poly.one())
         for _ in range(n):
             result = result * self
@@ -313,13 +317,23 @@ class CommutatorWord:
         return j[0] > j[1] and all(j[t] <= j[t + 1] for t in range(1, len(j) - 1))
 
     def to_wreath(self, ctx: LieContext) -> WreathElement:
-        j = self.indices
-        if max(j) > ctx.dim:
-            raise ContextMismatch(f"index {max(j)} outside rank {ctx.dim}")
-        acc = ctx.generator(j[0])
-        for t in j[1:]:
-            acc = acc.bracket(ctx.generator(t))
-        return acc
+        """The word in the envelope, in closed form:
+
+            [x_i, x_j, x_q2, ..., x_qm] = (a_i y_j - a_j y_i) y_q2 ... y_qm,
+
+        because [x_i, x_j] = a_i y_j - a_j y_i and [w, x_k] = w y_k for every
+        w with zero y-part.  It is zero when i = j; `to_commutator_basis`
+        reads the same identity backwards.
+        """
+        i, j, *tail = self.indices
+        if max(self.indices) > ctx.dim:
+            raise ContextMismatch(f"index {max(self.indices)} outside rank {ctx.dim}")
+        if i == j:
+            return ctx.zero()
+        rest = [(f"y{q}", 1) for q in tail]
+        return _wrap(ctx, Poly({encode([(f"a{i}", 1), (f"y{j}", 1), *rest]): 1,
+                                encode([(f"a{j}", 1), (f"y{i}", 1), *rest]): -1}),
+                     in_ideal=True)
 
     def sort_key(self):
         return (len(self.indices), self.indices)
@@ -347,16 +361,9 @@ def words_of_multidegree(multidegree: Sequence[int]) -> list[CommutatorWord]:
     return words
 
 
-def words_of_degree(dim: int, degree: int) -> list[CommutatorWord]:
-    """All normal-form basis words of the given total degree in rank `dim`."""
-    words = []
-    for multidegree in _compositions(degree, dim):
-        words.extend(words_of_multidegree(multidegree))
-    words.sort(key=CommutatorWord.sort_key)
-    return words
-
-
 def _compositions(total: int, parts: int):
+    """Every vector of `parts` nonnegative ints summing to `total`, in
+    lexicographic order; the package's one composition enumerator."""
     if parts == 1:
         yield (total,)
         return
@@ -367,10 +374,14 @@ def _compositions(total: int, parts: int):
 
 def from_commutator_basis(ctx: LieContext,
                           terms: Iterable[tuple[Fraction | int, CommutatorWord]]) -> WreathElement:
-    acc = ctx.zero()
+    """The envelope element sum c * w of (c, w) pairs: the closed forms of
+    `CommutatorWord.to_wreath`, summed into one term dict."""
+    acc: dict[Monomial, int | Fraction] = {}
     for coeff, word in terms:
-        acc = acc + Fraction(coeff) * word.to_wreath(ctx)
-    return acc
+        coeff = exact(coeff)
+        for m, c in word.to_wreath(ctx).poly.terms.items():
+            acc[m] = acc.get(m, 0) + c * coeff
+    return _wrap(ctx, Poly(acc), in_ideal=True)
 
 
 def to_commutator_basis(u: WreathElement) -> list[tuple[int | Fraction, CommutatorWord]]:
@@ -394,23 +405,8 @@ def to_commutator_basis(u: WreathElement) -> list[tuple[int | Fraction, Commutat
 def format_commutator_expansion(terms: Sequence[tuple[int | Fraction, CommutatorWord]],
                                 linear: Mapping[int, int | Fraction] | None = None) -> str:
     """Render `x3 + 2[x4,x2,x2] - [x4,x1,x3]` style output, deterministically."""
-    parts: list[tuple[int | Fraction, str]] = []
-    if linear:
-        for j in sorted(linear):
-            if linear[j]:
-                parts.append((linear[j], f"x{j}"))
-    parts.extend((c, str(w)) for c, w in terms)
-    if not parts:
-        return "0"
-    rendered = []
-    for coeff, body in parts:
-        mag = abs(coeff)
-        text = body if mag == 1 else f"{mag}{body}" if body.startswith("[") else f"{mag}*{body}"
-        if not rendered:
-            rendered.append(text if coeff > 0 else f"-{text}")
-        else:
-            rendered.append(f"+ {text}" if coeff > 0 else f"- {text}")
-    return " ".join(rendered)
+    parts = [(c, f"x{j}") for j, c in sorted((linear or {}).items()) if c]
+    return signed_sum(parts + [(c, str(w)) for c, w in terms])
 
 
 def lie_normal_form(u: WreathElement) -> str:

@@ -174,6 +174,26 @@ def mono_str(m: Monomial) -> str:
     return "*".join(v if e == 1 else f"{v}^{e}" for v, e in decode(m))
 
 
+def signed_sum(terms: Iterable[tuple[int | Fraction, str]]) -> str:
+    """Print (coefficient, body) pairs with nonzero coefficients as a sum.
+
+    The first term is bare or prefixed `-`, later terms get `+ ` or `- `; a
+    coefficient of 1 is left out, an empty body prints the coefficient alone,
+    and a bracket word takes its coefficient with no `*`.  No terms print
+    as `0`.
+    """
+    parts: list[str] = []
+    for c, body in terms:
+        mag = abs(c)
+        text = (str(mag) if not body else body if mag == 1
+                else f"{mag}{body}" if body.startswith("[") else f"{mag}*{body}")
+        if not parts:
+            parts.append(text if c > 0 else f"-{text}")
+        else:
+            parts.append(f"+ {text}" if c > 0 else f"- {text}")
+    return " ".join(parts) or "0"
+
+
 def exact(c) -> int | Fraction:
     """Canonical exact scalar: an `int`, or a `Fraction` whose denominator is
     not 1."""
@@ -464,21 +484,8 @@ class Poly:
     # -- printing ----------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts: list[str] = []
-        for m, c in self.sorted_terms():
-            if m == ONE_MONOMIAL:
-                body = str(abs(c))
-            elif abs(c) == 1:
-                body = mono_str(m)
-            else:
-                body = f"{abs(c)}*{mono_str(m)}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
+        return signed_sum((c, "" if m == ONE_MONOMIAL else mono_str(m))
+                          for m, c in self.sorted_terms())
 
     def __repr__(self) -> str:
         return f"Poly({self})"

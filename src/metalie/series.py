@@ -37,8 +37,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
+from .metabelian import _compositions
 from .poly import (ParseError, Poly, TokenStream, _PolyParser, describe_token, exact,
-                   mono_degree, tokenize)
+                   mono_degree, signed_sum, tokenize)
 from .sl2 import ModuleSpec
 
 Exponents = tuple[int, ...]
@@ -159,6 +160,8 @@ class TruncatedSeries:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "TruncatedSeries":
+        if n < 0:
+            raise ValueError("negative power of a truncated series")
         acc = TruncatedSeries.one(self.variables, self.truncation, self.graded)
         for _ in range(n):
             acc = acc * self
@@ -185,19 +188,10 @@ class TruncatedSeries:
         return out
 
     def __str__(self) -> str:
-        if not self.coefficients:
-            return "0"
-        parts = []
-        for exps, c in sorted(self.coefficients.items(),
-                              key=lambda item: (sum(item[0]), item[0])):
-            mono = "*".join(f"{v}^{e}" if e > 1 else v
-                            for v, e in zip(self.variables, exps) if e)
-            body = str(abs(c)) if not mono else (mono if abs(c) == 1 else f"{abs(c)}*{mono}")
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
+        items = sorted(self.coefficients.items(), key=lambda item: (sum(item[0]), item[0]))
+        return signed_sum((c, "*".join(f"{v}^{e}" if e > 1 else v
+                                       for v, e in zip(self.variables, exps) if e))
+                          for exps, c in items)
 
 
 # -- multigraded Hilbert series: the enumeration oracle ---------------------------
@@ -209,20 +203,13 @@ def _z_variables(d: int) -> tuple[str, ...]:
 
 def hilbert_polyring(d: int, truncation: int) -> TruncatedSeries:
     """Multigraded Hilbert series of the polynomial algebra in d variables:
-    every monomial appears with coefficient one."""
+    every monomial appears with coefficient one.  The exponent vectors of
+    sum at most `truncation` are the compositions of `truncation` into d + 1
+    parts with the last part dropped."""
     if d < 1 or truncation < 0:
         raise ValueError("need d >= 1 and a nonnegative truncation")
-    coeffs = {exps: 1 for exps in _exponents_up_to(d, truncation)}
+    coeffs = {exps[:d]: 1 for exps in _compositions(truncation, d + 1)}
     return TruncatedSeries(_z_variables(d), truncation, coeffs)
-
-
-def _exponents_up_to(d: int, bound: int):
-    if d == 0:
-        yield ()
-        return
-    for head in range(bound + 1):
-        for tail in _exponents_up_to(d - 1, bound - head):
-            yield (head, *tail)
 
 
 def hilbert_metabelian(d: int, truncation: int) -> TruncatedSeries:

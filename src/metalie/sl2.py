@@ -16,9 +16,11 @@ each block are the raising and lowering derivations
     delta1(xi_l) = l * xi_{l-1},    delta2(xi_l) = (k-l) * xi_{l+1}.
 
 `derivations` builds these from the closed form, and `check` decides
-invariance with them at a cost linear in the element.  Substitution by g1
-and g2 (`is_invariant`) and the exact matrix logarithm (`log_unipotent`)
-remain as independent checks of that path.
+invariance with them at a cost linear in the element.  `invariant_dimension`
+counts the invariants of one degree with delta1 alone: they are the
+weight-(p, p) vectors that delta1 kills.  Substitution by g1 and g2
+(`is_invariant`) and the exact matrix logarithm (`log_unipotent`) remain as
+independent checks of that path.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from math import comb
 from typing import Literal
 
 from . import linalg
-from .metabelian import LieContext, WreathElement, _compositions, words_of_degree
+from .metabelian import LieContext, WreathElement, _compositions, words_of_multidegree
 from .poly import Monomial, Poly, encode, fields, slot_key, slot_name
 
 
@@ -257,62 +259,48 @@ def bidegree_components(u, spec: ModuleSpec):
     return {w: wrap(t) for w, t in sorted(comps.items())}
 
 
-# -- direct invariant dimension (kernel of both derivations) -------------------
+# -- direct invariant dimension (highest-weight kernel) ----------------------------
 
 
-def _degree_basis(spec: ModuleSpec, degree: int,
-                  space: Literal["polyring", "module", "algebra"]):
-    """Basis of the degree component as (weight, object) pairs."""
-    d = spec.dimension
-    items = []
-    if space in ("polyring",):
-        for exps in _compositions(degree, d):
-            items.append(Poly.monomial(encode((f"x{j + 1}", e) for j, e in enumerate(exps) if e)))
-    elif space in ("module", "algebra"):
-        ctx = spec.context()
-        if space == "algebra" and degree == 1:
-            items.extend(ctx.generator(j) for j in range(1, d + 1))
-        else:
-            items.extend(w.to_wreath(ctx) for w in words_of_degree(d, degree))
-    else:
+def _balanced_basis(spec: ModuleSpec, degree: int, space: str) -> dict[tuple[int, ...], list]:
+    """The basis elements of torus weight (p, p) in a degree component,
+    grouped by their degree in each block, which delta1 preserves.  The
+    weight of each multidegree is read off before its monomial or normal
+    words are built."""
+    if space not in ("polyring", "module", "algebra"):
         raise ValueError(f"unknown space {space!r}")
-    out = []
-    for obj in items:
-        terms = obj.terms if isinstance(obj, Poly) else obj.poly.terms
-        weights = {_weight_of_monomial(m, spec) for m in terms}
-        if len(weights) != 1:
-            raise AssertionError("basis element is not weight homogeneous")
-        out.append((weights.pop(), obj))
-    return out
+    ctx = spec.context()
+    weights = [p - q for p, q in spec.weights()]
+    cuts = [*spec.offsets(), spec.dimension]
+    groups: dict[tuple[int, ...], list] = {}
+    for exps in _compositions(degree, spec.dimension):
+        if sum(e * w for e, w in zip(exps, weights)):
+            continue
+        group = groups.setdefault(tuple(sum(exps[a:b]) for a, b in zip(cuts, cuts[1:])), [])
+        if space == "polyring":
+            group.append(Poly.monomial(encode((f"x{j}", e) for j, e in enumerate(exps, 1) if e)))
+        elif space == "algebra" and degree == 1:
+            group.append(ctx.generator(exps.index(1) + 1))
+        else:
+            group.extend(w.to_wreath(ctx) for w in words_of_multidegree(exps))
+    return groups
 
 
 def invariant_dimension(spec: ModuleSpec, degree: int,
                         space: Literal["polyring", "module", "algebra"] = "polyring") -> int:
     """Dimension of the invariant part of a degree component, by exact linear
-    algebra: elements killed by both logarithm derivations.
+    algebra on its weight-(p, p) basis elements alone.
 
-    Only the balanced torus-weight blocks can contribute, which keeps the
-    matrices small.  `space` selects the polynomial algebra, the commutator
-    ideal, or the whole metabelian algebra.
+    In a finite-dimensional sl2-module a weight-0 vector killed by the raising
+    derivation delta1 spans a trivial summand, so the count is the number of
+    such basis elements minus the rank of their delta1 images, taken block
+    degree by block degree.  `space` selects the polynomial algebra, the
+    commutator ideal, or the whole metabelian algebra.
     """
-    if degree == 0:
-        return 1 if space == "polyring" else 0
-    deltas = derivations(spec)
-    buckets: dict[tuple[int, int], list] = {}
-    for weight, obj in _degree_basis(spec, degree, space):
-        buckets.setdefault(weight, []).append(obj)
+    raising = derivations(spec)[0]
     total = 0
-    for (p, q), objs in buckets.items():
-        if p != q:
-            continue
-        rows = []
-        for obj in objs:
-            row = {}
-            for tag, delta in enumerate(deltas):
-                image = delta.act(obj)
-                terms = image.terms if isinstance(image, Poly) else image.poly.terms
-                for m, c in terms.items():
-                    row[(tag, m)] = c
-            rows.append(row)
-        total += len(objs) - linalg.rank(rows)
+    for group in _balanced_basis(spec, degree, space).values():
+        images = map(raising.act, group)
+        total += len(group) - linalg.rank([u.terms if isinstance(u, Poly) else u.poly.terms
+                                           for u in images])
     return total

@@ -8,14 +8,21 @@ that undoes `sl2.log_unipotent`.  The decomposition rules are the stated
 closed forms the computed tensor, symmetric and skew squares are checked
 against.  `expand_rational_by_power_sums` is the series route `expand_rational`
 took before its recurrence: each factor inverted as a truncated geometric sum.
+`bracket_chain` evaluates a commutator word by m - 1 envelope brackets, the
+route `CommutatorWord.to_wreath` took before its closed form, and
+`two_derivation_kernel_dimension` is the invariant count `sl2.invariant_dimension`
+made before it kept only the weight-(p, p) part: the kernel of both
+derivations, weight by weight, over the bracket-chain words.
 """
 
 from fractions import Fraction
 
 from metalie import linalg
-from metalie.poly import decode, exact, mono_degree, var_key
+from metalie.metabelian import _compositions, words_of_multidegree
+from metalie.poly import Poly, decode, encode, exact, mono_degree, var_key
 from metalie.series import TruncatedSeries
-from metalie.sl2 import Derivation, LinearAction, NotUnipotent
+from metalie.sl2 import (Derivation, LinearAction, NotUnipotent, bidegree_components,
+                         derivations)
 
 
 def tuple_mono_mul(a, b):
@@ -183,3 +190,55 @@ def expand_rational_by_power_sums(numerator, denominator_factors, truncation, va
             inverse = inverse + power
         acc = acc * inverse * (Fraction(1) / c0)
     return acc
+
+
+def words_of_degree(dim, degree):
+    """All normal-form basis words of the given total degree in rank `dim`."""
+    words = []
+    for multidegree in _compositions(degree, dim):
+        words.extend(words_of_multidegree(multidegree))
+    return sorted(words, key=lambda w: w.sort_key())
+
+
+def bracket_chain(word, ctx):
+    """[x_j1, x_j2, ..., x_jk] as the left-normed chain of envelope brackets."""
+    acc = ctx.generator(word.indices[0])
+    for j in word.indices[1:]:
+        acc = acc.bracket(ctx.generator(j))
+    return acc
+
+
+def two_derivation_kernel_dimension(spec, degree, space="polyring"):
+    """Invariants of one degree component: per balanced torus weight, the
+    basis elements minus the rank of their delta1 and delta2 images together.
+    Every basis element must be weight homogeneous."""
+    if degree == 0:
+        return 1 if space == "polyring" else 0
+    d = spec.dimension
+    ctx = spec.context()
+    if space == "polyring":
+        items = [Poly.monomial(encode((f"x{j + 1}", e) for j, e in enumerate(exps) if e))
+                 for exps in _compositions(degree, d)]
+    elif space == "algebra" and degree == 1:
+        items = [ctx.generator(j) for j in range(1, d + 1)]
+    else:
+        items = [bracket_chain(w, ctx) for w in words_of_degree(d, degree)]
+    buckets = {}
+    for obj in items:
+        (weight,) = bidegree_components(obj, spec)
+        buckets.setdefault(weight, []).append(obj)
+    deltas = derivations(spec)
+    total = 0
+    for (p, q), objs in buckets.items():
+        if p != q:
+            continue
+        rows = []
+        for obj in objs:
+            row = {}
+            for tag, delta in enumerate(deltas):
+                image = delta.act(obj)
+                for m, c in (image.terms if isinstance(image, Poly) else image.poly.terms).items():
+                    row[(tag, m)] = c
+            rows.append(row)
+        total += len(objs) - linalg.rank(rows)
+    return total

@@ -64,7 +64,7 @@ def envelope_elements(draw, dim=3, max_y_degree=3, max_terms=3):
 def commutator_combinations(draw, min_dim=3, max_dim=3, max_word_length=4, max_terms=3):
     """Random rational combination of normal-form basis words in a drawn rank;
     returns the context and the (word, coefficient) picks."""
-    from metalie.metabelian import words_of_degree
+    from oracles import words_of_degree
 
     dim = draw(st.integers(min_dim, max_dim))
     pool = []

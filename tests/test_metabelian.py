@@ -3,7 +3,7 @@
 import random
 import re
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, product
 
 import pytest
 from hypothesis import given
@@ -23,11 +23,11 @@ from metalie.metabelian import (
     lie_normal_form,
     parse_lie_expr,
     to_commutator_basis,
-    words_of_degree,
     words_of_multidegree,
 )
 from metalie.poly import ParseError, Poly, decode, var_key
 from metalie.sl2 import ModuleSpec
+from oracles import bracket_chain, words_of_degree
 
 
 def wreath(ctx, text):
@@ -36,7 +36,9 @@ def wreath(ctx, text):
 
 def solve_in_word_basis(u):
     """Oracle for `to_commutator_basis`: split u by multidegree and solve, in
-    each, for the coefficients of the bracket-evaluated normal words."""
+    each, for the coefficients of the normal words evaluated as bracket
+    chains (the closed form of `to_wreath` is the identity the read-off
+    inverts, so it cannot serve here)."""
     components = {}
     for m, c in u.poly.terms.items():
         multidegree = [0] * u.ctx.dim
@@ -46,7 +48,7 @@ def solve_in_word_basis(u):
     expansion = []
     for multidegree, target in components.items():
         words = words_of_multidegree(multidegree)
-        columns = [w.to_wreath(u.ctx).coordinates() for w in words]
+        columns = [bracket_chain(w, u.ctx).coordinates() for w in words]
         coeffs = solve_unique(columns, target)
         expansion.extend((c, w) for c, w in zip(coeffs, words) if c)
     expansion.sort(key=lambda item: item[1].sort_key())
@@ -65,6 +67,12 @@ class TestGenerators:
         with pytest.raises(IndexError):
             ctx.generator(4)
         assert ctx.generator(3).poly == Poly.parse("a3 + y3")
+
+    def test_negative_power_is_refused(self):
+        x1 = LieContext(2).generator(1)
+        with pytest.raises(ValueError, match="negative power"):
+            x1 ** -2
+        assert str(x1 ** 0) == "1"
 
     def test_context_mixing_rejected(self):
         u = LieContext(2).generator(1)
@@ -180,6 +188,47 @@ class TestAdAction:
             rng.shuffle(tail)
             permuted = CommutatorWord(tuple(indices[:2] + tail))
             assert word.to_wreath(ctx) == permuted.to_wreath(ctx)
+
+
+class TestClosedFormWords:
+    def test_every_short_word_matches_the_bracket_chain(self):
+        ctx = LieContext(4)
+        words = [CommutatorWord(ix) for k in range(2, 6) for ix in product(range(1, 5), repeat=k)]
+        assert len(words) == 1360
+        for w in words:
+            assert w.to_wreath(ctx) == bracket_chain(w, ctx), w
+
+    def test_every_normal_word_to_degree_seven_matches_the_bracket_chain(self):
+        ctx = LieContext(5)
+        words = [w for n in range(2, 8) for w in words_of_degree(5, n)]
+        assert len(words) == 1519
+        for w in words:
+            assert w.to_wreath(ctx) == bracket_chain(w, ctx), w
+
+    def test_repeated_head_is_zero(self):
+        assert CommutatorWord((2, 2, 1)).to_wreath(LieContext(2)).is_zero()
+
+    def test_index_above_the_rank_is_refused(self):
+        with pytest.raises(ContextMismatch, match="outside rank 3"):
+            CommutatorWord((4, 1)).to_wreath(LieContext(3))
+        with pytest.raises(ContextMismatch):
+            from_commutator_basis(LieContext(3), [(1, CommutatorWord((2, 1, 5)))])
+
+    def test_no_bracket_is_computed(self, monkeypatch):
+        ctx = LieContext(4)
+        terms = [(Fraction(3, 2), CommutatorWord((3, 1, 2))), (-2, CommutatorWord((4, 2, 2))),
+                 (Fraction(4, 2), CommutatorWord((2, 1)))]
+        expected = ctx.zero()
+        for c, w in terms:
+            expected = expected + c * bracket_chain(w, ctx)
+
+        def refuse(self, other):
+            raise AssertionError("bracket called")
+
+        monkeypatch.setattr(WreathElement, "bracket", refuse)
+        u = from_commutator_basis(ctx, terms)
+        assert u == expected
+        assert all(type(c) is int or c.denominator > 1 for c in u.poly.terms.values())
 
 
 class TestMembership:

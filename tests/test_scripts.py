@@ -22,7 +22,7 @@ def run_script(name, *args):
 
 
 def test_invariant_dimensions_cross_check():
-    result = run_script("invariant_dimensions.py", "2,1", "-N", "6", "--cross-check")
+    result = run_script("invariant_dimensions.py", "2,1", "-N", "10", "--cross-check")
     assert result.returncode == 0, result.stdout + result.stderr
     assert "MISMATCH" not in result.stdout
 

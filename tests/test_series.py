@@ -39,6 +39,7 @@ from oracles import (
     expand_rational_by_power_sums,
     skew_square_rule,
     symmetric_square_rule,
+    two_derivation_kernel_dimension,
     young_tensor_rule,
 )
 from strategies import module_specs
@@ -67,6 +68,11 @@ class TestTruncatedSeries:
     def test_printing(self):
         z = TruncatedSeries.term(("z",), 4, (1,))
         assert str(TruncatedSeries.one(("z",), 4) + 3 * z ** 2) == "1 + 3*z^2"
+
+    def test_negative_power_is_refused(self):
+        z = TruncatedSeries.term(("z",), 4, (1,))
+        with pytest.raises(ValueError, match="negative power"):
+            z ** -2
 
 
 class TestHilbertSeries:
@@ -312,9 +318,11 @@ class TestExpandRational:
 
 
 class TestKernelOracleAgreement:
-    """The character pipeline must agree with direct kernel computations."""
+    """The character pipeline must agree with direct kernel computations to
+    degree 10, and the highest-weight kernel with the kernel of both
+    derivations over the bracket-chain words to `oracle_bound` (at least 5)."""
 
-    @pytest.mark.parametrize("blocks,space,bound", [
+    @pytest.mark.parametrize("blocks,space,oracle_bound", [
         ((2,), "polyring", 6),
         ((2,), "module", 8),
         ((3,), "module", 6),
@@ -326,12 +334,13 @@ class TestKernelOracleAgreement:
         ((1, 1, 1), "module", 5),
         ((1, 0), "algebra", 6),
     ])
-    def test_agreement(self, blocks, space, bound):
+    def test_agreement(self, blocks, space, oracle_bound):
         spec = ModuleSpec(blocks)
-        series = invariant_dimension_series(spec, bound, space)
-        dims = ints(series)
-        for n in range(1, bound + 1):
+        dims = ints(invariant_dimension_series(spec, 10, space))
+        for n in range(11):
             assert dims[n] == invariant_dimension(spec, n, space), (blocks, space, n)
+        for n in range(oracle_bound + 1):
+            assert dims[n] == two_derivation_kernel_dimension(spec, n, space), (blocks, space, n)
 
 
 ORACLES = {"polyring": hilbert_polyring, "module": hilbert_metabelian_module,

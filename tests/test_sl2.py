@@ -8,10 +8,12 @@ from hypothesis import given
 
 import strategies as strat
 from metalie.metabelian import parse_lie_expr
-from metalie.poly import Poly
+from metalie.poly import Poly, decode, var_key
+from metalie.series import weight_slices
 from metalie.sl2 import (
     ModuleSpec,
     NotUnipotent,
+    _balanced_basis,
     bidegree_components,
     derivations,
     g1_matrix,
@@ -26,6 +28,18 @@ from oracles import exp_nilpotent
 
 # module specifications of rank 3, to match the three-variable strategies
 RANK_THREE_SPECS = [ModuleSpec(blocks) for blocks in ((2,), (1, 0), (0, 1))]
+
+
+def block_degrees(u, spec):
+    """The degree vectors, one entry per block, of the monomials of u."""
+    owner = [b for b, k in enumerate(spec.blocks) for _ in range(k + 1)]
+    out = set()
+    for m in (u.terms if isinstance(u, Poly) else u.poly.terms):
+        degrees = [0] * len(spec.blocks)
+        for v, e in decode(m):
+            degrees[owner[var_key(v)[1] - 1]] += e
+        out.add(tuple(degrees))
+    return out
 
 
 def column(action, j):
@@ -241,6 +255,22 @@ class TestBidegrees:
 
 
 class TestDimensionOracle:
+    @pytest.mark.parametrize("blocks,space", [
+        ((2,), "polyring"), ((2, 1), "polyring"), ((2, 1), "module"), ((3,), "module"),
+        ((1, 1, 1), "module"), ((1, 0), "algebra"), ((2, 0), "algebra"),
+    ])
+    def test_kernel_basis_has_balanced_weight(self, blocks, space):
+        spec = ModuleSpec(blocks)
+        slices = weight_slices([p - q for p, q in spec.weights()], 6, space)
+        for n in range(7):
+            groups = _balanced_basis(spec, n, space)
+            for key, group in groups.items():
+                for u in group:
+                    ((p, q),) = bidegree_components(u, spec)
+                    assert p == q, (blocks, space, n, str(u))
+                    assert block_degrees(u, spec) == {key}
+            assert sum(map(len, groups.values())) == slices[n].get(0, 0), (blocks, space, n)
+
     def test_polyring_single_degree_two_block(self):
         spec = ModuleSpec((2,))
         dims = [invariant_dimension(spec, n, "polyring") for n in range(7)]
