@@ -1,18 +1,24 @@
 #!/usr/bin/env python3
-"""Layer microbenchmarks and end-to-end timings, written to BENCH_8.json.
+"""Layer microbenchmarks and end-to-end timings, written to BENCH_9.json.
 
-    python3 scripts/bench.py [--src DIR] [--column NAME] [--out FILE] [--tiny]
+    python3 scripts/bench.py [--src DIR] [--column NAME[=DIR] ...] [--out FILE] [--tiny]
 
-Each entry is timed with `time.perf_counter` over several runs (7 for the
-layer timings, 3 end to end) and stored as the median `seconds` with the
-quartiles `q1` and `q3` of those runs, then run once more under `tracemalloc`
-for its peak memory.  It is stored with its problem sizes (terms, maximum
-exponent) under the column named by `--column`; the other columns of an
-existing output file are kept, so running the script once per checkout gives
-a before/after table of the same inputs.  `--src` measures the `metalie`
-package of another checkout, e.g. an unpacked copy of the parent commit.
-`--tiny` runs every entry at a small size (a smoke test).  Only the standard
-library is used.
+Each column measures the `metalie` package of one `src` directory: `NAME=DIR`
+names the directory, and a bare `NAME` takes `--src` (default: this
+checkout).  Every column runs in a worker process of its own, and the
+columns take turns repeat by repeat (in the order A B, then B A, ...), so
+drift of a shared host falls on all of them alike.  Each entry is timed with
+`time.perf_counter` over several runs (7 for the layer timings, 3 end to end)
+and stored as the median `seconds` with the quartiles `q1` and `q3` of those
+runs, then run once more under `tracemalloc` for its peak memory.  It is
+stored with its problem sizes (terms, maximum exponent) under its column;
+the other columns of an existing output file are kept.  A before/after table
+of the same inputs is therefore
+
+    python3 scripts/bench.py --column parent=../parent/src --column change
+
+`--tiny` runs every entry once at a small size (a smoke test).  Only the
+standard library is used.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ import json
 import platform
 import random
 import statistics
+import subprocess
 import sys
 import tracemalloc
 from itertools import islice
@@ -173,10 +180,12 @@ def cli_entries(tiny: bool):
             return out.getvalue()
         return run
 
-    witness = ("witness", "3", "--count", "2" if tiny else "6", "--json")
-    rows = json.loads(command(*witness)())
-    yield (" ".join(witness[:4]), "witness family of V3, each member checked by substitution",
-           command(*witness), {"elements": len(rows), "max_degree": rows[-1]["degree"]})
+    for spec in ("3", "4"):
+        witness = ("witness", spec, "--count", "2" if tiny else "6", "--json")
+        rows = json.loads(command(*witness)())
+        yield (" ".join(witness[:4]), f"witness family of V{spec}, each member decided by "
+                                      "the derivations, the first also by substitution",
+               command(*witness), {"elements": len(rows), "max_degree": rows[-1]["degree"]})
 
     for degree in ("6", "8") if tiny else ("12", "20"):
         catalog = ("catalog", "verify", "--degree", degree, "--json")
@@ -187,45 +196,128 @@ def cli_entries(tiny: bool):
                command(*catalog), {"cases": len(reports), "rows_ranked": rows_ranked})
 
 
-def measure(thunk, repeats: int) -> dict:
-    times = []
-    for _ in range(repeats):
-        start = perf_counter()
-        thunk()
-        times.append(perf_counter() - start)
-    q1, median, q3 = statistics.quantiles(times, n=4) if repeats > 1 else times * 3
+GROUPS = ((layer_entries, 7), (catalog_entries, 7), (cli_entries, 3))
+
+
+def run_once(thunk) -> float:
+    start = perf_counter()
+    thunk()
+    return perf_counter() - start
+
+
+def peak_kb(thunk) -> float:
     tracemalloc.start()
     thunk()
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
+    return round(peak / 1024, 1)
+
+
+def worker(src: str, tiny: bool) -> int:
+    """Serve the entries of the package under `src`, one at a time: announce
+    an entry as a JSON line, then answer `run` with its seconds and `peak`
+    with its tracemalloc peak until `next`; a null name ends the list."""
+    sys.path.insert(0, src)
+    channel, sys.stdout = sys.stdout, sys.stderr
+
+    def send(message):
+        channel.write(json.dumps(message) + "\n")
+        channel.flush()
+
+    for group, repeats in GROUPS:
+        for name, what, thunk, sizes in group(tiny):
+            send({"name": name, "what": what, "sizes": sizes, "repeats": 1 if tiny else repeats})
+            while (command := sys.stdin.readline().strip()) in ("run", "peak"):
+                send(run_once(thunk) if command == "run" else peak_kb(thunk))
+            if command != "next":
+                return 1
+    send({"name": None})
+    return 0
+
+
+class Column:
+    """A worker process measuring one `src` directory."""
+
+    def __init__(self, name: str, src: str, tiny: bool):
+        self.name = name
+        argv = [sys.executable, __file__, "--worker", "--src", src] + ["--tiny"] * tiny
+        self.process = subprocess.Popen(argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                                        text=True)
+
+    def tell(self, command: str) -> None:
+        self.process.stdin.write(command + "\n")
+        self.process.stdin.flush()
+
+    def ask(self, command: str | None = None):
+        if command:
+            self.tell(command)
+        line = self.process.stdout.readline()
+        if not line:
+            raise RuntimeError(f"the worker of column {self.name} stopped")
+        return json.loads(line)
+
+
+def summary(times: list[float], peak: float) -> dict:
+    q1, median, q3 = statistics.quantiles(times, n=4) if len(times) > 1 else times * 3
     return {"seconds": round(median, 6), "q1": round(q1, 6), "q3": round(q3, 6),
-            "repeats": repeats, "peak_kb": round(peak / 1024, 1)}
+            "repeats": len(times), "peak_kb": peak}
+
+
+def measure_columns(columns: list[Column], entries: dict) -> None:
+    """Time every entry in all columns, alternating them repeat by repeat."""
+    while True:
+        heads = [column.ask() for column in columns]
+        name = heads[0]["name"]
+        if any(head["name"] != name for head in heads):
+            raise RuntimeError(f"columns list different entries: {[h['name'] for h in heads]}")
+        if name is None:
+            return
+        times = {column.name: [] for column in columns}
+        for r in range(heads[0]["repeats"]):
+            for column in columns if r % 2 == 0 else columns[::-1]:
+                times[column.name].append(column.ask("run"))
+        entry = entries.setdefault(name, {})
+        entry["what"] = heads[0]["what"]
+        for column, head in zip(columns, heads):
+            result = summary(times[column.name], column.ask("peak"))
+            entry[column.name] = {**result, "sizes": head["sizes"]}
+            print(f"{name:34} {column.name:8} {result['seconds']:10.4f} s "
+                  f"[{result['q1']:.4f}, {result['q3']:.4f}] {result['peak_kb']:10.1f} KB  "
+                  f"{head['sizes']}", flush=True)
+        for column in columns:
+            column.tell("next")
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--src", default=str(ROOT / "src"),
-                        help="directory holding the metalie package to measure")
-    parser.add_argument("--column", default="change", help="column to write (default change)")
-    parser.add_argument("--out", default=str(ROOT / "BENCH_8.json"))
+                        help="directory holding the metalie package of a bare column name")
+    parser.add_argument("--column", action="append",
+                        help="NAME or NAME=DIR; repeat to alternate columns (default change)")
+    parser.add_argument("--out", default=str(ROOT / "BENCH_9.json"))
     parser.add_argument("--tiny", action="store_true", help="small sizes, for a smoke test")
+    parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args()
-    sys.path.insert(0, args.src)
+    if args.worker:
+        return worker(args.src, args.tiny)
 
+    specs = [text.partition("=") for text in args.column or ["change"]]
+    columns = [Column(name, src or args.src, args.tiny) for name, _, src in specs]
     out = Path(args.out)
     report = json.loads(out.read_text()) if out.exists() else {}
     report["script"] = "scripts/bench.py" + (" --tiny" if args.tiny else "")
     report["host"] = {"python": platform.python_version(), "machine": platform.machine(),
                       "processor": platform.processor() or "unknown"}
-    entries = report.setdefault("entries", {})
-    for group, repeats in ((layer_entries, 7), (catalog_entries, 7), (cli_entries, 3)):
-        for name, what, thunk, sizes in group(args.tiny):
-            result = measure(thunk, 1 if args.tiny else repeats)
-            entry = entries.setdefault(name, {"what": what})
-            entry[args.column] = {**result, "sizes": sizes}
-            print(f"{name:34} {result['seconds']:10.4f} s [{result['q1']:.4f}, {result['q3']:.4f}]"
-                  f" {result['peak_kb']:10.1f} KB  {sizes}")
+    try:
+        measure_columns(columns, report.setdefault("entries", {}))
+    finally:
+        for column in columns:
+            column.process.stdin.close()
+    failed = [column.name for column in columns if column.process.wait()]
+    if failed:
+        print(f"the worker of column {', '.join(failed)} failed", file=sys.stderr)
+        return 1
     out.write_text(json.dumps(report, indent=2) + "\n")
     return 0
 

@@ -320,9 +320,11 @@ def witness_pair(spec: ModuleSpec) -> tuple[WreathElement, Poly]:
     raise NoKnownWitness(f"no witness pair on file for specification {spec}")
 
 
-def infinite_family_witness(spec: ModuleSpec) -> Iterator[WreathElement]:
-    """Yield u, u*f, u*f^2, ...: invariants of strictly increasing degree."""
-    u, f = witness_pair(spec)
+def infinite_family_witness(spec: ModuleSpec, pair: tuple[WreathElement, Poly] | None = None
+                            ) -> Iterator[WreathElement]:
+    """Yield u, u*f, u*f^2, ...: invariants of strictly increasing degree.
+    `pair` is the (u, f) of `witness_pair(spec)`, when the caller has it."""
+    u, f = pair or witness_pair(spec)
     current = u
     while True:
         yield current

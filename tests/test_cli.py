@@ -6,7 +6,7 @@ from time import perf_counter
 
 import pytest
 
-from metalie import invariants
+from metalie import cli, invariants
 from metalie.cli import MAX_RANK, MAX_WITNESS_COUNT, main
 from metalie.linalg import LinearSolveError
 from metalie.metabelian import LieContext, parse_lie_expr
@@ -235,6 +235,77 @@ class TestWitness:
         assert code == 2
         assert out == ""
         assert err.startswith("error: --count must be between 0 and")
+
+
+def counted(fn, calls):
+    def wrapper(*args):
+        calls.append(fn.__name__)
+        return fn(*args)
+    return wrapper
+
+
+# every specification `witness` supports, with the most members up to six
+# that each is accepted for
+WITNESS_SPECS = [("2,0", 6), ("3", 6), ("1,1", 6), ("4", 6), ("2,1", 6), ("1,1,1", 6),
+                 ("2,2", 6), ("5", 3), ("7", 2)]
+
+
+class TestWitnessDecision:
+    @pytest.mark.parametrize("spec, count", WITNESS_SPECS)
+    def test_first_member_substituted_every_member_derived(self, capsys, monkeypatch,
+                                                             spec, count):
+        calls = []
+        monkeypatch.setattr(cli, "is_invariant", counted(cli.is_invariant, calls))
+        monkeypatch.setattr(cli, "is_invariant_by_derivations",
+                            counted(cli.is_invariant_by_derivations, calls))
+        code, out, _ = run(capsys, "witness", spec, "--count", str(count), "--json")
+        assert code == 0
+        assert all(row["invariant"] for row in json.loads(out))
+        assert calls.count("is_invariant") == 1
+        assert calls.count("is_invariant_by_derivations") == count
+
+    def test_substitution_decides_the_first_row_only(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "is_invariant", lambda u, spec: False)
+        code, out, _ = run(capsys, "witness", "2,1", "--count", "6", "--json")
+        assert code == 0
+        assert [row["invariant"] for row in json.loads(out)] == [False] + [True] * 5
+
+    def test_derivations_decide_every_row(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "is_invariant_by_derivations", lambda u, spec: False)
+        code, out, _ = run(capsys, "witness", "2,1", "--count", "6", "--json")
+        assert code == 0
+        assert [row["invariant"] for row in json.loads(out)] == [False] * 6
+
+
+class TestWitnessBudget:
+    @pytest.mark.parametrize("spec", ["6", "8", "9", "12"])
+    def test_block_over_the_budget_is_refused_before_the_pair(self, capsys, monkeypatch,
+                                                              spec):
+        def unbuilt(spec):
+            raise AssertionError("the witness pair was built")
+        monkeypatch.setattr(cli, "witness_pair", unbuilt)
+        code, out, err = run(capsys, "witness", spec, "--count", "1")
+        assert (code, out) == (2, "")
+        assert "budget" in err
+
+    @pytest.mark.parametrize("spec", ["3", "5"])
+    def test_family_over_the_budget_is_refused(self, capsys, spec):
+        start = perf_counter()
+        code, out, err = run(capsys, "witness", spec, "--count", "64", "--json")
+        assert (code, out) == (2, "")
+        assert "budget" in err
+        assert perf_counter() - start < 2
+
+    @pytest.mark.parametrize("spec, count", [
+        # the shapes the benchmark draws, at their largest counts
+        ("2,0", 6), ("1,1", 6), ("2,1", 6), ("1,1,1", 6), ("2,2", 6), ("3", 3), ("4", 2),
+        ("3", 6), ("4", 6), ("1,1", 40),
+        *[(spec, MAX_WITNESS_COUNT) for spec in ("2,0", "1,1", "2,1", "1,1,1", "2,2")],
+    ])
+    def test_accepted_edges(self, capsys, spec, count):
+        code, out, _ = run(capsys, "witness", spec, "--count", str(count), "--json")
+        assert code == 0
+        assert len(json.loads(out)) == count
 
 
 class TestCatalog:

@@ -67,3 +67,16 @@ def test_bench_at_a_tiny_size(tmp_path):
         assert entry["before"]["sizes"] == entry["after"]["sizes"]
         assert entry["after"]["seconds"] >= 0 and entry["after"]["peak_kb"] > 0
     assert entries["poly.mul"]["after"]["sizes"]["terms_a"] == 20
+
+
+def test_bench_alternates_columns_in_one_run(tmp_path):
+    out = tmp_path / "bench.json"
+    src = str(ROOT / "src")
+    result = run_script("bench.py", "--tiny", "--out", str(out),
+                        "--column", f"parent={src}", "--column", "change")
+    assert result.returncode == 0, result.stdout + result.stderr
+    entries = json.loads(out.read_text())["entries"]
+    assert "witness 4 --count 2" in entries
+    for entry in entries.values():
+        assert entry["parent"]["sizes"] == entry["change"]["sizes"]
+        assert entry["parent"]["seconds"] >= 0 and entry["change"]["peak_kb"] > 0
