@@ -25,6 +25,7 @@ from . import linalg
 from .metabelian import (
     LieContext,
     LieExpr,
+    NotInCommutatorIdeal,
     WreathElement,
     parse_lie_expr,
 )
@@ -32,12 +33,12 @@ from .poly import (Poly, encode, fields, jacobian_minor, mono_exponent, mono_str
                    slot_key, slot_name, var_key)
 from .series import (
     TruncatedSeries,
+    decompose_slice,
     expand_rational,
-    extract_multiplicities,
-    invariant_hilbert,
     parse_rational_function,
-    verify_symmetrization,
-    weight_character,
+    symmetrizes_to,
+    weight_packing,
+    weight_slices,
 )
 from .sl2 import ModuleSpec, is_invariant, is_invariant_by_derivations
 
@@ -529,17 +530,17 @@ def verify_catalog(case: CatalogCase, truncation: int = 12,
     and push the module generators onto the module invariants degree by
     degree (exact rank checks, up to `rank_degree`).
 
-    The generators are parsed and evaluated once per call and shared by all
-    checks; each module generator decides its ideal membership once, on its
-    first module action (see `WreathElement`), and the stated series are
-    expanded by the recurrence of `expand_rational`.
+    The generators are parsed once per call, the stated series expanded by
+    `expand_rational`, and the series checks run on the packed slices of
+    `weight_slices`.  The ring products are formed once, in the y-alphabet,
+    so a module row is one envelope product v * p(y), one degree at a time.
 
     Each check records the seconds spent on it and its size: the generators
-    checked for (a), the relations evaluated for (b), the terms of the
-    character decomposed for the series checks, the terms of the two
-    multiplicity series for the symmetrization, and the rows ranked for (d).
-    Span checks that would rank more than `MAX_SPAN_ROWS` rows are refused
-    with `SpanBudgetExceeded` before any check runs.
+    checked for (a), the relations evaluated for (b), the character cells
+    decomposed for the series checks, the nonzero multiplicities of both
+    spaces for the symmetrization, and the rows ranked for (d).  Span checks
+    that would rank more than `MAX_SPAN_ROWS` rows are refused with
+    `SpanBudgetExceeded` before any check runs.
     """
     if rank_degree is None:
         rank_degree = truncation
@@ -566,25 +567,29 @@ def verify_catalog(case: CatalogCase, truncation: int = 12,
                               f"nonzero relation(s): {', '.join(bad)}" if bad else "",
                               lap(), len(values)))
 
+    base, weights = weight_packing(spec, truncation)
     dims, symmetrized = {}, []
     for label, space, stated in (("module", "module", case.module_series),
                                  ("ring", "polyring", case.ring_series)):
-        character = weight_character(spec, truncation, space)
-        table = extract_multiplicities(character)
-        computed, expected = invariant_hilbert(table), stated(truncation)
-        dims[label] = computed.univariate_coefficients()
-        symmetrized.append((table.multiplicity_series(), character))
+        slices = weight_slices(weights, truncation, space)
+        found = [decompose_slice(row, base, n) for n, row in enumerate(slices)]
+        # invariants: the S_(l, l), packed as l * (base + 1)
+        dims[label] = [sum(m for top, m in f.items() if not top % (base + 1)) for f in found]
+        computed = TruncatedSeries(("z",), truncation,
+                                   {(n,): c for n, c in enumerate(dims[label])})
+        expected = stated(truncation)
+        symmetrized += zip(found, slices)
         checks.append(CheckResult(
             f"{label}-series-matches", computed == expected,
             "" if computed == expected else f"stated {expected} != computed {computed}",
-            lap(), len(character.coefficients)))
+            lap(), sum(map(len, slices))))
 
     checks.append(CheckResult(
         "symmetrization-identity",
-        all(verify_symmetrization(m, character) for m, character in symmetrized),
-        "", lap(), sum(len(m.coefficients) for m, _ in symmetrized)))
+        all(symmetrizes_to(f, row, base) for f, row in symmetrized),
+        "", lap(), sum(len(f) for f, _ in symmetrized)))
 
-    products = _ring_monomial_table(ring_gens, rank_degree)
+    products = _ring_monomial_table([_to_y(g, case.context()) for g in ring_gens], rank_degree)
     ring_dims = dims["ring"]
     bad = []
     for n in range(rank_degree + 1):
@@ -602,7 +607,9 @@ def verify_catalog(case: CatalogCase, truncation: int = 12,
         for v, dv in zip(module_gens, module_degrees):
             if dv > n:
                 continue
-            rows.extend(v.ad_action(p).coordinates() for p in products[n - dv])
+            if not v.is_in_commutator_ideal():
+                raise NotInCommutatorIdeal("module action is defined on the commutator ideal only")
+            rows.extend((v.poly * p).terms for p in products[n - dv])  # v * p(ad x)
         rows_ranked += len(rows)
         if linalg.rank(rows) != module_dims[n]:
             bad.append(str(n))

@@ -442,10 +442,13 @@ class LieExpr:
 class Gen(LieExpr):
     index: int
 
-    def evaluate(self, ctx: LieContext) -> WreathElement:
+    def bound_index(self, ctx: LieContext) -> int:
         if not 1 <= self.index <= ctx.dim:
             raise ContextMismatch(f"generator x{self.index} unbound in rank {ctx.dim}")
-        return ctx.generator(self.index)
+        return self.index
+
+    def evaluate(self, ctx: LieContext) -> WreathElement:
+        return ctx.generator(self.bound_index(ctx))
 
     def __str__(self):
         return f"x{self.index}"
@@ -460,6 +463,8 @@ class Bracket(LieExpr):
             raise ValueError("bracket needs at least two arguments")
 
     def evaluate(self, ctx: LieContext) -> WreathElement:
+        if all(type(item) is Gen for item in self.items):    # a word, in closed form
+            return CommutatorWord(tuple(i.bound_index(ctx) for i in self.items)).to_wreath(ctx)
         acc = self.items[0].evaluate(ctx)
         for item in self.items[1:]:
             acc = acc.bracket(item.evaluate(ctx))

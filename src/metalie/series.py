@@ -11,12 +11,12 @@ slice is built directly in weight space:
   2. `invariant_dimension_series` grades by the weight difference s = p - q
      and counts the invariants of degree n as c_n(0) - c_n(2)
      (Cayley-Sylvester),
-  3. `weight_character` grades by the pair (p, q) and returns the
-     two-variable character of each slice, which `extract_multiplicities`
-     decomposes by the weight-difference rule
-     m(k, l) = c_{k+l, l} - c_{k+l+1, l-1}; a slice is a character exactly
-     when it is symmetric under t1 <-> t2 and every such m is a nonnegative
-     integer.
+  3. on weights packed as p * base + q (`weight_packing`), `decompose_slice`
+     decomposes each slice by the rule m(k, l) = c_{k+l, l} - c_{k+l+1, l-1}
+     (a character when symmetric with every m a nonnegative integer), and
+     `symmetrizes_to` divides back by t1 - t2; `weight_character`,
+     `extract_multiplicities` and `verify_symmetrization` are these steps on
+     (t1, t2, z) series.
 
 The multigraded series `hilbert_polyring`, `hilbert_metabelian` and
 `hilbert_metabelian_module`, collapsed by `weight_substitute`, enumerate all
@@ -297,16 +297,21 @@ def weight_slices(weights: Sequence[int], truncation: int,
     return slices[:truncation + 1]
 
 
+def weight_packing(spec: ModuleSpec, truncation: int) -> tuple[int, list[int]]:
+    """(base, packed weights p * base + q), base two above every t1 or t2
+    exponent up to the truncation, as `symmetrizes_to` needs."""
+    base = truncation * max(spec.blocks) + 2
+    return base, [p * base + q for p, q in spec.weights()]
+
+
 def weight_character(spec: ModuleSpec, truncation: int,
                      space: str = "polyring") -> TruncatedSeries:
     """The (t1, t2, z) character of `space`, equal to `weight_substitute` of
-    its multigraded Hilbert series.  The weight (p, q) is packed into the
-    integer p * base + q, with base above every t2 exponent up to the
-    truncation."""
-    base = truncation * max(spec.blocks) + 1
-    slices = weight_slices([p * base + q for p, q in spec.weights()], truncation, space)
+    its multigraded Hilbert series: `weight_slices` on packed weights."""
+    base, weights = weight_packing(spec, truncation)
     coeffs = {(*divmod(key, base), n): c
-              for n, row in enumerate(slices) for key, c in row.items()}
+              for n, row in enumerate(weight_slices(weights, truncation, space))
+              for key, c in row.items()}
     return TruncatedSeries(("t1", "t2", "z"), truncation, coeffs, graded=("z",))
 
 
@@ -366,32 +371,80 @@ def skew_square_character(c: Character) -> Character:
     return _half_square(c, -1)
 
 
-def decompose_character(character: Mapping[tuple[int, int], int | Fraction]
-                        ) -> dict[tuple[int, int], int]:
-    """Multiplicities {(k, l): m} with the character equal to
-    sum m(k,l) S_{(k+l,l)}, by the weight-difference rule
-    m(k, l) = c(k+l, l) - c(k+l+1, l-1).
-
-    The rule is taken at every weight (a, b), a >= b, where c(a, b) or
-    c(a+1, b-1) is nonzero.  The input is a character exactly when it is
-    symmetric under t1 <-> t2 and all these m are nonnegative integers:
-    summed down each antidiagonal, the m telescope back to c.  Raises
-    NotACharacter otherwise.
-    """
-    c = {key: v for key, v in character.items() if v}
-    result: dict[tuple[int, int], int] = {}
-    for (a, b), v in c.items():
-        if c.get((b, a), 0) != v:
-            raise NotACharacter("weight table is not symmetric under t1 <-> t2")
+def decompose_slice(row: Mapping[int, int | Fraction], base: int,
+                    degree: int | None = None) -> dict[int, int]:
+    """Multiplicities {(k + l) * base + l: m} of S_{(k+l, l)} in the packed
+    slice {a * base + b: c(a, b)}, by m(k, l) = c(k+l, l) - c(k+l+1, l-1)
+    taken at every (a, b), a >= b, where c(a, b) or c(a+1, b-1) is nonzero.
+    The slice is a character exactly when it is symmetric under t1 <-> t2
+    and these m, which telescope back to c, are nonnegative integers; else
+    NotACharacter is raised, naming `degree` if given.  Exponents < base - 1."""
+    where = "" if degree is None else f"degree {degree} slice: "
+    result: dict[int, int] = {}
+    for key, v in row.items():
+        a, b = divmod(key, base)
+        if row.get(b * base + a, 0) != v:
+            raise NotACharacter(f"{where}weight table is not symmetric under t1 <-> t2")
         for x, y in ((a, b), (a - 1, b + 1)):
             if x < y:
                 continue
-            m = c.get((x, y), 0) - c.get((x + 1, y - 1), 0)
+            top = x * base + y
+            m = row.get(top, 0) - row.get(top + base - 1, 0)  # y = 0 reads the empty (x, base-1)
             if m:
                 if m < 0 or m.denominator != 1:
-                    raise NotACharacter(f"multiplicity {m} at weight {(x, y)}")
-                result[(x - y, y)] = int(m)
+                    raise NotACharacter(f"{where}multiplicity {m} at weight {(x, y)}")
+                result[top] = int(m)
     return result
+
+
+def _divide_slice(numerator: Mapping[int, int | Fraction], base: int):
+    """Exact quotient of a packed slice by (t1 - t2), None if impossible: in
+    each part of t-degree s = a + b, the quotient at t1^(a-1) t2^(s-a) sums
+    the numerator from a up, and the whole part must sum to zero."""
+    parts: dict[int, dict[int, int | Fraction]] = {}
+    for key, c in numerator.items():
+        a, b = divmod(key, base)
+        parts.setdefault(a + b, {})[a] = c
+    quotient: dict[int, int | Fraction] = {}
+    for s, part in parts.items():
+        carry = 0
+        for a in range(max(part), 0, -1):
+            carry += part.get(a, 0)
+            if carry:
+                quotient[(a - 1) * base + s - a] = carry
+        if carry + part.get(0, 0):
+            return None
+    return quotient
+
+
+def symmetrizes_to(multiplicities: Mapping[int, int], row: Mapping[int, int], base: int) -> bool:
+    """Whether the packed slice `row` (no zero entries) is (t1*f(t1,t2) -
+    t2*f(t2,t1)) / (t1 - t2), divided exactly, for f = {a * base + b: m}."""
+    numerator: dict[int, int] = {}
+    for key, m in multiplicities.items():
+        a, b = divmod(key, base)
+        for cell, c in ((key + base, m), (b * base + a + 1, -m)):  # t1 f(t1,t2), t2 f(t2,t1)
+            numerator[cell] = numerator.get(cell, 0) + c
+    return _divide_slice(numerator, base) == row
+
+
+def _packed_slices(*tables: Mapping[Exponents, int | Fraction]):
+    """Tables {(a, b, n): c} as packed slices [{a * base + b: c}, ...], one base."""
+    keys = [key for table in tables for key in table]
+    base = 2 + max((max(a, b) for a, b, _ in keys), default=0)
+    packed = [[{} for _ in range(1 + max((n for *_, n in keys), default=0))] for _ in tables]
+    for table, slices in zip(tables, packed):
+        for (a, b, n), c in table.items():
+            slices[n][a * base + b] = c
+    return base, packed
+
+
+def decompose_character(character: Mapping[tuple[int, int], int | Fraction]
+                        ) -> dict[tuple[int, int], int]:
+    """Multiplicities {(k, l): m} of S_{(k+l,l)} in {(a, b): c}, a, b >= 0 (`decompose_slice`)."""
+    base = 2 + max(map(max, character), default=0)
+    found = decompose_slice({a * base + b: c for (a, b), c in character.items()}, base)
+    return {(x - y, y): m for top, m in found.items() for x, y in [divmod(top, base)]}
 
 
 # -- multiplicity tables ----------------------------------------------------------
@@ -425,15 +478,10 @@ def extract_multiplicities(hgl: TruncatedSeries) -> MultiplicityTable:
     """Decompose every degree slice of a weight-substituted Hilbert series."""
     if hgl.variables != ("t1", "t2", "z") or hgl.graded != ("z",):
         raise TruncationMismatch("expected a series in (t1, t2, z) graded by z")
-    table = MultiplicityTable(hgl.truncation)
-    for n, slice_ in hgl.slices_by("z").items():
-        try:
-            decomposition = decompose_character(slice_)
-        except NotACharacter as exc:
-            raise NotACharacter(f"degree {n} slice: {exc}") from exc
-        for (k, l), m in decomposition.items():
-            table.entries[(n, k, l)] = m
-    return table
+    base, [slices] = _packed_slices(hgl.coefficients)
+    return MultiplicityTable(hgl.truncation, {
+        (n, x - y, y): m for n, row in enumerate(slices)
+        for top, m in decompose_slice(row, base, n).items() for x, y in [divmod(top, base)]})
 
 
 def invariant_hilbert(table: MultiplicityTable) -> TruncatedSeries:
@@ -447,50 +495,23 @@ def invariant_hilbert(table: MultiplicityTable) -> TruncatedSeries:
 
 
 def verify_symmetrization(candidate: TruncatedSeries, hgl: TruncatedSeries) -> bool:
-    """Check hgl == (t1*f(t1,t2,z) - t2*f(t2,t1,z)) / (t1 - t2) coefficientwise.
-
-    `candidate` is a multiplicity series in the (t1, t2, z) encoding.  Returns
-    False when the numerator is not divisible by t1 - t2 or the quotient
-    disagrees.
-    """
+    """Check hgl == (t1*f(t1,t2,z) - t2*f(t2,t1,z)) / (t1 - t2) for the
+    multiplicity series f, slice by slice (`symmetrizes_to`)."""
     if candidate.variables != ("t1", "t2", "z") or hgl.variables != ("t1", "t2", "z"):
         raise TruncationMismatch("expected series in (t1, t2, z)")
     if candidate.truncation != hgl.truncation:
         raise TruncationMismatch("truncations differ")
-    numerator: dict[Exponents, int | Fraction] = {}
-    for (a, b, n), c in candidate.coefficients.items():
-        plus = (a + 1, b, n)          # t1 * f(t1, t2, z)
-        minus = (b, a + 1, n)         # t2 * f(t2, t1, z)
-        numerator[plus] = numerator.get(plus, 0) + c
-        numerator[minus] = numerator.get(minus, 0) - c
-    numerator = {k: v for k, v in numerator.items() if v}
-    quotient = _divide_by_t1_minus_t2(numerator)
-    if quotient is None:
-        return False
-    return quotient == {k: v for k, v in hgl.coefficients.items() if v}
+    base, (found, rows) = _packed_slices(candidate.coefficients, hgl.coefficients)
+    return all(symmetrizes_to(m, row, base) for m, row in zip(found, rows))
 
 
 def _divide_by_t1_minus_t2(numerator: dict[Exponents, int | Fraction]):
-    """Exact division of a (t1, t2, z) table by (t1 - t2); None if impossible.
-
-    Each slice of fixed z degree n and t-degree a + b = s divides on its own:
-    walking the t1 exponent a downwards, the quotient coefficient at
-    t1^(a-1) t2^(s-a) is the running sum of the numerator coefficients from
-    a up, and the sum over the whole slice must vanish.
-    """
-    slices: dict[tuple[int, int], dict[int, int | Fraction]] = {}
-    for (a, b, n), c in numerator.items():
-        slices.setdefault((n, a + b), {})[a] = c
-    quotient: dict[Exponents, int | Fraction] = {}
-    for (n, s), row in slices.items():
-        carry = 0
-        for a in range(max(row), 0, -1):
-            carry += row.get(a, 0)
-            if carry:
-                quotient[(a - 1, s - a, n)] = carry
-        if carry + row.get(0, 0):
-            return None
-    return quotient
+    """Exact division of a (t1, t2, z) table by (t1 - t2), slice by slice
+    (`_divide_slice`); None if impossible."""
+    base, [slices] = _packed_slices(numerator)
+    parts = [_divide_slice(row, base) for row in slices]
+    return None if None in parts else {(*divmod(key, base), n): c for n, part in enumerate(parts)
+                                       for key, c in part.items()}
 
 
 # -- rational function expansion -----------------------------------------------

@@ -26,8 +26,9 @@ of a family only, and `verify_catalog` checks every generator both ways.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 from typing import Literal
 
@@ -111,14 +112,17 @@ class _GeneratorMatrix:
 
     spec: ModuleSpec
     matrix: tuple[tuple[int | Fraction, ...], ...]
+    _columns: dict[tuple[str, int], Poly] = field(default_factory=dict, init=False, repr=False)
 
     def __eq__(self, other):
         return type(other) is type(self) and self.spec == other.spec \
             and self.matrix == other.matrix
 
     def column_image(self, letter: str, j: int) -> Poly:
-        return Poly({encode(((f"{letter}{i + 1}", 1),)): row[j - 1]
-                     for i, row in enumerate(self.matrix) if row[j - 1]})
+        if (letter, j) not in self._columns:    # built once per operator
+            self._columns[letter, j] = Poly({encode(((f"{letter}{i + 1}", 1),)): row[j - 1]
+                                             for i, row in enumerate(self.matrix) if row[j - 1]})
+        return self._columns[letter, j]
 
     def _images(self, p: Poly, letters: str) -> dict[str, Poly]:
         """Image of each variable of p; each must be one of the generators."""
@@ -165,6 +169,7 @@ def _leibniz(p: Poly, images: dict[str, Poly]) -> Poly:
     return acc
 
 
+@lru_cache(maxsize=16)
 def g1_matrix(spec: ModuleSpec) -> LinearAction:
     """Action of the upper unitriangular generator on each block."""
     d = spec.dimension
@@ -176,6 +181,7 @@ def g1_matrix(spec: ModuleSpec) -> LinearAction:
     return LinearAction(spec, tuple(tuple(row) for row in m))
 
 
+@lru_cache(maxsize=16)
 def g2_matrix(spec: ModuleSpec) -> LinearAction:
     """Action of the lower unitriangular generator, mirroring g1."""
     d = spec.dimension
@@ -208,6 +214,7 @@ def log_unipotent(g: LinearAction) -> Derivation:
     return Derivation(g.spec, tuple(tuple(row) for row in acc))
 
 
+@lru_cache(maxsize=16)
 def derivations(spec: ModuleSpec) -> tuple[Derivation, Derivation]:
     """The logarithms (delta1, delta2) of g1 and g2, in closed form.
 

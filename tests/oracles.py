@@ -13,6 +13,10 @@ route `CommutatorWord.to_wreath` took before its closed form, and
 `two_derivation_kernel_dimension` is the invariant count `sl2.invariant_dimension`
 made before it kept only the weight-(p, p) part: the kernel of both
 derivations, weight by weight, over the bracket-chain words.
+`tuple_decompose_character`, `tuple_divide_by_t1_minus_t2` and
+`tuple_symmetrizes` are the weight-difference rule and the symmetrization
+identity on tables keyed by exponent tuples, the route `verify_catalog` took
+before it worked on packed weight slices.
 """
 
 from fractions import Fraction
@@ -20,7 +24,7 @@ from fractions import Fraction
 from metalie import linalg
 from metalie.metabelian import _compositions, words_of_multidegree
 from metalie.poly import Poly, decode, encode, exact, mono_degree, var_key
-from metalie.series import TruncatedSeries
+from metalie.series import NotACharacter, TruncatedSeries
 from metalie.sl2 import (Derivation, LinearAction, NotUnipotent, bidegree_components,
                          derivations)
 
@@ -164,6 +168,58 @@ def skew_square_rule(k: int) -> dict[tuple[int, int], int]:
         return {(4 * (m - n) + 2, 2 * n - 1): 1 for n in range(1, m + 1)}
     m = (k - 1) // 2
     return {(4 * (m - n), 2 * n + 1): 1 for n in range(m + 1)}
+
+
+def tuple_decompose_character(character):
+    """Multiplicities {(k, l): m} of S_(k+l, l) in a table {(a, b): c}, by
+    m(k, l) = c(k+l, l) - c(k+l+1, l-1) at every (a, b), a >= b, where c(a, b)
+    or c(a+1, b-1) is nonzero; NotACharacter unless the table is symmetric
+    and every m a nonnegative integer."""
+    c = {key: v for key, v in character.items() if v}
+    result = {}
+    for (a, b), v in c.items():
+        if c.get((b, a), 0) != v:
+            raise NotACharacter("weight table is not symmetric under t1 <-> t2")
+        for x, y in ((a, b), (a - 1, b + 1)):
+            if x < y:
+                continue
+            m = c.get((x, y), 0) - c.get((x + 1, y - 1), 0)
+            if m:
+                if m < 0 or m.denominator != 1:
+                    raise NotACharacter(f"multiplicity {m} at weight {(x, y)}")
+                result[(x - y, y)] = int(m)
+    return result
+
+
+def tuple_divide_by_t1_minus_t2(numerator):
+    """Exact division of a table {(a, b, n): c} by (t1 - t2); None if impossible.
+    Each slice of fixed n and a + b = s divides on its own: walking a
+    downwards, the quotient at t1^(a-1) t2^(s-a) is the running sum of the
+    numerator from a up, and the sum over the whole slice must vanish."""
+    slices = {}
+    for (a, b, n), c in numerator.items():
+        slices.setdefault((n, a + b), {})[a] = c
+    quotient = {}
+    for (n, s), row in slices.items():
+        carry = 0
+        for a in range(max(row), 0, -1):
+            carry += row.get(a, 0)
+            if carry:
+                quotient[(a - 1, s - a, n)] = carry
+        if carry + row.get(0, 0):
+            return None
+    return quotient
+
+
+def tuple_symmetrizes(multiplicities, character):
+    """Whether character == (t1 f(t1, t2, z) - t2 f(t2, t1, z)) / (t1 - t2)
+    for f = sum m t1^a t2^b z^n over the table {(a, b, n): m}."""
+    numerator = {}
+    for (a, b, n), c in multiplicities.items():
+        numerator[(a + 1, b, n)] = numerator.get((a + 1, b, n), 0) + c
+        numerator[(b, a + 1, n)] = numerator.get((b, a + 1, n), 0) - c
+    quotient = tuple_divide_by_t1_minus_t2({k: v for k, v in numerator.items() if v})
+    return quotient is not None and quotient == {k: v for k, v in character.items() if v}
 
 
 def expand_rational_by_power_sums(numerator, denominator_factors, truncation, var="z"):

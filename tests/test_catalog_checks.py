@@ -1,0 +1,231 @@
+"""The checks of `verify_catalog` catch a corrupted catalog, and the packed
+series routines, span rows, closed-form brackets and cached sl2 operators
+agree with the routes they replace."""
+
+import dataclasses
+from itertools import product
+
+import hypothesis.strategies as st
+import pytest
+from hypothesis import given
+
+from metalie import invariants, linalg
+from metalie.invariants import _ring_monomial_table, _to_y, load_catalog, verify_catalog
+from metalie.metabelian import (Bracket, CommutatorWord, ContextMismatch, Gen, LieContext,
+                                NotInCommutatorIdeal, parse_lie_expr)
+from metalie.series import (NotACharacter, decompose_character, decompose_slice,
+                            symmetrizes_to, weight_character, weight_packing, weight_slices)
+from metalie.sl2 import ModuleSpec, derivations, g1_matrix, g2_matrix
+from oracles import (bracket_chain, schur_function, tuple_decompose_character,
+                     tuple_symmetrizes)
+
+CATALOG = load_catalog()
+
+
+def failures(case, truncation=8):
+    return {check.name for check in verify_catalog(case, truncation).failures()}
+
+
+class TestCorruptedCatalog:
+    def test_the_catalog_itself_passes(self):
+        for case in CATALOG.values():
+            assert failures(case) == set(), case.case_id
+
+    def test_wrong_module_series(self):
+        case = dataclasses.replace(CATALOG["v"], module_series_text=
+                                   "(z^2 + z^3 + z^4)/((1-z^2)*(1-z^3))")
+        assert failures(case) == {"module-series-matches"}
+
+    def test_wrong_ring_series(self):
+        case = dataclasses.replace(CATALOG["v"], ring_series_text="1/((1-z^2)*(1-z^4))")
+        assert failures(case) == {"ring-series-matches"}
+
+    def test_non_invariant_module_generator(self):
+        texts = ("[x4,x1]",) + CATALOG["iii"].module_generator_texts[1:]
+        case = dataclasses.replace(CATALOG["iii"], module_generator_texts=texts)
+        assert "module-generators-invariant" in failures(case)
+
+    def test_perturbed_relation(self):
+        texts = (CATALOG["vi"].relation_texts[0] + " + v1*f1^2",)
+        case = dataclasses.replace(CATALOG["vi"], relation_texts=texts)
+        assert failures(case) == {"relations-vanish"}
+
+    def test_dropped_ring_generator(self):
+        case = dataclasses.replace(CATALOG["v"], ring_generator_texts=
+                                   CATALOG["v"].ring_generator_texts[:1])
+        assert "ring-generators-span" in failures(case)
+
+    def test_dropped_module_generator(self):
+        case = dataclasses.replace(CATALOG["iii"], module_generator_texts=
+                                   CATALOG["iii"].module_generator_texts[1:])
+        assert failures(case) == {"module-generators-span"}
+
+    def test_wrong_multiplicity(self, monkeypatch):
+        def decompose_slice_plus_one(row, base, degree=None):
+            found = decompose_slice(row, base, degree)
+            if degree == 4 and found:
+                top = max(found)
+                found[top] += 1
+            return found
+
+        monkeypatch.setattr(invariants, "decompose_slice", decompose_slice_plus_one)
+        assert "symmetrization-identity" in failures(CATALOG["v"])
+
+    def test_module_generator_outside_the_commutator_ideal(self):
+        case = dataclasses.replace(CATALOG["iii"], module_generator_texts=("[x2,x1]", "x1"))
+        with pytest.raises(NotInCommutatorIdeal):
+            verify_catalog(case, 4)
+
+
+# -- packed slices against the tuple-keyed routes ---------------------------------
+
+BASE = 16  # two above every exponent drawn below
+
+
+def pack(table, base=BASE):
+    return {a * base + b: c for (a, b), c in table.items() if c}
+
+
+def unpack(found, base=BASE):
+    return {(x - y, y): m for top, m in found.items() for x, y in [divmod(top, base)]}
+
+
+def outcome(decompose, table):
+    try:
+        return decompose(table)
+    except NotACharacter:
+        return "not a character"
+
+
+schur_sums = st.lists(st.tuples(st.integers(0, 6), st.integers(0, 3), st.integers(1, 3)),
+                      max_size=5)
+
+
+def character_of(terms):
+    table = {}
+    for k, l, m in terms:
+        for key, v in schur_function(k, l).items():
+            table[key] = table.get(key, 0) + m * v
+    return table
+
+
+def multiplicities_of(terms):
+    out = {}
+    for k, l, m in terms:
+        out[(k, l)] = out.get((k, l), 0) + m
+    return out
+
+
+def in_degree_zero(table):
+    return {(a, b, 0): c for (a, b), c in table.items()}
+
+
+def tops(multiplicities):
+    """{(k, l): m} as the table {(k + l, l): m} of top weights."""
+    return {(k + l, l): m for (k, l), m in multiplicities.items()}
+
+
+class TestPackedAgainstTuples:
+    @pytest.mark.parametrize("space", ["module", "polyring"])
+    @pytest.mark.parametrize("case_id", sorted(CATALOG))
+    def test_catalog_slices_to_degree_16(self, case_id, space):
+        spec = CATALOG[case_id].spec
+        base, weights = weight_packing(spec, 16)
+        character = weight_character(spec, 16, space)
+        by_degree = character.slices_by("z")
+        multiplicities = {}
+        for n, row in enumerate(weight_slices(weights, 16, space)):
+            found = decompose_slice(row, base, n)
+            expected = tuple_decompose_character(by_degree.get(n, {}))
+            assert unpack(found, base) == expected, n
+            assert symmetrizes_to(found, row, base), n
+            multiplicities.update({(k + l, l, n): m for (k, l), m in expected.items()})
+        assert tuple_symmetrizes(multiplicities, character.coefficients)
+
+    @given(schur_sums)
+    def test_sums_of_schur_characters(self, terms):
+        table, expected = character_of(terms), multiplicities_of(terms)
+        assert decompose_character(table) == tuple_decompose_character(table) == expected
+        found = decompose_slice(pack(table), BASE)
+        assert unpack(found) == expected
+        assert symmetrizes_to(found, pack(table), BASE)
+        assert tuple_symmetrizes(in_degree_zero(tops(expected)), in_degree_zero(table))
+
+    @given(schur_sums, st.sampled_from(["asymmetric", "negative", "off by one"]), st.data())
+    def test_perturbed_slices_fail_the_symmetrization(self, terms, how, data):
+        table, multiplicities = character_of(terms), multiplicities_of(terms)
+        bad = dict(table)
+        if how == "asymmetric":
+            a, b = data.draw(st.tuples(st.integers(0, 12), st.integers(0, 12))
+                             .filter(lambda w: w[0] != w[1]))
+            bad[(a, b)] = bad.get((a, b), 0) + 1
+        elif how == "negative":
+            k, l = data.draw(st.tuples(st.integers(0, 6), st.integers(0, 3)))
+            for key, v in schur_function(k, l).items():
+                bad[key] = bad.get(key, 0) - (multiplicities.get((k, l), 0) + 1) * v
+        else:
+            key = data.draw(st.sampled_from(sorted(table))) if table else (0, 0)
+            bad[key] = bad.get(key, 0) + data.draw(st.sampled_from([-1, 1]))
+        result = outcome(decompose_character, bad)
+        assert result == outcome(tuple_decompose_character, bad)
+        if how != "off by one":
+            assert result == "not a character"
+        assert not symmetrizes_to(pack(tops(multiplicities)), pack(bad), BASE)
+        assert not tuple_symmetrizes(in_degree_zero(tops(multiplicities)), in_degree_zero(bad))
+
+
+# -- span rows in the y-alphabet against the module action ------------------------
+
+
+class TestSpanRows:
+    @pytest.mark.parametrize("case_id", sorted(CATALOG))
+    def test_rows_equal_the_module_action_rows(self, case_id, monkeypatch):
+        calls = []
+        real_rank = linalg.rank
+
+        def rank(rows):
+            calls.append(rows)
+            return real_rank(rows)
+
+        monkeypatch.setattr(linalg, "rank", rank)
+        case = CATALOG[case_id]
+        assert verify_catalog(case, 12).passed
+        gens, ring, ctx = case.module_generators(), case.ring_generators(), case.context()
+        products = _ring_monomial_table(ring, 12)
+        assert len(calls) == 13 + 11
+        assert all(type(rows) is list for rows in calls)
+        for n, rows in enumerate(calls[:13]):
+            assert rows == [_to_y(p, ctx).terms for p in products[n]], n
+        for n, rows in enumerate(calls[13:], start=2):
+            assert rows == [v.ad_action(p).coordinates() for v in gens
+                            if v.total_degree() <= n for p in products[n - v.total_degree()]], n
+
+
+# -- brackets of generators and the sl2 operators -----------------------------------
+
+
+class TestClosedFormBrackets:
+    def test_every_word_of_length_up_to_four_in_rank_three(self):
+        ctx = LieContext(3)
+        for length in (2, 3, 4):
+            for indices in product(range(1, 4), repeat=length):
+                value = Bracket(tuple(Gen(j) for j in indices)).evaluate(ctx)
+                assert value == bracket_chain(CommutatorWord(indices), ctx), indices
+
+    def test_an_index_above_the_rank_is_unbound(self):
+        with pytest.raises(ContextMismatch, match="generator x5 unbound in rank 4"):
+            parse_lie_expr("[x2,x5,x1]").evaluate(LieContext(4))
+
+
+class TestOperatorCache:
+    def test_operators_are_built_once_per_spec(self):
+        spec = ModuleSpec((2, 1))
+        assert g1_matrix(spec) is g1_matrix(ModuleSpec((2, 1)))
+        assert g2_matrix(spec) is g2_matrix(spec)
+        assert derivations(spec) is derivations(spec)
+        assert g1_matrix(spec).column_image("y", 3) is g1_matrix(spec).column_image("y", 3)
+
+    def test_cached_column_images_are_per_letter(self):
+        g = g1_matrix(ModuleSpec((2,)))
+        assert str(g.column_image("x", 3)) == "x1 + 2*x2 + x3"
+        assert str(g.column_image("a", 3)) == "a1 + 2*a2 + a3"

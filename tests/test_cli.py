@@ -464,7 +464,7 @@ class TestInternalErrors:
         def fail(*args, **kwargs):
             raise error
 
-        monkeypatch.setattr(invariants, "extract_multiplicities", fail)
+        monkeypatch.setattr(invariants, "decompose_slice", fail)
         code, out, err = run(capsys, "catalog", "verify", "--case", "i", "--degree", "4")
         assert code == 3
         assert out == ""
