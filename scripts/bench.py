@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Layer microbenchmarks and end-to-end timings, written to BENCH_10.json.
+"""Layer microbenchmarks and end-to-end timings, written to BENCH_11.json.
 
     python3 scripts/bench.py [--src DIR] [--column NAME[=DIR] ...] [--out FILE] [--tiny]
 
@@ -130,8 +130,8 @@ def catalog_entries(tiny: bool):
     """(name, what, thunk, sizes) for the series and rank layers of `catalog verify`."""
     from metalie import invariants
     from metalie.linalg import rank
-    from metalie.series import (decompose_character, expand_rational,
-                                parse_rational_function, weight_character)
+    from metalie.series import (decompose_slice, expand_rational, parse_rational_function,
+                                symmetrizes_to, weight_character, weight_packing, weight_slices)
 
     n = 6 if tiny else 12
     case = invariants.load_catalog()["vii"]
@@ -142,16 +142,31 @@ def catalog_entries(tiny: bool):
            lambda: character * character,
            {"terms_a": len(character.coefficients), "terms_out": len(square.coefficients)})
 
-    slices = list(square.slices_by("z").values())
-    yield ("series.decompose_character", "decomposition of every degree slice of that square",
-           lambda: [decompose_character(s) for s in slices],
-           {"slices": len(slices), "terms": len(square.coefficients)})
+    # the series checks of `catalog verify`, on the packed slices of both spaces
+    base, weights = weight_packing(case.spec, n)
+    spaces = ("module", "polyring")
+    slices = [row for space in spaces for row in weight_slices(weights, n, space)]
+    cells = sum(map(len, slices))
+    yield ("series.weight_slices", f"the packed module and ring weight slices of {case.spec} "
+                                   f"to degree {n}",
+           lambda: [weight_slices(weights, n, space) for space in spaces],
+           {"slices": len(slices), "cells": cells})
+
+    found = [decompose_slice(row, base) for row in slices]
+    multiplicities = sum(map(len, found))
+    yield ("series.decompose_slice", "decomposition of each of those slices",
+           lambda: [decompose_slice(row, base) for row in slices],
+           {"slices": len(slices), "cells": cells, "multiplicities": multiplicities})
+
+    yield ("series.symmetrizes_to", "each of those slices rebuilt from its multiplicities",
+           lambda: all(symmetrizes_to(f, row, base) for f, row in zip(found, slices)),
+           {"slices": len(slices), "multiplicities": multiplicities})
 
     gens = [invariants.parse_lie_expr(text).evaluate(case.context())
             for text in case.module_generator_texts]
     ring = case.ring_generators()
     products = invariants._ring_monomial_table(ring, n)
-    rows = [v.ad_action(p).coordinates() for v in gens for p in products[n - v.total_degree()]]
+    rows = [v.ad_action(p).poly.terms for v in gens for p in products[n - v.total_degree()]]
     yield ("linalg.rank", f"rank of the degree-{n} module span rows of case vii",
            lambda: rank(rows),
            {"rows": len(rows), "columns": len(set().union(*rows)), "rank": rank(rows)})
@@ -298,7 +313,7 @@ def main() -> int:
                         help="directory holding the metalie package of a bare column name")
     parser.add_argument("--column", action="append",
                         help="NAME or NAME=DIR; repeat to alternate columns (default change)")
-    parser.add_argument("--out", default=str(ROOT / "BENCH_10.json"))
+    parser.add_argument("--out", default=str(ROOT / "BENCH_11.json"))
     parser.add_argument("--tiny", action="store_true", help="small sizes, for a smoke test")
     parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args()

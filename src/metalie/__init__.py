@@ -11,7 +11,6 @@ from .metabelian import (
     CommutatorWord,
     LieContext,
     WreathElement,
-    eval_lie_expr,
     from_commutator_basis,
     parse_lie_expr,
     to_commutator_basis,
@@ -25,7 +24,6 @@ from .series import (
     hilbert_metabelian,
     hilbert_polyring,
     invariant_dimension_series,
-    invariant_hilbert,
     verify_symmetrization,
     weight_character,
     weight_substitute,
@@ -59,12 +57,12 @@ from .invariants import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CommutatorWord", "LieContext", "WreathElement", "eval_lie_expr",
+    "CommutatorWord", "LieContext", "WreathElement",
     "from_commutator_basis", "parse_lie_expr", "to_commutator_basis",
     "Poly", "jacobian_minor", "is_pairwise_jacobian_zero",
     "MultiplicityTable", "TruncatedSeries", "expand_rational",
     "extract_multiplicities", "hilbert_metabelian", "hilbert_polyring",
-    "invariant_dimension_series", "invariant_hilbert", "verify_symmetrization",
+    "invariant_dimension_series", "verify_symmetrization",
     "weight_character", "weight_substitute",
     "Derivation", "LinearAction", "ModuleSpec", "bidegree_components",
     "derivations", "g1_matrix", "g2_matrix", "is_invariant", "is_invariant_by_derivations",

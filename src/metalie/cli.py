@@ -182,8 +182,9 @@ def _witness_family(spec: ModuleSpec, count: int) -> list:
     """The first `count` members, each built only while the family stays
     within MAX_WITNESS_TERMS summed terms."""
     # single blocks whose pair alone is over the budget: the first member of
-    # V6 has 2634 terms, and substituting g1 into it does not finish in 300 s;
-    # discriminant(8) alone takes 7.8 s.  V5 and V7 build theirs in under 1 s.
+    # V6 has 2634 terms, and substituting g1 into it takes 53.5 s (Python
+    # 3.11, a shared 2-CPU host); discriminant(8) alone takes 7.8 s.  V5 and
+    # V7 build theirs in under 1 s.
     if len(spec.blocks) == 1 and (spec.blocks[0] == 6 or spec.blocks[0] >= 8):
         raise UsageError(f"the witness pair of {spec} is over the budget "
                          "(single blocks of degree 6 or at least 8 are refused)")

@@ -74,17 +74,6 @@ class LieContext:
             raise IndexError(f"generator index {j} out of range 1..{self.dim}")
         return WreathElement(self, Poly.variable(f"a{j}") + Poly.variable(f"y{j}"))
 
-    def monomial_element(self, a_index: int | None, y_exponents: Sequence[int]) -> "WreathElement":
-        """Basis element a_i * Y^q (or Y^q when a_index is None)."""
-        if len(y_exponents) != self.dim:
-            raise ContextMismatch("exponent vector has wrong length")
-        mono = [(f"y{j + 1}", e) for j, e in enumerate(y_exponents) if e]
-        if a_index is not None:
-            if not 1 <= a_index <= self.dim:
-                raise IndexError(f"index {a_index} out of range 1..{self.dim}")
-            mono.append((f"a{a_index}", 1))
-        return WreathElement(self, Poly.monomial(encode(mono)))
-
     def embed_poly(self, p: Poly) -> "WreathElement":
         """Image of p(x1,...,xd) under x_j -> a_j + y_j, computed by arithmetic
         in the envelope (products truncate the a-part at degree one)."""
@@ -272,10 +261,6 @@ class WreathElement:
 
     def is_homogeneous(self) -> bool:
         return self.poly.is_homogeneous()
-
-    def coordinates(self) -> dict[Monomial, int | Fraction]:
-        """Coordinates in the monomial basis {Y^q, a_i Y^q} of the envelope."""
-        return dict(self.poly.terms)
 
     def __str__(self) -> str:
         return str(self.poly)
@@ -512,16 +497,10 @@ class Ad(LieExpr):
         return f"{self.arg}.({self.multiplier})"
 
 
-def eval_lie_expr(expr: LieExpr, ctx: LieContext) -> WreathElement:
-    return expr.evaluate(ctx)
-
-
 def parse_lie_expr(text: str) -> LieExpr:
     stream = TokenStream(tokenize(text))
     expr = _parse_lie_sum(stream)
-    kind, tok, pos = stream.peek()
-    if kind != "end":
-        raise ParseError(f"trailing input {tok!r} at position {pos}")
+    stream.expect_end()
     return expr
 
 

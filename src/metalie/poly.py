@@ -363,12 +363,6 @@ class Poly:
         degrees = {mono_degree(m) for m in self.terms}
         return len(degrees) <= 1
 
-    def homogeneous_components(self) -> dict[int, "Poly"]:
-        comps: dict[int, dict[Monomial, int | Fraction]] = {}
-        for m, c in self.terms.items():
-            comps.setdefault(mono_degree(m), {})[m] = c
-        return {n: Poly(t) for n, t in sorted(comps.items())}
-
     def sorted_terms(self) -> list[tuple[Monomial, int | Fraction]]:
         return sorted(self.terms.items(), key=lambda item: mono_sort_key(item[0]))
 
@@ -492,10 +486,9 @@ class Poly:
 
     @classmethod
     def parse(cls, text: str) -> "Poly":
-        tokens = tokenize(text)
-        parser = _PolyParser(tokens)
-        poly = parser.parse_expression()
-        parser.expect_end()
+        stream = TokenStream(tokenize(text))
+        poly = _PolyParser(stream).parse_expression()
+        stream.expect_end()
         return poly
 
 
@@ -615,12 +608,31 @@ class TokenStream:
             raise ParseError(f"expected {op!r}, found {describe_token(kind, text)} "
                              f"at position {pos}")
 
+    def accept_exponent(self) -> tuple[int, int] | None:
+        """(n, position of n) of a `^ n` suffix, n within `MAX_EXPONENT`;
+        None when no `^` follows.  The rule of every parser in the package."""
+        if not self.accept_op("^"):
+            return None
+        kind, text, pos = self.next()
+        if kind != "num":
+            raise ParseError(f"expected integer exponent at position {pos}")
+        n = int(text) if len(text) <= len(str(MAX_EXPONENT)) else MAX_EXPONENT + 1
+        if n > MAX_EXPONENT:
+            raise ParseError(f"exponent {text} at position {pos} over the budget "
+                             f"of {MAX_EXPONENT}")
+        return n, pos
+
+    def expect_end(self):
+        kind, text, pos = self.peek()
+        if kind != "end":
+            raise ParseError(f"trailing input {text!r} at position {pos}")
+
 
 class _PolyParser:
     """Recursive-descent parser for `3/2*x1^2*x3 - x2^2` style expressions."""
 
-    def __init__(self, tokens):
-        self.stream = tokens if isinstance(tokens, TokenStream) else TokenStream(tokens)
+    def __init__(self, stream: TokenStream):
+        self.stream = stream
 
     def parse_expression(self) -> Poly:
         sign = -1 if self.stream.accept_op("-") else 1
@@ -648,21 +660,16 @@ class _PolyParser:
 
     def parse_factor(self) -> Poly:
         base = self.parse_atom()
-        if self.stream.accept_op("^"):
-            kind, text, pos = self.stream.next()
-            if kind != "num":
-                raise ParseError(f"expected integer exponent at position {pos}")
-            n = int(text) if len(text) <= len(str(MAX_EXPONENT)) else MAX_EXPONENT + 1
-            if n > MAX_EXPONENT:
-                raise ParseError(f"exponent {text} at position {pos} over the budget "
-                                 f"of {MAX_EXPONENT}")
-            t = len(base.terms)
-            if t > 1:
-                h = n // 2
-                _check_term_pairs(comb(h + t - 1, min(h, t - 1))
-                                  * comb(n - h + t - 1, min(n - h, t - 1)), "power", pos)
-            return base ** n
-        return base
+        power = self.stream.accept_exponent()
+        if power is None:
+            return base
+        n, pos = power
+        t = len(base.terms)
+        if t > 1:
+            h = n // 2
+            _check_term_pairs(comb(h + t - 1, min(h, t - 1))
+                              * comb(n - h + t - 1, min(n - h, t - 1)), "power", pos)
+        return base ** n
 
     def parse_atom(self) -> Poly:
         kind, text, pos = self.stream.peek()
@@ -686,8 +693,3 @@ class _PolyParser:
             self.stream.expect_op(")")
             return inner
         raise ParseError(f"unexpected {describe_token(kind, text)} at position {pos}")
-
-    def expect_end(self):
-        kind, text, pos = self.stream.peek()
-        if kind != "end":
-            raise ParseError(f"trailing input {text!r} at position {pos}")

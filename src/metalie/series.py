@@ -14,9 +14,10 @@ slice is built directly in weight space:
   3. on weights packed as p * base + q (`weight_packing`), `decompose_slice`
      decomposes each slice by the rule m(k, l) = c_{k+l, l} - c_{k+l+1, l-1}
      (a character when symmetric with every m a nonnegative integer), and
-     `symmetrizes_to` divides back by t1 - t2; `weight_character`,
-     `extract_multiplicities` and `verify_symmetrization` are these steps on
-     (t1, t2, z) series.
+     `symmetrizes_to` divides back by t1 - t2; `verify_catalog` runs both on
+     the packed slices, and `extract_multiplicities` and
+     `verify_symmetrization` take the same steps on the (t1, t2, z) series of
+     `weight_character`.
 
 The multigraded series `hilbert_polyring`, `hilbert_metabelian` and
 `hilbert_metabelian_module`, collapsed by `weight_substitute`, enumerate all
@@ -178,15 +179,6 @@ class TruncatedSeries:
             raise TruncationMismatch("not a univariate series")
         return [self.coefficients.get((n,), 0) for n in range(self.truncation + 1)]
 
-    def slices_by(self, var: str) -> dict[int, dict[Exponents, int | Fraction]]:
-        """Group coefficients by the exponent of one variable, dropping it."""
-        idx = self.variables.index(var)
-        out: dict[int, dict[Exponents, int | Fraction]] = {}
-        for exps, c in self.coefficients.items():
-            rest = exps[:idx] + exps[idx + 1:]
-            out.setdefault(exps[idx], {})[rest] = c
-        return out
-
     def __str__(self) -> str:
         items = sorted(self.coefficients.items(), key=lambda item: (sum(item[0]), item[0]))
         return signed_sum((c, "*".join(f"{v}^{e}" if e > 1 else v
@@ -324,51 +316,7 @@ def invariant_dimension_series(spec: ModuleSpec, truncation: int,
     return TruncatedSeries(("z",), truncation, coeffs)
 
 
-# -- characters and Schur decomposition ------------------------------------------
-
-Character = dict[tuple[int, int], int]
-
-
-def vk_character(k: int) -> Character:
-    """Torus character of the degree-k binary form module."""
-    return {(k - i, i): 1 for i in range(k + 1)}
-
-
-def character_product(c1: Character, c2: Character) -> Character:
-    out: Character = {}
-    for (a1, b1), x in c1.items():
-        for (a2, b2), y in c2.items():
-            key = (a1 + a2, b1 + b2)
-            s = out.get(key, 0) + x * y
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-    return out
-
-
-def _doubled(c: Character) -> Character:
-    return {(2 * a, 2 * b): x for (a, b), x in c.items()}
-
-
-def _half_square(c: Character, sign: int) -> Character:
-    """Half of c(t)^2 + sign * c(t^2), exactly: an int on a character."""
-    square = character_product(c, c)
-    doubled = _doubled(c)
-    out: Character = {}
-    for key in set(square) | set(doubled):
-        s = exact(Fraction(square.get(key, 0) + sign * doubled.get(key, 0), 2))
-        if s:
-            out[key] = s
-    return out
-
-
-def symmetric_square_character(c: Character) -> Character:
-    return _half_square(c, 1)
-
-
-def skew_square_character(c: Character) -> Character:
-    return _half_square(c, -1)
+# -- the weight-difference rule ---------------------------------------------------
 
 
 def decompose_slice(row: Mapping[int, int | Fraction], base: int,
@@ -439,14 +387,6 @@ def _packed_slices(*tables: Mapping[Exponents, int | Fraction]):
     return base, packed
 
 
-def decompose_character(character: Mapping[tuple[int, int], int | Fraction]
-                        ) -> dict[tuple[int, int], int]:
-    """Multiplicities {(k, l): m} of S_{(k+l,l)} in {(a, b): c}, a, b >= 0 (`decompose_slice`)."""
-    base = 2 + max(map(max, character), default=0)
-    found = decompose_slice({a * base + b: c for (a, b), c in character.items()}, base)
-    return {(x - y, y): m for top, m in found.items() for x, y in [divmod(top, base)]}
-
-
 # -- multiplicity tables ----------------------------------------------------------
 
 
@@ -463,16 +403,6 @@ class MultiplicityTable:
     def invariant_dimension(self, n: int) -> int:
         return sum(m for (deg, k, _), m in self.entries.items() if deg == n and k == 0)
 
-    def multiplicity_series(self) -> TruncatedSeries:
-        """The series sum m_n(k,l) t1^(k+l) t2^l z^n."""
-        coeffs = {(k + l, l, n): m for (n, k, l), m in self.entries.items()}
-        return TruncatedSeries(("t1", "t2", "z"), self.truncation, coeffs, graded=("z",))
-
-    def multiplicity_series_tu(self) -> TruncatedSeries:
-        """The same data in the variables t, u: sum m_n(k,l) t^k u^l z^n."""
-        coeffs = {(k, l, n): m for (n, k, l), m in self.entries.items()}
-        return TruncatedSeries(("t", "u", "z"), self.truncation, coeffs, graded=("z",))
-
 
 def extract_multiplicities(hgl: TruncatedSeries) -> MultiplicityTable:
     """Decompose every degree slice of a weight-substituted Hilbert series."""
@@ -484,16 +414,6 @@ def extract_multiplicities(hgl: TruncatedSeries) -> MultiplicityTable:
         for top, m in decompose_slice(row, base, n).items() for x, y in [divmod(top, base)]})
 
 
-def invariant_hilbert(table: MultiplicityTable) -> TruncatedSeries:
-    """Series of invariant dimensions: coefficient of z^n is sum_l m_n(0, l)."""
-    coeffs = {}
-    for n in range(table.truncation + 1):
-        dim = table.invariant_dimension(n)
-        if dim:
-            coeffs[(n,)] = dim
-    return TruncatedSeries(("z",), table.truncation, coeffs)
-
-
 def verify_symmetrization(candidate: TruncatedSeries, hgl: TruncatedSeries) -> bool:
     """Check hgl == (t1*f(t1,t2,z) - t2*f(t2,t1,z)) / (t1 - t2) for the
     multiplicity series f, slice by slice (`symmetrizes_to`)."""
@@ -503,15 +423,6 @@ def verify_symmetrization(candidate: TruncatedSeries, hgl: TruncatedSeries) -> b
         raise TruncationMismatch("truncations differ")
     base, (found, rows) = _packed_slices(candidate.coefficients, hgl.coefficients)
     return all(symmetrizes_to(m, row, base) for m, row in zip(found, rows))
-
-
-def _divide_by_t1_minus_t2(numerator: dict[Exponents, int | Fraction]):
-    """Exact division of a (t1, t2, z) table by (t1 - t2), slice by slice
-    (`_divide_slice`); None if impossible."""
-    base, [slices] = _packed_slices(numerator)
-    parts = [_divide_slice(row, base) for row in slices]
-    return None if None in parts else {(*divmod(key, base), n): c for n, part in enumerate(parts)
-                                       for key, c in part.items()}
 
 
 # -- rational function expansion -----------------------------------------------
@@ -556,8 +467,7 @@ def expand_rational(numerator: Poly, denominator_factors: Sequence[Poly],
 def parse_rational_function(text: str) -> tuple[Poly, list[Poly]]:
     """Parse `z^2 / (1-z^2)(1-z^3)^2` style input into numerator and factors."""
     stream = TokenStream(tokenize(text))
-    parser = _PolyParser(stream)
-    numerator = parser.parse_expression()
+    numerator = _PolyParser(stream).parse_expression()
     factors: list[Poly] = []
     if stream.accept_op("/"):
         while True:
@@ -566,13 +476,8 @@ def parse_rational_function(text: str) -> tuple[Poly, list[Poly]]:
                 stream.next()
                 factor = _PolyParser(stream).parse_expression()
                 stream.expect_op(")")
-                power = 1
-                if stream.accept_op("^"):
-                    kind2, tok2, pos2 = stream.next()
-                    if kind2 != "num":
-                        raise ParseError(f"expected integer exponent at position {pos2}")
-                    power = int(tok2)
-                factors.extend([factor] * power)
+                power = stream.accept_exponent()
+                factors.extend([factor] * (power[0] if power else 1))
             elif kind == "op" and tok == "*":
                 stream.next()
                 continue
@@ -586,8 +491,6 @@ def parse_rational_function(text: str) -> tuple[Poly, list[Poly]]:
             if kind == "end":
                 break
     else:
-        kind, tok, pos = stream.peek()
-        if kind != "end":
-            raise ParseError(f"trailing input {tok!r} at position {pos}")
+        stream.expect_end()
     return numerator, factors
 

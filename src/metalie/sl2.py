@@ -15,13 +15,13 @@ each block are the raising and lowering derivations
 
     delta1(xi_l) = l * xi_{l-1},    delta2(xi_l) = (k-l) * xi_{l+1}.
 
-`derivations` builds these from the closed form, and `check` and `witness`
-decide invariance with them at a cost linear in the element.
+`derivations` builds these from the closed form, and `check`, `witness` and
+`verify_catalog` decide invariance with them at a cost linear in the element.
 `invariant_dimension` counts the invariants of one degree with delta1 alone:
 they are the weight-(p, p) vectors that delta1 kills.  Substitution by g1 and
 g2 (`is_invariant`) and the exact matrix logarithm (`log_unipotent`) remain as
 independent checks of that path: `witness` substitutes into the first member
-of a family only, and `verify_catalog` checks every generator both ways.
+of a family, and the tests check every catalog generator both ways.
 """
 
 from __future__ import annotations

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import hypothesis.strategies as st
 
+from helpers import monomial_element
 from metalie.metabelian import LieContext
 from metalie.poly import Poly, encode
 from metalie.sl2 import ModuleSpec
@@ -48,7 +49,7 @@ def envelope_basis_elements(draw, dim=3, max_y_degree=3):
     ctx = LieContext(dim)
     exps = [draw(st.integers(0, max_y_degree)) for _ in range(dim)]
     a_index = draw(st.one_of(st.none(), st.integers(1, dim)))
-    return ctx.monomial_element(a_index, exps)
+    return monomial_element(ctx, a_index, exps)
 
 
 @st.composite

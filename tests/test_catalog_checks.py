@@ -9,13 +9,14 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
-from metalie import invariants, linalg
+from metalie import invariants, linalg, sl2
 from metalie.invariants import _ring_monomial_table, _to_y, load_catalog, verify_catalog
 from metalie.metabelian import (Bracket, CommutatorWord, ContextMismatch, Gen, LieContext,
                                 NotInCommutatorIdeal, parse_lie_expr)
-from metalie.series import (NotACharacter, decompose_character, decompose_slice,
-                            symmetrizes_to, weight_character, weight_packing, weight_slices)
+from metalie.series import (NotACharacter, decompose_slice, symmetrizes_to, weight_character,
+                            weight_packing, weight_slices)
 from metalie.sl2 import ModuleSpec, derivations, g1_matrix, g2_matrix
+from helpers import decompose_character, slices_by
 from oracles import (bracket_chain, schur_function, tuple_decompose_character,
                      tuple_symmetrizes)
 
@@ -44,6 +45,14 @@ class TestCorruptedCatalog:
         texts = ("[x4,x1]",) + CATALOG["iii"].module_generator_texts[1:]
         case = dataclasses.replace(CATALOG["iii"], module_generator_texts=texts)
         assert "module-generators-invariant" in failures(case)
+
+    def test_invariance_is_decided_without_substitution(self, monkeypatch):
+        def refuse(self, obj):
+            raise AssertionError("substitution by g1 or g2 on the catalog path")
+
+        monkeypatch.setattr(sl2.LinearAction, "act", refuse)
+        for case in CATALOG.values():
+            assert failures(case) == set(), case.case_id
 
     def test_perturbed_relation(self):
         texts = (CATALOG["vi"].relation_texts[0] + " + v1*f1^2",)
@@ -132,7 +141,7 @@ class TestPackedAgainstTuples:
         spec = CATALOG[case_id].spec
         base, weights = weight_packing(spec, 16)
         character = weight_character(spec, 16, space)
-        by_degree = character.slices_by("z")
+        by_degree = slices_by(character, "z")
         multiplicities = {}
         for n, row in enumerate(weight_slices(weights, 16, space)):
             found = decompose_slice(row, base, n)
@@ -197,7 +206,7 @@ class TestSpanRows:
         for n, rows in enumerate(calls[:13]):
             assert rows == [_to_y(p, ctx).terms for p in products[n]], n
         for n, rows in enumerate(calls[13:], start=2):
-            assert rows == [v.ad_action(p).coordinates() for v in gens
+            assert rows == [v.ad_action(p).poly.terms for v in gens
                             if v.total_degree() <= n for p in products[n - v.total_degree()]], n
 
 
