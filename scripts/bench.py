@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Layer microbenchmarks and end-to-end timings, written to BENCH_11.json.
+"""Layer microbenchmarks and end-to-end timings, written to BENCH_12.json.
 
     python3 scripts/bench.py [--src DIR] [--column NAME[=DIR] ...] [--out FILE] [--tiny]
 
@@ -27,6 +27,7 @@ import argparse
 import contextlib
 import io
 import json
+import os
 import platform
 import random
 import statistics
@@ -62,8 +63,10 @@ def random_poly(rng, terms: int, variables: int, top: int):
 
 def layer_entries(tiny: bool):
     """(name, what, thunk, sizes) for the Poly and envelope layers."""
-    from metalie.invariants import discriminant, infinite_family_witness
-    from metalie.metabelian import LieContext, from_commutator_basis, to_commutator_basis
+    from metalie.invariants import discriminant, infinite_family_witness, load_catalog
+    from metalie.metabelian import (LieContext, from_commutator_basis, parse_lie_expr,
+                                    to_commutator_basis)
+    from metalie.poly import tokenize
     from metalie.sl2 import ModuleSpec, g1_matrix, invariant_dimension
 
     rng = random.Random(6)
@@ -105,6 +108,15 @@ def layer_entries(tiny: bool):
            lambda: f1.bracket(f2),
            {"terms_a": len(f1.poly.terms), "terms_b": len(f2.poly.terms),
             "terms_out": len(bracket.poly.terms), "max_exponent": max_exponent(bracket.poly)})
+
+    cases = [(text, case.context()) for case in load_catalog().values()
+             for text in case.module_generator_texts]
+    values = [parse_lie_expr(text).evaluate(ctx) for text, ctx in cases]
+    yield ("metabelian.parse_lie_expr", f"the {len(cases)} catalog module generators parsed "
+                                        "and evaluated, each in its case's rank",
+           lambda: [parse_lie_expr(text).evaluate(ctx) for text, ctx in cases],
+           {"texts": len(cases), "tokens": sum(len(tokenize(text)) for text, _ in cases),
+            "terms_out": sum(len(v.poly.terms) for v in values)})
 
     expansion = to_commutator_basis(u)
     yield ("metabelian.to_commutator_basis", "expansion of that V3 witness in the word basis",
@@ -183,6 +195,7 @@ def catalog_entries(tiny: bool):
 
 def cli_entries(tiny: bool):
     """(name, what, thunk, sizes) for whole `metalie` commands."""
+    import metalie
     from metalie.cli import main
 
     def command(*argv):
@@ -212,6 +225,16 @@ def cli_entries(tiny: bool):
                 else "every catalog case") + ", span checks to the same degree"
         yield (" ".join(catalog[:-1]), what, command(*catalog),
                {"cases": len(reports), "rows_ranked": rows_ranked})
+
+    package = Path(metalie.__file__).parent
+    setup = [sys.executable, "-c", "import metalie.cli; from metalie.invariants import "
+                                   "load_catalog; load_catalog()"]
+    env = {**os.environ, "PYTHONPATH": str(package.parent)}
+    yield ("setup.import", "a fresh interpreter importing the CLI and loading the catalog, "
+                           "as the benchmark's setup_s does; interpreter start included",
+           lambda: subprocess.run(setup, env=env, check=True),
+           {"source_lines": sum(len(path.read_text().splitlines())
+                                for path in package.glob("*.py"))})
 
 
 GROUPS = ((layer_entries, 7), (catalog_entries, 7), (cli_entries, 3))
@@ -313,7 +336,7 @@ def main() -> int:
                         help="directory holding the metalie package of a bare column name")
     parser.add_argument("--column", action="append",
                         help="NAME or NAME=DIR; repeat to alternate columns (default change)")
-    parser.add_argument("--out", default=str(ROOT / "BENCH_11.json"))
+    parser.add_argument("--out", default=str(ROOT / "BENCH_12.json"))
     parser.add_argument("--tiny", action="store_true", help="small sizes, for a smoke test")
     parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args()

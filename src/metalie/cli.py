@@ -34,7 +34,7 @@ from .metabelian import (
     parse_lie_expr,
     to_commutator_basis,
 )
-from .poly import ParseError, Poly, tokenize, var_key
+from .poly import ParseError, Poly
 from .series import NotACharacter, TruncationMismatch, invariant_dimension_series
 from .sl2 import ModuleSpec, failing_derivation_image, is_invariant, is_invariant_by_derivations
 
@@ -292,10 +292,8 @@ def cmd_normalize(args) -> int:
     if isinstance(expr, Poly):
         print(str(expr))
         return 0
-    rank = max((var_key(tok)[1] for kind, tok, _ in tokenize(args.expression)
-                if kind == "name" and var_key(tok)[0] == "x"), default=1)
-    _check_rank(rank)
-    print(lie_normal_form(expr.evaluate(LieContext(rank))))
+    _check_rank(expr.rank)
+    print(lie_normal_form(expr.evaluate(LieContext(expr.rank))))
     return 0
 
 

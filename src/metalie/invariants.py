@@ -29,8 +29,8 @@ from .metabelian import (
     WreathElement,
     parse_lie_expr,
 )
-from .poly import (Poly, encode, fields, jacobian_minor, mono_exponent, mono_str, slot,
-                   slot_key, slot_name, var_key)
+from .poly import (Poly, encode, fields, jacobian_minor, mono_exponent, mono_str, signed_sum,
+                   slot, slot_key, slot_name, var_key)
 from .series import (
     TruncatedSeries,
     decompose_slice,
@@ -120,15 +120,10 @@ def w_poly(m: int) -> Poly:
 def w_lie(m: int) -> LieExpr:
     """Degree-two commutator invariant of the odd block of degree 2m+1:
     2 sum_{i<=m+1} C(2m+1, i-1) (-1)^(i-1) [x_i, x_{2m+3-i}]."""
-    from .metabelian import Bracket, Gen, Scale, Sum
-
     if m < 0:
         raise ValueError("need m >= 0")
-    pieces = []
-    for i in range(1, m + 2):
-        c = 2 * comb(2 * m + 1, i - 1) * (-1) ** (i - 1)
-        pieces.append(Scale(c, Bracket((Gen(i), Gen(2 * m + 3 - i)))))
-    return pieces[0] if len(pieces) == 1 else Sum(tuple(pieces))
+    return parse_lie_expr(signed_sum((2 * comb(2 * m + 1, i - 1) * (-1) ** (i - 1),
+                                      f"[x{i},x{2 * m + 3 - i}]") for i in range(1, m + 2)))
 
 
 # -- discriminants via resultants -------------------------------------------------
@@ -257,9 +252,6 @@ class ExtensionBasis:
     max_degree: int
     from_lie: tuple[WreathElement, ...]
     from_ring: tuple[WreathElement, ...]
-
-    def elements(self) -> list[WreathElement]:
-        return list(self.from_lie) + list(self.from_ring)
 
 
 def extend_by_trivial_variable(lie_basis: Sequence[WreathElement],

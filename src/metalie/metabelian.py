@@ -16,14 +16,16 @@ a_{j1} Y^q has j1 above the smallest index of q, and no other basis word has
 such a term, so the expansion of an ideal element is read off its monomials:
 each term c a_i Y^q with i > min(q) contributes c [x_i, x_{q1}, ..., x_{qm}]
 (q1 <= ... <= qm), and no other term contributes.  Everything here is exact
-and immutable; all operations are pure functions.
+and immutable; all operations are pure functions.  A Lie expression is parsed
+into the function that builds its element from a `LieContext`, not into a tree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from functools import reduce
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .poly import (
     Monomial,
@@ -38,7 +40,6 @@ from .poly import (
     fields,
     letter_mask,
     mono_degree,
-    parse_quotient,
     signed_sum,
     slot_key,
     slot_name,
@@ -406,142 +407,98 @@ def lie_normal_form(u: WreathElement) -> str:
 
 
 class LieExpr:
-    """Abstract syntax for Lie expressions over the generators x_j.
+    """A parsed Lie expression over the generators x_j.
 
-    `Gen(j)` is a generator, `Bracket(items)` a left-normed bracket,
-    `Ad(arg, p)` the module action arg * p(ad x), plus sums and scalar
-    multiples.  `evaluate` maps an expression into the wreath envelope.
+    The parser returns, for every sub-expression, the function that builds
+    it in the wreath envelope from a `LieContext`; `evaluate` calls the one
+    of the whole text, so nothing is evaluated before it and every parse
+    error comes before any evaluation error.  `rank` is the largest k of an
+    x<k> in the text, multipliers included.
     """
 
-    def evaluate(self, ctx: LieContext) -> WreathElement:
-        raise NotImplementedError
+    __slots__ = ("build", "rank")
 
-    def __add__(self, other: "LieExpr") -> "LieExpr":
-        return Sum((self, other))
-
-    def __str__(self) -> str:
-        raise NotImplementedError
-
-
-@dataclass(frozen=True)
-class Gen(LieExpr):
-    index: int
-
-    def bound_index(self, ctx: LieContext) -> int:
-        if not 1 <= self.index <= ctx.dim:
-            raise ContextMismatch(f"generator x{self.index} unbound in rank {ctx.dim}")
-        return self.index
+    def __init__(self, build: Callable[[LieContext], WreathElement], rank: int):
+        self.build = build
+        self.rank = rank
 
     def evaluate(self, ctx: LieContext) -> WreathElement:
-        return ctx.generator(self.bound_index(ctx))
-
-    def __str__(self):
-        return f"x{self.index}"
+        return self.build(ctx)
 
 
-@dataclass(frozen=True)
-class Bracket(LieExpr):
-    items: tuple[LieExpr, ...]
-
-    def __post_init__(self):
-        if len(self.items) < 2:
-            raise ValueError("bracket needs at least two arguments")
-
-    def evaluate(self, ctx: LieContext) -> WreathElement:
-        if all(type(item) is Gen for item in self.items):    # a word, in closed form
-            return CommutatorWord(tuple(i.bound_index(ctx) for i in self.items)).to_wreath(ctx)
-        acc = self.items[0].evaluate(ctx)
-        for item in self.items[1:]:
-            acc = acc.bracket(item.evaluate(ctx))
-        return acc
-
-    def __str__(self):
-        return "[" + ",".join(str(i) for i in self.items) + "]"
+# A parsed sub-expression: a bare generator is its index, so that a bracket of
+# generators is one closed-form word; anything else is its builder.
+_Node = int | Callable[[LieContext], WreathElement]
 
 
-@dataclass(frozen=True)
-class Scale(LieExpr):
-    coeff: int | Fraction
-    arg: LieExpr
-
-    def evaluate(self, ctx: LieContext) -> WreathElement:
-        return self.coeff * self.arg.evaluate(ctx)
-
-    def __str__(self):
-        return f"{self.coeff}*{self.arg}"
+def _bound(j: int, ctx: LieContext) -> int:
+    if j > ctx.dim:
+        raise ContextMismatch(f"generator x{j} unbound in rank {ctx.dim}")
+    return j
 
 
-@dataclass(frozen=True)
-class Sum(LieExpr):
-    items: tuple[LieExpr, ...]
-
-    def evaluate(self, ctx: LieContext) -> WreathElement:
-        acc = ctx.zero()
-        for item in self.items:
-            acc = acc + item.evaluate(ctx)
-        return acc
-
-    def __str__(self):
-        return " + ".join(str(i) for i in self.items)
+def _builder(node: _Node) -> Callable[[LieContext], WreathElement]:
+    if type(node) is int:
+        return lambda ctx: ctx.generator(_bound(node, ctx))
+    return node
 
 
-@dataclass(frozen=True, eq=False)
-class Ad(LieExpr):
-    arg: LieExpr
-    multiplier: Poly
+def _bracket(items: list[_Node]) -> _Node:
+    """The left-normed bracket of the items, evaluated left to right."""
+    if all(type(item) is int for item in items):
+        return lambda ctx: CommutatorWord(tuple(_bound(j, ctx) for j in items)).to_wreath(ctx)
+    builders = [_builder(item) for item in items]
+    return lambda ctx: reduce(WreathElement.bracket, (build(ctx) for build in builders))
 
-    def evaluate(self, ctx: LieContext) -> WreathElement:
-        return self.arg.evaluate(ctx).ad_action(self.multiplier)
 
-    def __str__(self):
-        return f"{self.arg}.({self.multiplier})"
+def _act(node: _Node, multiplier: Poly) -> _Node:
+    arg = _builder(node)
+    return lambda ctx: arg(ctx).ad_action(multiplier)
+
+
+def _scale(coeff: int | Fraction, node: _Node) -> _Node:
+    arg = _builder(node)
+    return lambda ctx: coeff * arg(ctx)
 
 
 def parse_lie_expr(text: str) -> LieExpr:
-    stream = TokenStream(tokenize(text))
-    expr = _parse_lie_sum(stream)
+    """Parse `2*[x3,x1] - [x2,x1].(x3^2)` style text; evaluation waits for
+    `LieExpr.evaluate`."""
+    tokens = tokenize(text)
+    stream = TokenStream(tokens)
+    node = _parse_lie_sum(stream)
     stream.expect_end()
-    return expr
+    keys = [var_key(tok) for kind, tok, _ in tokens if kind == "name"]
+    return LieExpr(_builder(node), max(index for letter, index in keys if letter == "x"))
 
 
-def _parse_lie_sum(stream: TokenStream) -> LieExpr:
-    terms = []
+def _parse_lie_sum(stream: TokenStream) -> _Node:
     sign = -1 if stream.accept_op("-") else 1
-    terms.append(_parse_lie_term(stream, sign))
-    while True:
-        op = stream.accept_op("+", "-")
-        if op is None:
-            break
+    terms = [_parse_lie_term(stream, sign)]
+    while op := stream.accept_op("+", "-"):
         terms.append(_parse_lie_term(stream, 1 if op == "+" else -1))
-    return terms[0] if len(terms) == 1 else Sum(tuple(terms))
+    if len(terms) == 1:
+        return terms[0]
+    builders = [_builder(term) for term in terms]
+    return lambda ctx: sum((build(ctx) for build in builders), ctx.zero())
 
 
-def _parse_lie_term(stream: TokenStream, sign: int) -> LieExpr:
-    coeff = sign
-    kind, tok, _ = stream.peek()
-    if kind == "num":
-        stream.next()
-        coeff *= int(tok)
-        save = stream.pos
-        if stream.accept_op("/"):
-            kind2, tok2, pos2 = stream.peek()
-            if kind2 == "num":
-                stream.next()
-                coeff = parse_quotient(coeff, int(tok2), pos2)
-            else:
-                stream.pos = save
+def _parse_lie_term(stream: TokenStream, sign: int) -> _Node:
+    scalar = stream.accept_scalar()
+    if scalar is not None:
         stream.accept_op("*")
-    base = _parse_lie_factor(stream)
+    node = _parse_lie_factor(stream)
     multiplier = None
     while stream.accept_op(".", "*"):
-        factor = _parse_poly_factor(stream)
+        factor = _PolyParser(stream).parse_factor()
         multiplier = factor if multiplier is None else multiplier * factor
     if multiplier is not None:
-        base = Ad(base, multiplier)
-    return base if coeff == 1 else Scale(coeff, base)
+        node = _act(node, multiplier)
+    coeff = sign if scalar is None else sign * scalar
+    return node if coeff == 1 else _scale(coeff, node)
 
 
-def _parse_lie_factor(stream: TokenStream) -> LieExpr:
+def _parse_lie_factor(stream: TokenStream) -> _Node:
     kind, tok, pos = stream.peek()
     if kind == "op" and tok == "[":
         stream.next()
@@ -551,7 +508,7 @@ def _parse_lie_factor(stream: TokenStream) -> LieExpr:
         stream.expect_op("]")
         if len(items) < 2:
             raise ParseError(f"bracket at position {pos} needs at least two entries")
-        return Bracket(tuple(items))
+        return _bracket(items)
     if kind == "op" and tok == "(":
         stream.next()
         inner = _parse_lie_sum(stream)
@@ -562,10 +519,5 @@ def _parse_lie_factor(stream: TokenStream) -> LieExpr:
         if letter != "x" or index < 1:
             raise ParseError(f"expected a generator x<k> at position {pos}, found {tok!r}")
         stream.next()
-        return Gen(index)
+        return index
     raise ParseError(f"unexpected {describe_token(kind, tok)} at position {pos}")
-
-
-def _parse_poly_factor(stream: TokenStream) -> Poly:
-    parser = _PolyParser(stream)
-    return parser.parse_factor()

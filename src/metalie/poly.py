@@ -567,13 +567,6 @@ def describe_token(kind: str, text: str) -> str:
     return text if kind == "end" else f"token {text!r}"
 
 
-def parse_quotient(numerator: int, denominator: int, pos: int) -> int | Fraction:
-    """The scalar of a parsed `a/b`; a zero denominator is a parse error."""
-    if not denominator:
-        raise ParseError(f"division by zero at position {pos}")
-    return exact(Fraction(numerator, denominator))
-
-
 def _check_term_pairs(pairs: int, what: str, pos: int) -> None:
     if pairs > MAX_TERM_PAIRS:
         raise ParseError(f"{what} at position {pos} needs up to {pairs} term pairs, "
@@ -621,6 +614,26 @@ class TokenStream:
             raise ParseError(f"exponent {text} at position {pos} over the budget "
                              f"of {MAX_EXPONENT}")
         return n, pos
+
+    def accept_scalar(self) -> int | Fraction | None:
+        """The scalar of a leading `a` or `a/b`, None when no number comes
+        next; a `/` not followed by a number stays in the stream, and a zero
+        denominator is a parse error."""
+        kind, text, _ = self.peek()
+        if kind != "num":
+            return None
+        self.pos += 1
+        save = self.pos
+        if self.accept_op("/"):
+            kind, denominator, pos = self.peek()
+            if kind == "num":
+                self.pos += 1
+                numerator, denominator = int(text), int(denominator)
+                if not denominator:
+                    raise ParseError(f"division by zero at position {pos}")
+                return exact(Fraction(numerator, denominator))
+            self.pos = save
+        return int(text)
 
     def expect_end(self):
         kind, text, pos = self.peek()
@@ -672,18 +685,10 @@ class _PolyParser:
         return base ** n
 
     def parse_atom(self) -> Poly:
+        scalar = self.stream.accept_scalar()
+        if scalar is not None:
+            return Poly.const(scalar)
         kind, text, pos = self.stream.peek()
-        if kind == "num":
-            self.stream.next()
-            numerator = int(text)
-            save = self.stream.pos
-            if self.stream.accept_op("/"):
-                kind2, text2, pos2 = self.stream.peek()
-                if kind2 == "num":
-                    self.stream.next()
-                    return Poly.const(parse_quotient(numerator, int(text2), pos2))
-                self.stream.pos = save
-            return Poly.const(numerator)
         if kind == "name":
             self.stream.next()
             return Poly.variable(text)

@@ -11,8 +11,8 @@ from hypothesis import given
 
 from metalie import invariants, linalg, sl2
 from metalie.invariants import _ring_monomial_table, _to_y, load_catalog, verify_catalog
-from metalie.metabelian import (Bracket, CommutatorWord, ContextMismatch, Gen, LieContext,
-                                NotInCommutatorIdeal, parse_lie_expr)
+from metalie.metabelian import (CommutatorWord, ContextMismatch, LieContext, NotInCommutatorIdeal,
+                                parse_lie_expr)
 from metalie.series import (NotACharacter, decompose_slice, symmetrizes_to, weight_character,
                             weight_packing, weight_slices)
 from metalie.sl2 import ModuleSpec, derivations, g1_matrix, g2_matrix
@@ -218,7 +218,7 @@ class TestClosedFormBrackets:
         ctx = LieContext(3)
         for length in (2, 3, 4):
             for indices in product(range(1, 4), repeat=length):
-                value = Bracket(tuple(Gen(j) for j in indices)).evaluate(ctx)
+                value = parse_lie_expr(str(CommutatorWord(indices))).evaluate(ctx)
                 assert value == bracket_chain(CommutatorWord(indices), ctx), indices
 
     def test_an_index_above_the_rank_is_unbound(self):

@@ -182,7 +182,7 @@ class TestExtension:
         series = invariant_dimension_series(spec, bound, "module")
         dims = [int(c) for c in series.univariate_coefficients()]
         by_degree = {}
-        for u in basis.elements():
+        for u in basis.from_lie + basis.from_ring:
             by_degree.setdefault(u.total_degree(), []).append(u)
         for n in range(2, bound + 1):
             family = by_degree.get(n, [])

@@ -1,7 +1,8 @@
 """Every function in `src/metalie` has a use outside the tests.
 
 The guard walks the AST of the package and lists each top-level function and
-each non-dunder method of a top-level class.  A name counts as used when
+each non-dunder method of a top-level class.  A top-level function counts as
+used when
 
   - it appears as an identifier (a name or an attribute) in `src/` outside
     its own definition; the imports do not count, so an import alone keeps
@@ -9,9 +10,17 @@ each non-dunder method of a top-level class.  A name counts as used when
   - it appears as an identifier, an imported name or a dotted-string part in
     `bench/*.py` or `scripts/*.py`, whose tracer boundaries and layer
     timings name functions by string;
-  - it is in `metalie.__all__`;
-  - or it is one of the public accessors in `ACCESSORS`.
+  - it is in `metalie.__all__`.
 
+A method is matched by its class, not by its bare name, which other
+definitions may share: it counts as used when
+
+  - `.name` is accessed as an attribute in `src/`, `bench/*.py` or
+    `scripts/*.py` outside its own definition;
+  - or a string in those files names it with its class, as in
+    `"LinearAction.act"`.
+
+Either counts as used when it is one of the public accessors in `ACCESSORS`.
 Code that only tests call belongs in `tests/`, next to the tests.
 """
 
@@ -27,45 +36,52 @@ ACCESSORS = {
     "Poly.coefficient": "the coefficient of one monomial, the read side of Poly.monomial",
     "TruncatedSeries.coefficient": "the coefficient of one exponent vector of a series",
     "MultiplicityTable.multiplicity": "m_n(k, l) of one cell, the table's documented reading",
+    "MultiplicityTable.invariant_dimension": "the invariant dimension of one degree, the "
+                                             "per-degree reading that replaced invariant_hilbert",
 }
 
 _DOTTED = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*(\.[A-Za-z_][A-Za-z0-9_]*)*$")
 
 
 def definitions(tree):
-    """(qualified name, bare name, node) of the top-level functions and the
-    non-dunder methods of the top-level classes of a module."""
+    """(qualified name, bare name, is a method, node) of the top-level
+    functions and the non-dunder methods of the top-level classes of a module."""
     for node in tree.body:
         if isinstance(node, ast.FunctionDef):
-            yield node.name, node.name, node
+            yield node.name, node.name, False, node
         elif isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, ast.FunctionDef) and not (item.name.startswith("__")
                                                               and item.name.endswith("__")):
-                    yield f"{node.name}.{item.name}", item.name, item
+                    yield f"{node.name}.{item.name}", item.name, True, item
 
 
 def identifiers(tree):
-    """(name, line) of every name and attribute in a module."""
+    """(name, line, is an attribute) of every name and attribute in a module."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            yield node.id, node.lineno
+            yield node.id, node.lineno, False
         elif isinstance(node, ast.Attribute):
-            yield node.attr, node.lineno
+            yield node.attr, node.lineno, True
 
 
-def outside_names(paths):
-    """Identifiers, imported names and dotted-string parts of the given files."""
+def dotted_strings(tree):
+    """The parts of every dotted-name string constant in a module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and _DOTTED.match(node.value):
+            yield node.value.split(".")
+
+
+def outside_names(trees):
+    """Identifiers, imported names and dotted-string parts of the given modules."""
     names = set()
-    for path in paths:
-        tree = ast.parse(path.read_text(), str(path))
-        names.update(name for name, _ in identifiers(tree))
+    for tree in trees:
+        names.update(name for name, _, _ in identifiers(tree))
+        names.update(part for parts in dotted_strings(tree) for part in parts)
         for node in ast.walk(tree):
             if isinstance(node, (ast.Import, ast.ImportFrom)):
                 names.update(part for alias in node.names for part in alias.name.split("."))
-            elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
-                    and _DOTTED.match(node.value):
-                names.update(node.value.split("."))
     return names
 
 
@@ -80,17 +96,23 @@ def exported_names():
 
 def unused_definitions():
     modules = {path: ast.parse(path.read_text(), str(path)) for path in PACKAGE.glob("*.py")}
+    outside = [ast.parse(path.read_text(), str(path))
+               for path in [*ROOT.glob("bench/*.py"), *ROOT.glob("scripts/*.py")]]
     uses = {path: list(identifiers(tree)) for path, tree in modules.items()}
-    kept = outside_names([*ROOT.glob("bench/*.py"), *ROOT.glob("scripts/*.py")])
-    kept |= exported_names()
+    kept = outside_names(outside) | exported_names()
+    attributes = {name for tree in outside for name, _, attribute in identifiers(tree)
+                  if attribute}
+    qualified_strings = {f"{a}.{b}" for tree in [*modules.values(), *outside]
+                         for parts in dotted_strings(tree) for a, b in zip(parts, parts[1:])}
     unused = []
     for path, tree in modules.items():
-        for qualified, name, node in definitions(tree):
-            if name in kept or qualified in ACCESSORS:
+        for qualified, name, method, node in definitions(tree):
+            if qualified in ACCESSORS or (qualified in qualified_strings or name in attributes
+                                          if method else name in kept):
                 continue
-            if any(used == name and (other != path
-                                     or not node.lineno <= line <= node.end_lineno)
-                   for other, found in uses.items() for used, line in found):
+            if any(used == name and (attribute or not method)
+                   and (other != path or not node.lineno <= line <= node.end_lineno)
+                   for other, found in uses.items() for used, line, attribute in found):
                 continue
             unused.append(f"{path.name}: {qualified}")
     return sorted(unused)

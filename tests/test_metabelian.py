@@ -1,10 +1,13 @@
 """Wreath envelope arithmetic, the Poisson axioms, and the word basis."""
 
+import operator
 import random
 import re
 from fractions import Fraction
+from functools import reduce
 from itertools import islice, product
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
@@ -334,6 +337,58 @@ class TestWordBasis:
             "[x3,x1,x4] - 2[x4,x1,x3] + 2[x4,x2,x2]"
 
 
+# Random Lie expressions as structures: ("gen", j), ("bracket", items),
+# ("sum", items), ("scale", c, item) and ("act", item, p) for item * p(ad x).
+# The module action mostly acts on brackets, which lie in the commutator ideal.
+def _extend(children):
+    brackets = st.lists(children, min_size=2, max_size=3).map(lambda items: ("bracket",
+                                                                             tuple(items)))
+    return st.one_of(
+        brackets,
+        st.lists(children, min_size=2, max_size=3).map(lambda items: ("sum", tuple(items))),
+        st.tuples(st.just("scale"), strat.rationals, children),
+        st.tuples(st.just("act"), brackets | children,
+                  strat.polys(("x1", "x2", "x3", "x4"), max_degree=2, max_terms=2)))
+
+
+lie_structures = st.recursive(st.integers(1, 4).map(lambda j: ("gen", j)), _extend,
+                              max_leaves=6)
+
+
+def render(node):
+    kind = node[0]
+    if kind == "gen":
+        return f"x{node[1]}"
+    if kind == "bracket":
+        return "[" + ",".join(map(render, node[1])) + "]"
+    if kind == "sum":
+        return " + ".join(f"({render(item)})" for item in node[1])
+    if kind == "scale":
+        return f"{node[1]}*({render(node[2])})"
+    return f"({render(node[1])}).({node[2]})"
+
+
+def build(node, ctx):
+    """The element of a structure, from the envelope operations alone."""
+    kind = node[0]
+    if kind == "gen":
+        return ctx.generator(node[1])
+    if kind == "bracket":
+        return reduce(WreathElement.bracket, (build(item, ctx) for item in node[1]))
+    if kind == "sum":
+        return reduce(operator.add, (build(item, ctx) for item in node[1]))
+    if kind == "scale":
+        return node[1] * build(node[2], ctx)
+    return build(node[1], ctx).ad_action(node[2])
+
+
+def outcome(evaluate):
+    try:
+        return evaluate()
+    except NotInCommutatorIdeal as exc:
+        return repr(exc)
+
+
 class TestLieExpressions:
     def test_eval_bracket(self):
         ctx = LieContext(2)
@@ -390,6 +445,41 @@ class TestLieExpressions:
         text = lie_normal_form(u)
         assert wreath(ctx, text) == u
         assert lie_normal_form(wreath(ctx, text)) == text
+
+    def test_parsing_evaluates_nothing(self):
+        module_action = parse_lie_expr("x1.(x2)")
+        with pytest.raises(NotInCommutatorIdeal):
+            module_action.evaluate(LieContext(2))
+        unbound = parse_lie_expr("[x5,x1]")
+        with pytest.raises(ContextMismatch, match="generator x5 unbound in rank 4"):
+            unbound.evaluate(LieContext(4))
+
+    def test_syntax_errors_come_before_evaluation_errors(self):
+        with pytest.raises(ParseError, match="bracket at position 10 needs at least two"):
+            parse_lie_expr("x1.(x2) + [x1]")
+
+    @pytest.mark.parametrize("text, dim, message", [
+        ("[x2,x1].x7", 5, "variable x7 is not one of x1..x5"),
+        ("[x5,x6]", 4, "generator x5 unbound in rank 4"),
+    ])
+    def test_evaluation_errors_name_the_first_culprit(self, text, dim, message):
+        with pytest.raises(ContextMismatch, match=re.escape(message)):
+            parse_lie_expr(text).evaluate(LieContext(dim))
+
+    @pytest.mark.parametrize("text, rank", [
+        ("[x2,x1]", 2), ("[x2,x1].(x7^2 - x0)", 7), ("3/2*x4 - [x3,x1]*x2", 4)])
+    def test_rank_counts_multipliers(self, text, rank):
+        assert parse_lie_expr(text).rank == rank
+
+    @given(lie_structures)
+    def test_parsed_text_matches_direct_construction(self, node):
+        text = render(node)
+        expr = parse_lie_expr(text)
+        rank = max(int(j) for j in re.findall(r"x(\d+)", text))
+        assert expr.rank == rank
+        for dim in (rank, rank + 1):
+            ctx = LieContext(dim)
+            assert outcome(lambda: expr.evaluate(ctx)) == outcome(lambda: build(node, ctx)), text
 
     def test_normal_form_rejects_non_lie_elements(self):
         ctx = LieContext(2)
