@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Layer microbenchmarks and end-to-end timings, written to BENCH_12.json.
+"""Layer microbenchmarks and end-to-end timings, written to BENCH_13.json.
 
     python3 scripts/bench.py [--src DIR] [--column NAME[=DIR] ...] [--out FILE] [--tiny]
 
@@ -66,7 +66,7 @@ def layer_entries(tiny: bool):
     from metalie.invariants import discriminant, infinite_family_witness, load_catalog
     from metalie.metabelian import (LieContext, from_commutator_basis, parse_lie_expr,
                                     to_commutator_basis)
-    from metalie.poly import tokenize
+    from metalie.poly import slot, tokenize, var_key
     from metalie.sl2 import ModuleSpec, g1_matrix, invariant_dimension
 
     rng = random.Random(6)
@@ -96,6 +96,20 @@ def layer_entries(tiny: bool):
            lambda: u.poly.substitute(images),
            {"terms_in": len(u.poly.terms), "terms_out": len(image.terms),
             "max_exponent": max_exponent(u.poly)})
+
+    # the same substitution in fresh names, registered in the reverse of their
+    # order, so that its cost shows whether it depends on the slot order; the
+    # fresh slots lie above all others, so its monomials are also wider
+    fresh = {v: f"r{v}" for v in images}
+    for name in sorted(fresh.values(), key=var_key, reverse=True):
+        slot(name)
+    renamed, renamed_images = u.poly.rename(fresh), {fresh[v]: image.rename(fresh)
+                                                     for v, image in images.items()}
+    yield ("poly.substitute.reordered", "that substitution, its variables renamed to fresh "
+                                        "names registered in reverse order",
+           lambda: renamed.substitute(renamed_images),
+           {"terms_in": len(renamed.terms), "terms_out": len(image.terms),
+            "max_exponent": max_exponent(renamed)})
 
     k = 3 if tiny else 5
     ctx = LieContext(k + 2)
@@ -227,9 +241,17 @@ def cli_entries(tiny: bool):
                {"cases": len(reports), "rows_ranked": rows_ranked})
 
     package = Path(metalie.__file__).parent
+    env = {**os.environ, "PYTHONPATH": str(package.parent)}
+    after_wide = [sys.executable, "-c", CATALOG_AFTER_WIDE, "8" if tiny else "12"]
+    yield ("cli.catalog_after_wide", "catalog verify at the same degree in a fresh interpreter "
+                                     "after one check 1023 on x1 + ... + x1024, timed there "
+                                     "on its second run",
+           lambda: Timed(subprocess.run(after_wide, env=env, check=True, capture_output=True,
+                                        text=True).stdout),
+           {"degree": int(after_wide[-1]), "wide_rank": 1024})
+
     setup = [sys.executable, "-c", "import metalie.cli; from metalie.invariants import "
                                    "load_catalog; load_catalog()"]
-    env = {**os.environ, "PYTHONPATH": str(package.parent)}
     yield ("setup.import", "a fresh interpreter importing the CLI and loading the catalog, "
                            "as the benchmark's setup_s does; interpreter start included",
            lambda: subprocess.run(setup, env=env, check=True),
@@ -237,13 +259,36 @@ def cli_entries(tiny: bool):
                                 for path in package.glob("*.py"))})
 
 
+# `catalog verify --degree <argv[1]>` timed in this interpreter after one wide
+# `check`, which registers x1..x1024 first; the first run warms the caches
+CATALOG_AFTER_WIDE = """
+import contextlib, io, sys
+from time import perf_counter
+from metalie.cli import main
+
+degree = sys.argv[1]
+with contextlib.redirect_stdout(io.StringIO()):
+    sys.stdin = io.StringIO(" + ".join(f"x{j}" for j in range(1, 1025)))
+    codes = [main(["check", "1023", "-"]), main(["catalog", "verify", "--degree", degree])]
+    start = perf_counter()
+    codes.append(main(["catalog", "verify", "--degree", degree]))
+    seconds = perf_counter() - start
+if codes[0] not in (0, 1) or codes[1:] != [0, 0]:
+    sys.exit(f"exit codes {codes}")
+print(seconds)
+"""
+
 GROUPS = ((layer_entries, 7), (catalog_entries, 7), (cli_entries, 3))
+
+
+class Timed(float):
+    """Seconds an entry measured itself, e.g. inside a fresh interpreter."""
 
 
 def run_once(thunk) -> float:
     start = perf_counter()
-    thunk()
-    return perf_counter() - start
+    result = thunk()
+    return result if isinstance(result, Timed) else perf_counter() - start
 
 
 def peak_kb(thunk) -> float:
@@ -336,7 +381,7 @@ def main() -> int:
                         help="directory holding the metalie package of a bare column name")
     parser.add_argument("--column", action="append",
                         help="NAME or NAME=DIR; repeat to alternate columns (default change)")
-    parser.add_argument("--out", default=str(ROOT / "BENCH_12.json"))
+    parser.add_argument("--out", default=str(ROOT / "BENCH_13.json"))
     parser.add_argument("--tiny", action="store_true", help="small sizes, for a smoke test")
     parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args()

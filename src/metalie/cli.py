@@ -181,10 +181,10 @@ def cmd_pi(args) -> int:
 def _witness_family(spec: ModuleSpec, count: int) -> list:
     """The first `count` members, each built only while the family stays
     within MAX_WITNESS_TERMS summed terms."""
-    # single blocks whose pair alone is over the budget: the first member of
-    # V6 has 2634 terms, and substituting g1 into it takes 53.5 s (Python
-    # 3.11, a shared 2-CPU host); discriminant(8) alone takes 7.8 s.  V5 and
-    # V7 build theirs in under 1 s.
+    # single blocks whose first member alone is over the budget: V6's has 2634
+    # terms, and substituting g1 and g2 into it takes about 3 s (g1 1.2 s;
+    # Python 3.11, a shared 2-CPU host); discriminant(8) alone takes 7.8 s.
+    # V5 and V7 build theirs in under 1 s.
     if len(spec.blocks) == 1 and (spec.blocks[0] == 6 or spec.blocks[0] >= 8):
         raise UsageError(f"the witness pair of {spec} is over the budget "
                          "(single blocks of degree 6 or at least 8 are refused)")
@@ -324,8 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pi", help="bracket of two embedded polynomials, in the word basis")
     p.add_argument("spec")
-    p.add_argument("f1")
-    p.add_argument("f2")
+    p.add_argument("f1", help="polynomial; put -- before it if it begins with -")
+    p.add_argument("f2", help="polynomial; put -- before it if it begins with -")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_pi)
 
@@ -345,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_catalog)
 
     p = sub.add_parser("normalize", help="parse, canonicalize and reprint an expression")
-    p.add_argument("expression")
+    p.add_argument("expression", help="put -- before it if it begins with -")
     p.set_defaults(func=cmd_normalize)
 
     return parser

@@ -2,8 +2,9 @@
 
 A monomial is one `int`, a packed exponent vector (Monagan and Pearce, CASC
 2007): the exponent of the variable in slot s occupies bits [W*s, W*s + W),
-W = 16.  A registry hands out slots in first-seen order and keeps each
-slot's name, e.g. "x12", and its key ("x", 12).  Names survive only in the
+W = 16.  A registry keeps each slot's name, e.g. "x12", and its key ("x", 12):
+a1, x1, y1, ..., a16, x16, y16 hold slots 0-47 from import on, and any other
+name takes the next free slot when first seen.  Names survive only in the
 parser, the printer and `variables()`, which sort by key, so no output
 depends on slot order.  A product of monomials is the sum of their ints:
 exponents stay within the budget `MAX_EXPONENT` = 2^(W-1) - 1, so fields
@@ -91,6 +92,11 @@ def slot_name(s: int) -> str:
 
 def slot_key(s: int) -> tuple[str, int]:
     return _slot_keys[s]
+
+
+# a1, x1, y1, ..., a16, x16, y16 hold slots 0-47 whatever names come first
+for _name in [f"{c}{j}" for j in range(1, 17) for c in "axy"]:
+    slot(_name)
 
 
 def letter_mask(letter: str) -> int:
@@ -393,40 +399,34 @@ class Poly:
         return out
 
     def substitute(self, images: Mapping[str, "Poly"]) -> "Poly":
-        """Evaluate with each variable replaced by its image polynomial.
+        """Evaluate with each variable of `images` replaced by its image.
 
-        Variables not listed in `images` are left untouched.
+        A Horner-style split: the terms are grouped by the exponents of the
+        replaced variables; then, one variable at a time, each group is
+        multiplied once by a cached power of that variable's image and merged
+        into the group of its other exponents.  Fewest image terms go first
+        (then `var_key`, name; never slot), so terms expand as late as possible.
         """
-        by_slot = {slot(v): image for v, image in images.items()}
-        replaced = 0
-        for s in by_slot:
-            replaced |= _FIELD << W * s
-        power_cache: dict[tuple[int, int], dict[Monomial, int | Fraction]] = {}
-
-        def image_power(s: int, e: int) -> dict[Monomial, int | Fraction]:
-            key = (s, e)
-            cached = power_cache.get(key)
-            if cached is None:
-                cached = (by_slot[s] ** e).terms
-                power_cache[key] = cached
-            return cached
-
-        acc: dict[Monomial, int | Fraction] = {}
+        order = sorted(images, key=lambda v: (len(images[v].terms), var_key(v), v))
+        replaced = reduce(or_, (_FIELD << W * slot(v) for v in order), 0)
+        groups: dict[Monomial, dict] = {}
         for m, c in self.terms.items():
-            # the variables without an image pass through unchanged
-            inner = m & replaced
-            prod: dict[Monomial, int | Fraction] = {m - inner: c}
-            for s, e in fields(inner):
-                prod = _mul_terms(prod, image_power(s, e))
-            for mm, cc in prod.items():
-                total = acc.get(mm, 0) + cc
-                if total:
-                    acc[mm] = total
-                else:
-                    acc.pop(mm, None)
-        out = Poly.__new__(Poly)
-        out.terms = _canonical(acc)
-        return out
+            groups.setdefault(m & replaced, {})[m & ~replaced] = c
+        for v in order:
+            shift, merged = W * slot(v), {}
+            power = lru_cache(maxsize=None)(lambda e, image=images[v]: (image ** e).terms)
+            for rest, terms in groups.items():
+                if e := (rest >> shift) & _FIELD:
+                    terms, rest = _mul_terms(terms, power(e)), rest - (e << shift)
+                target = merged.setdefault(rest, terms)
+                if target is not terms:
+                    for m, c in terms.items():
+                        if s := target.get(m, 0) + c:
+                            target[m] = s
+                        else:
+                            del target[m]
+            groups = merged
+        return Poly(groups.get(0))
 
     def rename(self, mapping: Mapping[str, str]) -> "Poly":
         """Rename variables; distinct variables must keep distinct names."""

@@ -366,6 +366,23 @@ class TestNormalize:
         assert err.startswith("error: nesting deeper than")
 
 
+class TestLeadingMinus:
+    """An expression that begins with `-` must follow `--`; before it,
+    argparse reads the expression as an option."""
+
+    def test_normalize_after_double_dash(self, capsys):
+        assert run(capsys, "normalize", "-[x2,x1]")[0] == 2
+        code, out, _ = run(capsys, "normalize", "--", "-[x2,x1]")
+        assert (code, out) == (0, "-[x2,x1]\n")
+
+    def test_pi_after_double_dash(self, capsys):
+        assert run(capsys, "pi", "2", "-x1", "x2")[0] == 2
+        code, out, _ = run(capsys, "pi", "2", "--", "-x1", "x2")
+        assert (code, out) == (0, "[x2,x1]\n")
+        code, positive, _ = run(capsys, "pi", "2", "x1", "x2")
+        assert (code, positive) == (0, "-[x2,x1]\n")
+
+
 class TestRankBudget:
     def test_huge_block_is_refused(self, capsys):
         code, out, err = run(capsys, "hilbert", str(10 ** 70), "polyring", "-N", "64")

@@ -1,6 +1,8 @@
 """Packed exponent-vector monomials against the tuple-monomial oracle, the
-exponent field budget, and independence of the slot order."""
+exponent field budget, the fixed low slots, and independence of the slot
+order."""
 
+import json
 import os
 import subprocess
 import sys
@@ -11,6 +13,7 @@ import pytest
 from hypothesis import given
 
 import strategies as strat
+from metalie import poly
 from metalie.poly import (
     MAX_EXPONENT,
     W,
@@ -141,3 +144,62 @@ def test_output_does_not_depend_on_slot_order(argv):
     assert fresh.returncode == reordered.returncode
     assert fresh.returncode in (0, 1), fresh.stderr
     assert fresh.stdout and fresh.stdout == reordered.stdout
+
+
+WIDE_FIRST = """
+import json
+from metalie import poly
+from metalie.invariants import load_catalog
+from metalie.metabelian import WreathElement
+from metalie.poly import Poly
+from metalie.sl2 import derivations
+
+for i in range(1000):
+    poly.slot(f"w{i}")
+case = load_catalog()["vii"]
+delta1 = derivations(case.spec)[0]
+gens = case.module_generators()
+# the generators are invariant, so delta1 kills them: take the images of their terms
+images = [delta1.act(WreathElement(u.ctx, Poly({m: c}))) for u in gens
+          for m, c in u.poly.terms.items()]
+print(json.dumps({
+    "slots": [poly.slot(f"{c}{j}") for c in "axy" for j in range(1, 17)],
+    "first_wide": poly.slot("w0"),
+    "bit_lengths": [m.bit_length() for u in gens + images for m in u.poly.terms],
+}))
+"""
+
+
+def test_low_alphabets_keep_fixed_slots_after_a_wide_registry():
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", WIDE_FIRST], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=path), timeout=120)
+    assert run.returncode == 0, run.stderr
+    found = json.loads(run.stdout)
+    assert sorted(found["slots"]) == list(range(48))
+    assert found["first_wide"] >= 48
+    # every monomial is below 1 << 48 * W
+    assert found["bit_lengths"] and max(found["bit_lengths"]) <= 48 * W
+
+
+def test_substitution_work_does_not_depend_on_registration_order(monkeypatch):
+    for name in ("p1", "p2", "p3", "q3", "q2", "q1"):
+        poly.slot(name)
+    to_q = {f"p{j}": f"q{j}" for j in (1, 2, 3)}
+    f = Poly.parse("p1^3*p2*p3^2 - 2*p1^2*p3 + p1*p2^2*p3 + 3*p2*p3^3 - p1*p3 + p2^4 - 5")
+    images = {"p1": Poly.parse("p2 + x1 - 1"), "p2": Poly.parse("x1*x2 - p3"),
+              "p3": Poly.parse("p1 + 2*x2 + 3")}
+    calls = []
+    multiply = poly._mul_terms
+
+    def recording(a, b):
+        calls.append((len(a), len(b)))
+        return multiply(a, b)
+
+    monkeypatch.setattr(poly, "_mul_terms", recording)
+    by_p = f.substitute(images)
+    p_calls, calls[:] = calls[:], []
+    by_q = f.rename(to_q).substitute({to_q[v]: image.rename(to_q)
+                                      for v, image in images.items()})
+    assert calls == p_calls and len(calls) > 3
+    assert by_q == by_p.rename(to_q)
