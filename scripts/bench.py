@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Layer microbenchmarks and end-to-end timings, written to BENCH_13.json.
+"""Layer microbenchmarks and end-to-end timings, written to BENCH_14.json.
 
     python3 scripts/bench.py [--src DIR] [--column NAME[=DIR] ...] [--out FILE] [--tiny]
 
@@ -10,7 +10,8 @@ columns take turns repeat by repeat (in the order A B, then B A, ...), so
 drift of a shared host falls on all of them alike.  Each entry is timed with
 `time.perf_counter` over several runs (7 for the layer timings, 3 end to end)
 and stored as the median `seconds` with the quartiles `q1` and `q3` of those
-runs, then run once more under `tracemalloc` for its peak memory.  It is
+runs, then run once more under `tracemalloc` for its peak memory (an entry
+run in a fresh interpreter reports that interpreter's peak).  It is
 stored with its problem sizes (terms, maximum exponent) under its column;
 the other columns of an existing output file are kept.  A before/after table
 of the same inputs is therefore
@@ -88,8 +89,8 @@ def layer_entries(tiny: bool):
     count = 2 if tiny else 6
     u = list(islice(infinite_family_witness(spec), count))[-1]
     g = g1_matrix(spec)
-    images = {f"{letter}{j}": g.column_image(letter, j)
-              for letter in "ay" for j in range(1, spec.dimension + 1)}
+    # the images of the witness's own variables, whatever alphabets it uses
+    images = {v: g.column_image(*var_key(v)) for v in u.poly.variables()}
     image = u.poly.substitute(images)
     yield ("poly.substitute", f"g1 substituted into the degree-{u.total_degree()} "
                               "V3 witness",
@@ -242,40 +243,52 @@ def cli_entries(tiny: bool):
 
     package = Path(metalie.__file__).parent
     env = {**os.environ, "PYTHONPATH": str(package.parent)}
-    after_wide = [sys.executable, "-c", CATALOG_AFTER_WIDE, "8" if tiny else "12"]
+    degree = "8" if tiny else "12"
     yield ("cli.catalog_after_wide", "catalog verify at the same degree in a fresh interpreter "
                                      "after one check 1023 on x1 + ... + x1024, timed there "
                                      "on its second run",
-           lambda: Timed(subprocess.run(after_wide, env=env, check=True, capture_output=True,
-                                        text=True).stdout),
-           {"degree": int(after_wide[-1]), "wide_rank": 1024})
+           Child(env, CATALOG_AFTER_WIDE, degree), {"degree": int(degree), "wide_rank": 1024})
 
-    setup = [sys.executable, "-c", "import metalie.cli; from metalie.invariants import "
-                                   "load_catalog; load_catalog()"]
     yield ("setup.import", "a fresh interpreter importing the CLI and loading the catalog, "
                            "as the benchmark's setup_s does; interpreter start included",
-           lambda: subprocess.run(setup, env=env, check=True),
+           Child(env, SETUP),
            {"source_lines": sum(len(path.read_text().splitlines())
                                 for path in package.glob("*.py"))})
 
 
 # `catalog verify --degree <argv[1]>` timed in this interpreter after one wide
-# `check`, which registers x1..x1024 first; the first run warms the caches
+# `check`, which registers x1..x1024 first; the first run warms the caches.
+# Prints its seconds, or with "peak" last its tracemalloc peak in bytes.
 CATALOG_AFTER_WIDE = """
-import contextlib, io, sys
+import contextlib, io, sys, tracemalloc
 from time import perf_counter
 from metalie.cli import main
 
-degree = sys.argv[1]
+degree, mode = sys.argv[1:]
 with contextlib.redirect_stdout(io.StringIO()):
     sys.stdin = io.StringIO(" + ".join(f"x{j}" for j in range(1, 1025)))
     codes = [main(["check", "1023", "-"]), main(["catalog", "verify", "--degree", degree])]
+    if mode == "peak":
+        tracemalloc.start()
     start = perf_counter()
     codes.append(main(["catalog", "verify", "--degree", degree]))
     seconds = perf_counter() - start
 if codes[0] not in (0, 1) or codes[1:] != [0, 0]:
     sys.exit(f"exit codes {codes}")
-print(seconds)
+print(tracemalloc.get_traced_memory()[1] if mode == "peak" else seconds)
+"""
+
+# the benchmark's setup: timed from outside, interpreter start included;
+# prints nothing, or with "peak" its tracemalloc peak in bytes
+SETUP = """
+import sys, tracemalloc
+if sys.argv[1] == "peak":
+    tracemalloc.start()
+import metalie.cli
+from metalie.invariants import load_catalog
+load_catalog()
+if tracemalloc.is_tracing():
+    print(tracemalloc.get_traced_memory()[1])
 """
 
 GROUPS = ((layer_entries, 7), (catalog_entries, 7), (cli_entries, 3))
@@ -285,6 +298,24 @@ class Timed(float):
     """Seconds an entry measured itself, e.g. inside a fresh interpreter."""
 
 
+class Child:
+    """An entry run in a fresh interpreter by `script`, whose last argument is
+    "run" or "peak".  A run prints the seconds it measured itself, or nothing
+    when the whole interpreter is timed; a peak run prints the tracemalloc
+    peak of the same work in that interpreter, which the worker cannot see."""
+
+    def __init__(self, env: dict, script: str, *args: str):
+        self.env, self.argv = env, [sys.executable, "-c", script, *args]
+
+    def output(self, mode: str) -> str:
+        return subprocess.run(self.argv + [mode], env=self.env, check=True,
+                              capture_output=True, text=True).stdout
+
+    def __call__(self):
+        seconds = self.output("run")
+        return Timed(seconds) if seconds else None
+
+
 def run_once(thunk) -> float:
     start = perf_counter()
     result = thunk()
@@ -292,6 +323,8 @@ def run_once(thunk) -> float:
 
 
 def peak_kb(thunk) -> float:
+    if isinstance(thunk, Child):
+        return round(int(thunk.output("peak")) / 1024, 1)
     tracemalloc.start()
     thunk()
     peak = tracemalloc.get_traced_memory()[1]
@@ -381,7 +414,7 @@ def main() -> int:
                         help="directory holding the metalie package of a bare column name")
     parser.add_argument("--column", action="append",
                         help="NAME or NAME=DIR; repeat to alternate columns (default change)")
-    parser.add_argument("--out", default=str(ROOT / "BENCH_13.json"))
+    parser.add_argument("--out", default=str(ROOT / "BENCH_14.json"))
     parser.add_argument("--tiny", action="store_true", help="small sizes, for a smoke test")
     parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args()

@@ -35,7 +35,7 @@ from .metabelian import (
     to_commutator_basis,
 )
 from .poly import ParseError, Poly
-from .series import NotACharacter, TruncationMismatch, invariant_dimension_series
+from .series import NotACharacter, TruncationMismatch, invariant_dimension_series, weight_slices
 from .sl2 import ModuleSpec, failing_derivation_image, is_invariant, is_invariant_by_derivations
 
 MAX_TRUNCATION = 64
@@ -51,13 +51,14 @@ MAX_RANK = 1024
 MAX_HILBERT_CELLS = 10_000_000
 # Budget on the members `witness --count` asks for.
 MAX_WITNESS_COUNT = 64
-# Budget on the summed terms of a witness family: the terms of the members
-# built so far plus terms(member n) * terms(f), the bound on member n + 1 =
-# member n * f, taken before that member is built.  The slowest accepted
-# inputs, `witness 3 --count 27` (72 924 terms) and `witness 4 --count 27`,
-# take about 2 s in-process (Python 3.11, one core of an Intel Xeon server);
-# every catalog-backed specification takes at most 0.5 s for 64 members.
-MAX_WITNESS_TERMS = 75_000
+# Budget on the summed terms of a witness family: the members built so far plus
+# a bound on member n + 1 = member n * f, taken before it is built: terms(member
+# n) * terms(f), or where that is over the budget, the smaller of it and the
+# count of weight-0 monomials a_i * y^q of its degree (V5's member 4: 184 434
+# and 18 302, against 12 786 terms).  The slowest accepted input is still
+# `witness 3 --count 27`, about 3 s in-process (Python 3.11, a shared 2-CPU
+# host); every catalog-backed specification takes at most 0.5 s for 64 members.
+MAX_WITNESS_TERMS = 58_000
 
 
 class UsageError(Exception):
@@ -197,8 +198,14 @@ def _witness_family(spec: ModuleSpec, count: int) -> list:
     members = infinite_family_witness(spec, (u, f))
     family = [next(members)]
     built = len(u.poly.terms)
+    diffs = [p - q for p, q in spec.weights()]
     while len(family) < count:
-        if built + len(family[-1].poly.terms) * len(f.terms) > MAX_WITNESS_TERMS:
+        bound = len(family[-1].poly.terms) * len(f.terms)
+        if built + bound > MAX_WITNESS_TERMS:    # the a_i * y^q of weight 0 and degree n + 1
+            n = family[-1].total_degree() + f.total_degree() - 1
+            ys = weight_slices(diffs, n)[n]
+            bound = min(bound, sum(ys.get(-w, 0) for w in diffs))
+        if built + bound > MAX_WITNESS_TERMS:
             raise UsageError(f"witness {spec} --count {count}: member {len(family) + 1} "
                              f"could take the family past the budget of "
                              f"{MAX_WITNESS_TERMS} terms")

@@ -6,9 +6,10 @@ For algebraically independent homogeneous polynomials f1, f2 the element
     pi(f1, f2) = sum_{i<j} (a_i y_j - a_j y_i) * J_ij(f1, f2)(Y)
 
 is a nonzero element of the commutator ideal, equal to the Poisson bracket of
-the images of f1, f2 under x_j -> a_j + y_j.  Applied to invariant inputs it
-produces invariants, which is how the witness families for the non finitely
-generated cases are built.
+the images of f1, f2 under x_j -> a_j + y_j.  The envelope stores y_j as x_j,
+so J_ij(f1, f2)(Y) is the minor of f1, f2 in x_i, x_j as it stands.  Applied
+to invariant inputs it produces invariants, which is how the witness families
+for the non finitely generated cases are built.
 """
 
 from __future__ import annotations
@@ -63,34 +64,29 @@ MAX_SPAN_ROWS = 3000
 # -- the pi operator -----------------------------------------------------------
 
 
-def _require_x_poly(f: Poly, ctx: LieContext, homogeneous: bool = True) -> None:
+def _require_x_poly(f: Poly, ctx: LieContext) -> None:
     for v in f.variables():
         letter, index = var_key(v)
         if letter != "x" or not 1 <= index <= ctx.dim:
             raise ValueError(f"variable {v} is not one of x1..x{ctx.dim}")
-    if homogeneous and not f.is_homogeneous():
+    if not f.is_homogeneous():
         raise NonHomogeneousInput(f"not homogeneous: {f}")
-
-
-def _to_y(f: Poly, ctx: LieContext) -> Poly:
-    return f.rename({f"x{j}": f"y{j}" for j in range(1, ctx.dim + 1)})
 
 
 def pi(f1: Poly, f2: Poly, ctx: LieContext) -> WreathElement:
     """The closed Jacobian form of the bracket of the embedded polynomials."""
     _require_x_poly(f1, ctx)
     _require_x_poly(f2, ctx)
-    g1, g2 = _to_y(f1, ctx), _to_y(f2, ctx)
     # a minor vanishes unless both of its variables occur in f1 or f2
-    present = sorted({var_key(v)[1] for v in g1.variables() + g2.variables()})
+    present = sorted({var_key(v)[1] for v in f1.variables() + f2.variables()})
     acc = Poly.zero()
     for pos, i in enumerate(present):
         for j in present[pos + 1:]:
-            minor = jacobian_minor(g1, g2, f"y{i}", f"y{j}")
+            minor = jacobian_minor(f1, f2, f"x{i}", f"x{j}")
             if minor.is_zero():
                 continue
-            pair = Poly.variable(f"a{i}") * Poly.variable(f"y{j}") \
-                - Poly.variable(f"a{j}") * Poly.variable(f"y{i}")
+            pair = Poly.variable(f"a{i}") * Poly.variable(f"x{j}") \
+                - Poly.variable(f"a{j}") * Poly.variable(f"x{i}")
             acc = acc + pair * minor
     return WreathElement(ctx, acc)
 
@@ -523,8 +519,8 @@ def verify_catalog(case: CatalogCase, truncation: int = 12,
 
     The generators are parsed once per call, the stated series expanded by
     `expand_rational`, and the series checks run on the packed slices of
-    `weight_slices`.  The ring products are formed once, in the y-alphabet,
-    so a module row is one envelope product v * p(y), one degree at a time.
+    `weight_slices`.  The ring products are formed once; y_j is stored as
+    x_j, so a module row is one envelope product v * p, one degree at a time.
 
     Each check records the seconds spent on it and its size: the generators
     checked for (a), the relations evaluated for (b), the character cells
@@ -580,7 +576,7 @@ def verify_catalog(case: CatalogCase, truncation: int = 12,
         all(symmetrizes_to(f, row, base) for f, row in symmetrized),
         "", lap(), sum(len(f) for f, _ in symmetrized)))
 
-    products = _ring_monomial_table([_to_y(g, case.context()) for g in ring_gens], rank_degree)
+    products = _ring_monomial_table(ring_gens, rank_degree)
     ring_dims = dims["ring"]
     bad = []
     for n in range(rank_degree + 1):

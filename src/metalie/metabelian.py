@@ -9,7 +9,9 @@ products a_i*a_j, carrying the Poisson bracket determined by
 The Lie subalgebra generated by x_j = a_j + y_j is the free metabelian Lie
 algebra on d generators; its commutator ideal consists of the elements
 sum a_i*f_i(Y) with sum y_i*f_i(Y) = 0, and has the left-normed basis
-[x_{j1}, x_{j2}, ..., x_{jk}] with j1 > j2 <= j3 <= ... <= jk.
+[x_{j1}, x_{j2}, ..., x_{jk}] with j1 > j2 <= j3 <= ... <= jk.  The ideal is
+a K[X]-module through u * p = u p(ad x_1, ..., ad x_d), where ad x_j is
+multiplication by y_j; so y_j is stored as x_j, and printed as y_j.
 
 That word is (a_{j1} y_{j2} - a_{j2} y_{j1}) y_{j3} ... y_{jk}.  Its term
 a_{j1} Y^q has j1 above the smallest index of q, and no other basis word has
@@ -70,10 +72,10 @@ class LieContext:
         return WreathElement(self, Poly.zero())
 
     def generator(self, j: int) -> "WreathElement":
-        """The Lie generator x_j = a_j + y_j."""
+        """The Lie generator x_j = a_j + y_j, stored as a_j + x_j."""
         if not 1 <= j <= self.dim:
             raise IndexError(f"generator index {j} out of range 1..{self.dim}")
-        return WreathElement(self, Poly.variable(f"a{j}") + Poly.variable(f"y{j}"))
+        return WreathElement(self, Poly.variable(f"a{j}") + Poly.variable(f"x{j}"))
 
     def embed_poly(self, p: Poly) -> "WreathElement":
         """Image of p(x1,...,xd) under x_j -> a_j + y_j, computed by arithmetic
@@ -99,10 +101,11 @@ class WreathElement:
     """Element of the Poisson envelope: a polynomial in the y's plus a sum
     of a_i times polynomials in the y's.
 
-    Stored as a single polynomial in the a- and y-variables whose a-degree is
-    at most one.  The wreath product proper consists of the elements whose
-    y-part is linear; membership in the embedded Lie algebra and in its
-    commutator ideal is decided by `is_lie_element` / `is_in_commutator_ideal`.
+    Stored as a single polynomial in the a- and x-variables, x_j standing for
+    y_j, whose a-degree is at most one.  The wreath product proper consists of
+    the elements whose y-part is linear; membership in the embedded Lie algebra
+    and in its commutator ideal is decided by `is_lie_element` and
+    `is_in_commutator_ideal`.
     Elements are immutable, so ideal membership is decided at most once per
     element and kept; `ad_action` results are members from the start, since
     the ideal is closed under the module action.
@@ -113,8 +116,8 @@ class WreathElement:
     def __init__(self, ctx: LieContext, poly: Poly):
         for s, _ in fields(poly.support()):
             letter, index = slot_key(s)
-            if letter not in ("a", "y"):
-                raise ContextMismatch(f"variable {slot_name(s)} is not in the a/y alphabets")
+            if letter not in ("a", "x") or slot_name(s) != f"{letter}{index}":
+                raise ContextMismatch(f"variable {slot_name(s)} is not in the a/x alphabets")
             if index < 1 or index > ctx.dim:
                 raise ContextMismatch(f"variable {slot_name(s)} outside rank {ctx.dim}")
         a_mask = letter_mask("a")
@@ -221,13 +224,14 @@ class WreathElement:
         defined on the commutator ideal."""
         if not self.is_in_commutator_ideal():
             raise NotInCommutatorIdeal("module action is defined on the commutator ideal only")
-        mapping = {}
+        aliases = {}    # x01 names the generator x1
         for s, _ in fields(p.support()):
             letter, index = slot_key(s)
             if letter != "x" or not 1 <= index <= self.ctx.dim:
                 raise ContextMismatch(f"variable {slot_name(s)} is not one of x1..x{self.ctx.dim}")
-            mapping[slot_name(s)] = f"y{index}"
-        return _wrap(self.ctx, self.poly * p.rename(mapping), in_ideal=True)
+            if slot_name(s) != f"x{index}":
+                aliases[slot_name(s)] = f"x{index}"
+        return _wrap(self.ctx, self.poly * (p.rename(aliases) if aliases else p), in_ideal=True)
 
     # -- membership ----------------------------------------------------------
 
@@ -237,7 +241,7 @@ class WreathElement:
         if self._in_ideal is None:
             y_part, a_parts = self.split()
             self._in_ideal = y_part.is_zero() and sum(
-                (Poly.variable(f"y{i}") * f for i, f in a_parts.items()), Poly.zero()).is_zero()
+                (Poly.variable(f"x{i}") * f for i, f in a_parts.items()), Poly.zero()).is_zero()
         return self._in_ideal
 
     def is_lie_element(self) -> bool:
@@ -264,14 +268,14 @@ class WreathElement:
         return self.poly.is_homogeneous()
 
     def __str__(self) -> str:
-        return str(self.poly)
+        return str(self.poly.rename({f"x{j}": f"y{j}" for j in range(1, self.ctx.dim + 1)}))
 
     def __repr__(self) -> str:
-        return f"WreathElement(d={self.ctx.dim}, {self.poly})"
+        return f"WreathElement(d={self.ctx.dim}, {self})"
 
 
 def _wrap(ctx: LieContext, poly: Poly, in_ideal: bool | None = None) -> WreathElement:
-    """A `WreathElement` of a polynomial known to be reduced and in the a/y
+    """A `WreathElement` of a polynomial known to be reduced and in the a/x
     alphabets of rank ctx.dim, built without the checks of `__init__`."""
     out = WreathElement.__new__(WreathElement)
     out.ctx, out.poly, out._in_ideal = ctx, poly, in_ideal
@@ -316,9 +320,9 @@ class CommutatorWord:
             raise ContextMismatch(f"index {max(self.indices)} outside rank {ctx.dim}")
         if i == j:
             return ctx.zero()
-        rest = [(f"y{q}", 1) for q in tail]
-        return _wrap(ctx, Poly({encode([(f"a{i}", 1), (f"y{j}", 1), *rest]): 1,
-                                encode([(f"a{j}", 1), (f"y{i}", 1), *rest]): -1}),
+        rest = [(f"x{q}", 1) for q in tail]
+        return _wrap(ctx, Poly({encode([(f"a{i}", 1), (f"x{j}", 1), *rest]): 1,
+                                encode([(f"a{j}", 1), (f"x{i}", 1), *rest]): -1}),
                      in_ideal=True)
 
     def sort_key(self):

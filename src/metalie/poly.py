@@ -3,7 +3,7 @@
 A monomial is one `int`, a packed exponent vector (Monagan and Pearce, CASC
 2007): the exponent of the variable in slot s occupies bits [W*s, W*s + W),
 W = 16.  A registry keeps each slot's name, e.g. "x12", and its key ("x", 12):
-a1, x1, y1, ..., a16, x16, y16 hold slots 0-47 from import on, and any other
+a1, x1, ..., a16, x16 hold slots 0-31 from import on, and any other
 name takes the next free slot when first seen.  Names survive only in the
 parser, the printer and `variables()`, which sort by key, so no output
 depends on slot order.  A product of monomials is the sum of their ints:
@@ -94,8 +94,8 @@ def slot_key(s: int) -> tuple[str, int]:
     return _slot_keys[s]
 
 
-# a1, x1, y1, ..., a16, x16, y16 hold slots 0-47 whatever names come first
-for _name in [f"{c}{j}" for j in range(1, 17) for c in "axy"]:
+# a1, x1, ..., a16, x16 hold slots 0-31 whatever names come first
+for _name in [f"{c}{j}" for j in range(1, 17) for c in "ax"]:
     slot(_name)
 
 

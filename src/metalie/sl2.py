@@ -9,9 +9,9 @@ group generators act by
     g2(xi_{k-l}) = sum_{j<=l} C(l,j) xi_{k-j},
 
 extended as algebra substitutions to polynomials and simultaneously on the
-a/y alphabets of the wreath envelope.  An element is invariant iff it is
-fixed by g1 and g2, or equivalently killed by their logarithms, which on
-each block are the raising and lowering derivations
+a/y alphabets of the wreath envelope, stored as a/x.  An element is invariant
+iff it is fixed by g1 and g2, or equivalently killed by their logarithms,
+which on each block are the raising and lowering derivations
 
     delta1(xi_l) = l * xi_{l-1},    delta2(xi_l) = (k-l) * xi_{l+1}.
 
@@ -34,7 +34,7 @@ from typing import Literal
 
 from . import linalg
 from .metabelian import LieContext, WreathElement, _compositions, words_of_multidegree
-from .poly import Monomial, Poly, encode, fields, slot_key, slot_name
+from .poly import Poly, encode, fields, slot_key, slot_name
 
 
 class NotUnipotent(ValueError):
@@ -79,34 +79,16 @@ class ModuleSpec:
             acc += k + 1
         return out
 
-    def weight(self, j: int) -> tuple[int, int]:
-        """Torus weight of x_j: xi_l in a degree-k block weighs (k-l, l)."""
-        if not 1 <= j <= self.dimension:
-            raise IndexError(f"variable index {j} out of range")
-        return self.weights()[j - 1]
-
     def weights(self) -> list[tuple[int, int]]:
-        """Torus weights of x_1, ..., x_d in order."""
+        """Torus weights of x_1, ..., x_d: xi_l in a degree-k block weighs (k-l, l)."""
         return [(k - l, l) for k in self.blocks for l in range(k + 1)]
-
-
-def _weight_of_monomial(m: Monomial, spec: ModuleSpec) -> tuple[int, int]:
-    w1 = w2 = 0
-    for s, e in fields(m):
-        letter, index = slot_key(s)
-        if letter not in ("x", "y", "a"):
-            raise ValueError(f"variable {slot_name(s)} carries no weight")
-        p, q = spec.weight(index)
-        w1 += e * p
-        w2 += e * q
-    return w1, w2
 
 
 @dataclass(frozen=True, eq=False)
 class _GeneratorMatrix:
     """Linear map on the generators; column j is the image of x_{j+1}.
 
-    The same matrix acts on the x-, a- and y-alphabets; the subclasses fix
+    The same matrix acts on the x- and a-alphabets; the subclasses fix
     how it extends from the generators to products.
     """
 
@@ -144,7 +126,7 @@ class _GeneratorMatrix:
         if isinstance(obj, WreathElement):
             if obj.ctx.dim != self.spec.dimension:
                 raise ValueError("element rank does not match the module specification")
-            return WreathElement(obj.ctx, extend(obj.poly, self._images(obj.poly, "ay")))
+            return WreathElement(obj.ctx, extend(obj.poly, self._images(obj.poly, "ax")))
         raise TypeError(f"cannot act on {type(obj).__name__}")
 
 
@@ -261,8 +243,16 @@ def bidegree_components(u, spec: ModuleSpec):
     if not isinstance(u, (Poly, WreathElement)):
         raise TypeError(f"cannot grade {type(u).__name__}")
     comps: dict[tuple[int, int], dict] = {}
+    weights = spec.weights()
     for m, c in (u.terms if isinstance(u, Poly) else u.poly.terms).items():
-        comps.setdefault(_weight_of_monomial(m, spec), {})[m] = c
+        w1 = w2 = 0
+        for s, e in fields(m):
+            letter, index = slot_key(s)
+            if letter not in ("a", "x") or not 1 <= index <= len(weights):
+                raise ValueError(f"variable {slot_name(s)} carries no weight")
+            p, q = weights[index - 1]
+            w1, w2 = w1 + e * p, w2 + e * q
+        comps.setdefault((w1, w2), {})[m] = c
     wrap = Poly if isinstance(u, Poly) else lambda t: WreathElement(u.ctx, Poly(t))
     return {w: wrap(t) for w, t in sorted(comps.items())}
 

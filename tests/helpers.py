@@ -87,7 +87,7 @@ def monomial_element(ctx, a_index, y_exponents) -> WreathElement:
     """Basis element a_i * Y^q of the envelope (or Y^q when a_index is None)."""
     if len(y_exponents) != ctx.dim:
         raise ContextMismatch("exponent vector has wrong length")
-    mono = [(f"y{j + 1}", e) for j, e in enumerate(y_exponents) if e]
+    mono = [(f"x{j + 1}", e) for j, e in enumerate(y_exponents) if e]
     if a_index is not None:
         if not 1 <= a_index <= ctx.dim:
             raise IndexError(f"index {a_index} out of range 1..{ctx.dim}")

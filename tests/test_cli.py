@@ -131,6 +131,17 @@ class TestCheck:
         assert payload["invariant"] is False
         assert payload["failing"]["derivation"] in ("delta1", "delta2")
 
+    # the envelope stores y_j as x_j; its printed elements keep the name y_j
+    def test_failing_image_prints_the_envelope_in_y(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("[x3,x1]"))
+        code, out, _ = run(capsys, "check", "2", "-", "--json")
+        assert code == 1
+        assert json.loads(out)["failing"] == {"derivation": "delta1",
+                                              "image": "-2*a1*y2 + 2*a2*y1"}
+        monkeypatch.setattr("sys.stdin", io.StringIO("[x2,x1].(x1)"))
+        code, out, _ = run(capsys, "check", "1", "-")
+        assert (code, out) == (1, "not invariant: delta2 maps it to -a1*y2^2 + a2*y1*y2\n")
+
     def test_lie_expression(self, capsys, tmp_path):
         path = tmp_path / "expr.txt"
         path.write_text("[x4,x1] - 3*[x3,x2]")
@@ -296,10 +307,31 @@ class TestWitnessBudget:
         assert "budget" in err
         assert perf_counter() - start < 2
 
+    # the first count past the budget of each single block that reaches it
+    @pytest.mark.parametrize("spec, count", [("3", 28), ("4", 26), ("5", 5), ("7", 3)])
+    def test_first_count_past_the_budget_is_refused_before_the_work(self, capsys, monkeypatch,
+                                                                    spec, count):
+        built = []
+
+        def members(spec, pair):
+            for u in invariants.infinite_family_witness(spec, pair):
+                built.append(u)
+                yield u
+
+        def undecided(u, spec):
+            raise AssertionError("a member was decided")
+        monkeypatch.setattr(cli, "infinite_family_witness", members)
+        monkeypatch.setattr(cli, "is_invariant", undecided)
+        monkeypatch.setattr(cli, "is_invariant_by_derivations", undecided)
+        code, out, err = run(capsys, "witness", spec, "--count", str(count))
+        assert (code, out) == (2, "")
+        assert f"member {count} could take the family past the budget" in err
+        assert len(built) == count - 1
+
     @pytest.mark.parametrize("spec, count", [
         # the shapes the benchmark draws, at their largest counts
         ("2,0", 6), ("1,1", 6), ("2,1", 6), ("1,1,1", 6), ("2,2", 6), ("3", 3), ("4", 2),
-        ("3", 6), ("4", 6), ("1,1", 40),
+        ("3", 6), ("4", 6), ("1,1", 40), ("5", 4),
         *[(spec, MAX_WITNESS_COUNT) for spec in ("2,0", "1,1", "2,1", "1,1,1", "2,2")],
     ])
     def test_accepted_edges(self, capsys, spec, count):

@@ -61,7 +61,11 @@ def solve_in_word_basis(u):
 class TestGenerators:
     def test_generator_form(self):
         ctx = LieContext(2)
-        assert ctx.generator(1) == WreathElement(ctx, Poly.parse("a1 + y1"))
+        assert ctx.generator(1) == WreathElement(ctx, Poly.parse("a1 + x1"))
+
+    def test_generator_prints_in_y(self):
+        assert str(LieContext(3).generator(1)) == "a1 + y1"
+        assert repr(LieContext(3).generator(1)) == "WreathElement(d=3, a1 + y1)"
 
     def test_index_validation(self):
         ctx = LieContext(3)
@@ -69,7 +73,7 @@ class TestGenerators:
             ctx.generator(0)
         with pytest.raises(IndexError):
             ctx.generator(4)
-        assert ctx.generator(3).poly == Poly.parse("a3 + y3")
+        assert ctx.generator(3).poly == Poly.parse("a3 + x3")
 
     def test_negative_power_is_refused(self):
         x1 = LieContext(2).generator(1)
@@ -88,7 +92,7 @@ class TestBracket:
     def test_basic_commutator(self):
         ctx = LieContext(2)
         value = ctx.generator(2).bracket(ctx.generator(1))
-        assert value == WreathElement(ctx, Poly.parse("a2*y1 - a1*y2"))
+        assert value == WreathElement(ctx, Poly.parse("a2*x1 - a1*x2"))
 
     @given(u=strat.envelope_elements())
     def test_skew_symmetry(self, u):
@@ -139,7 +143,7 @@ class TestAdAction:
     def test_single_step(self):
         ctx = LieContext(3)
         u = wreath(ctx, "[x2,x1]")
-        expected = WreathElement(ctx, Poly.parse("(a2*y1 - a1*y2)*y3"))
+        expected = WreathElement(ctx, Poly.parse("(a2*x1 - a1*x2)*x3"))
         assert u.ad_action(Poly.variable("x3")) == expected
 
     def test_identity_action(self):
@@ -237,7 +241,7 @@ class TestClosedFormWords:
 class TestMembership:
     def test_image_of_bracket(self):
         ctx = LieContext(2)
-        u = WreathElement(ctx, Poly.parse("a1*y2 - a2*y1"))
+        u = WreathElement(ctx, Poly.parse("a1*x2 - a2*x1"))
         assert u.is_in_commutator_ideal()
 
     def test_bare_a_is_not_lie(self):
@@ -306,7 +310,7 @@ class TestWordBasis:
     def test_non_member_rejected(self):
         ctx = LieContext(2)
         with pytest.raises(NotInCommutatorIdeal):
-            to_commutator_basis(WreathElement(ctx, Poly.parse("a1*y1")))
+            to_commutator_basis(WreathElement(ctx, Poly.parse("a1*x1")))
 
     @pytest.mark.parametrize("blocks", [(1, 1), (2, 0), (2, 1), (2, 2), (3,), (4,)])
     def test_read_off_matches_the_linear_solve_on_witnesses(self, blocks):
@@ -393,7 +397,7 @@ class TestLieExpressions:
     def test_eval_bracket(self):
         ctx = LieContext(2)
         assert parse_lie_expr("[x2,x1]").evaluate(ctx) == \
-            WreathElement(ctx, Poly.parse("a2*y1 - a1*y2"))
+            WreathElement(ctx, Poly.parse("a2*x1 - a1*x2"))
 
     def test_skew_cancellation(self):
         ctx = LieContext(2)
@@ -486,14 +490,14 @@ class TestLieExpressions:
         with pytest.raises(NotInCommutatorIdeal):
             lie_normal_form(WreathElement(ctx, Poly.parse("a1")))
         with pytest.raises(NotInCommutatorIdeal):
-            lie_normal_form(WreathElement(ctx, Poly.parse("y1^2")))
+            lie_normal_form(WreathElement(ctx, Poly.parse("x1^2")))
 
     def test_y_linear_view(self):
         ctx = LieContext(3)
         u = ctx.generator(2) - 3 * ctx.generator(3)
         assert u.y_linear == [0, 1, -3]
         with pytest.raises(ValueError):
-            WreathElement(ctx, Poly.parse("y1*y2")).y_linear
+            WreathElement(ctx, Poly.parse("x1*x2")).y_linear
 
 
 class TestGrading:

@@ -61,8 +61,7 @@ class TestModuleSpec:
 
     def test_weights(self):
         spec = ModuleSpec.parse("2,1")
-        assert [spec.weight(j) for j in range(1, 6)] == \
-            [(2, 0), (1, 1), (0, 2), (1, 0), (0, 1)]
+        assert spec.weights() == [(2, 0), (1, 1), (0, 2), (1, 0), (0, 1)]
 
 
 class TestGroupGenerators:
