@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Layer microbenchmarks and end-to-end timings, written to BENCH_14.json.
+"""Layer microbenchmarks and end-to-end timings, written to BENCH_15.json.
 
     python3 scripts/bench.py [--src DIR] [--column NAME[=DIR] ...] [--out FILE] [--tiny]
 
@@ -68,7 +68,7 @@ def layer_entries(tiny: bool):
     from metalie.metabelian import (LieContext, from_commutator_basis, parse_lie_expr,
                                     to_commutator_basis)
     from metalie.poly import slot, tokenize, var_key
-    from metalie.sl2 import ModuleSpec, g1_matrix, invariant_dimension
+    from metalie.sl2 import ModuleSpec, derivations, g1_matrix, g2_matrix, invariant_dimension
 
     rng = random.Random(6)
     n = 20 if tiny else 150
@@ -151,6 +151,16 @@ def layer_entries(tiny: bool):
            lambda: [invariant_dimension(spec, n, space) for space in spaces
                     for n in range(top + 1)],
            {"rank": spec.dimension, "degrees": top + 1, "dimension_sum": sum(dims)})
+
+    wide = ModuleSpec((31 if tiny else 1023,))
+
+    def operators():
+        for build in (g1_matrix, g2_matrix, derivations):
+            build.cache_clear()
+        return g1_matrix(wide), g2_matrix(wide), derivations(wide)
+    yield ("sl2.operators", f"g1, g2, delta1 and delta2 of V{wide.blocks[0]}, built with "
+                            "their caches cleared",
+           operators, {"rank": wide.dimension})
 
 
 def catalog_entries(tiny: bool):
@@ -414,7 +424,7 @@ def main() -> int:
                         help="directory holding the metalie package of a bare column name")
     parser.add_argument("--column", action="append",
                         help="NAME or NAME=DIR; repeat to alternate columns (default change)")
-    parser.add_argument("--out", default=str(ROOT / "BENCH_14.json"))
+    parser.add_argument("--out", default=str(ROOT / "BENCH_15.json"))
     parser.add_argument("--tiny", action="store_true", help="small sizes, for a smoke test")
     parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args()

@@ -40,10 +40,10 @@ from .sl2 import ModuleSpec, failing_derivation_image, is_invariant, is_invarian
 
 MAX_TRUNCATION = 64
 # Budget on the rank: the generators of a module specification, or the largest
-# x<k> of a `normalize` input.  `check` builds two dense rank-by-rank
-# derivation matrices; at the budget, `check 1023` takes about 0.1 s and 48 MB
-# peak RSS on `x1`, and 0.4 s on the sum of all 1024 variables (Python 3.11,
-# one core of an Intel Xeon server).
+# x<k> of a `normalize` input.  `check` builds the two derivations by their
+# sparse columns; at the budget, `check 1023` takes about 0.01 s and 18 MB
+# peak RSS on `x1`, and 0.4 s and 22 MB on the sum of all 1024 variables
+# (Python 3.11, a shared 2-CPU host).
 MAX_RANK = 1024
 # Budget for the invariant targets of `hilbert`, in slice cells the weight-space
 # builder touches (about d * N * (N * k_max + 1)); an input at the budget takes

@@ -1,8 +1,9 @@
-"""Exact linear algebra over the rationals: small dense matrices, sparse ranks.
+"""Exact linear algebra over the rationals: sparse ranks and solves.
 
-Entries are `int`, or `Fraction` where a division happens: `mat_scale` by a
-fraction and `solve_unique`.  `rank` is fraction-free: it clears
-denominators and eliminates over the integers.
+Entries are `int`, or `Fraction` where a division happens (`solve_unique`).
+`rank` is fraction-free: it clears denominators and eliminates over the
+integers.  `mat_mul`, a dense product, has no caller here; the matrix
+exponential of the test oracles and the benchmark's tracer name it.
 """
 
 from __future__ import annotations
@@ -13,27 +14,6 @@ from math import gcd, lcm
 
 class LinearSolveError(ValueError):
     """Raised when an exact linear system has no (unique) solution."""
-
-
-def identity(n: int) -> list[list[int]]:
-    return [[int(i == j) for j in range(n)] for i in range(n)]
-
-
-def zero_matrix(n: int) -> list[list[int]]:
-    return [[0] * n for _ in range(n)]
-
-
-def mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_scale(a, c):
-    c = Fraction(c)
-    return [[x * c for x in row] for row in a]
 
 
 def mat_mul(a, b):
@@ -50,9 +30,6 @@ def mat_mul(a, b):
                     if bt[j]:
                         oi[j] += c * bt[j]
     return out
-
-def is_zero_matrix(a) -> bool:
-    return all(not x for row in a for x in row)
 
 
 def _primitive(row: dict) -> dict:

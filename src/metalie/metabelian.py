@@ -116,7 +116,7 @@ class WreathElement:
     def __init__(self, ctx: LieContext, poly: Poly):
         for s, _ in fields(poly.support()):
             letter, index = slot_key(s)
-            if letter not in ("a", "x") or slot_name(s) != f"{letter}{index}":
+            if letter not in ("a", "x"):
                 raise ContextMismatch(f"variable {slot_name(s)} is not in the a/x alphabets")
             if index < 1 or index > ctx.dim:
                 raise ContextMismatch(f"variable {slot_name(s)} outside rank {ctx.dim}")
@@ -224,14 +224,11 @@ class WreathElement:
         defined on the commutator ideal."""
         if not self.is_in_commutator_ideal():
             raise NotInCommutatorIdeal("module action is defined on the commutator ideal only")
-        aliases = {}    # x01 names the generator x1
         for s, _ in fields(p.support()):
             letter, index = slot_key(s)
             if letter != "x" or not 1 <= index <= self.ctx.dim:
                 raise ContextMismatch(f"variable {slot_name(s)} is not one of x1..x{self.ctx.dim}")
-            if slot_name(s) != f"x{index}":
-                aliases[slot_name(s)] = f"x{index}"
-        return _wrap(self.ctx, self.poly * (p.rename(aliases) if aliases else p), in_ideal=True)
+        return _wrap(self.ctx, self.poly * p, in_ideal=True)
 
     # -- membership ----------------------------------------------------------
 

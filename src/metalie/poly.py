@@ -34,7 +34,7 @@ W = 16
 MAX_EXPONENT = (1 << (W - 1)) - 1
 _FIELD = (1 << W) - 1
 
-_VAR_RE = re.compile(r"^([A-Za-z]+)(\d*)$")
+_VAR_RE = re.compile(r"^([A-Za-z]+)(0|[1-9]\d*)?$")
 
 
 class ParseError(ValueError):
@@ -50,7 +50,8 @@ class ExponentOverflow(ValueError):
 
 @lru_cache(maxsize=None)
 def var_key(name: str) -> tuple[str, int]:
-    """Sort key of a variable name: ("x12") -> ("x", 12)."""
+    """Sort key of a variable name: ("x12") -> ("x", 12).  An index has no
+    leading zero, so x, x0, x1 and x10 are names and x01 and x00 are not."""
     m = _VAR_RE.match(name)
     if m is None:
         raise ValueError(f"bad variable name {name!r}")
@@ -128,7 +129,7 @@ def encode(pairs: Iterable[tuple[str, int]]) -> Monomial:
 
 def decode(m: Monomial) -> tuple[tuple[str, int], ...]:
     """(name, exponent) pairs of m in the variable order: by `var_key`, then
-    by name, which parts "x01" from "x1"."""
+    by name, which parts "x" from "x0"."""
     return tuple((_slot_names[s], e) for s, e in
                  sorted(fields(m), key=lambda f: (_slot_keys[f[0]], _slot_names[f[0]])))
 
@@ -547,6 +548,9 @@ def tokenize(text: str) -> list[tuple[str, str, int]]:
         if m.group(1):
             tokens.append(("num", m.group(1), m.start()))
         elif m.group(2):
+            if not _VAR_RE.match(m.group(2)):
+                raise ParseError(f"variable {m.group(2)!r} at position {m.start()}: "
+                                 "an index takes no leading zero")
             tokens.append(("name", m.group(2), m.start()))
         else:
             op = "^" if m.group(3) == "**" else m.group(3)

@@ -15,7 +15,9 @@ which on each block are the raising and lowering derivations
 
     delta1(xi_l) = l * xi_{l-1},    delta2(xi_l) = (k-l) * xi_{l+1}.
 
-`derivations` builds these from the closed form, and `check`, `witness` and
+All four are stored by their sparse columns and built block by block by one
+helper, so delta1 and delta2 hold at most one entry per column.
+`derivations` builds the logarithms, and `check`, `witness` and
 `verify_catalog` decide invariance with them at a cost linear in the element.
 `invariant_dimension` counts the invariants of one degree with delta1 alone:
 they are the weight-(p, p) vectors that delta1 kills.  Substitution by g1 and
@@ -29,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from operator import add
 from typing import Literal
 
 from . import linalg
@@ -84,27 +86,25 @@ class ModuleSpec:
         return [(k - l, l) for k in self.blocks for l in range(k + 1)]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class _GeneratorMatrix:
-    """Linear map on the generators; column j is the image of x_{j+1}.
+    """Linear map on the generators, by sparse columns: columns[j] = {i: c}
+    sends x_{j+1} to sum c * x_{i+1} and holds the nonzero entries only.
 
-    The same matrix acts on the x- and a-alphabets; the subclasses fix
+    The same map acts on the x- and a-alphabets; the subclasses fix
     how it extends from the generators to products.
     """
 
     spec: ModuleSpec
-    matrix: tuple[tuple[int | Fraction, ...], ...]
-    _columns: dict[tuple[str, int], Poly] = field(default_factory=dict, init=False, repr=False)
-
-    def __eq__(self, other):
-        return type(other) is type(self) and self.spec == other.spec \
-            and self.matrix == other.matrix
+    columns: tuple[dict[int, int | Fraction], ...]
+    _column_images: dict[tuple[str, int], Poly] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def column_image(self, letter: str, j: int) -> Poly:
-        if (letter, j) not in self._columns:    # built once per operator
-            self._columns[letter, j] = Poly({encode(((f"{letter}{i + 1}", 1),)): row[j - 1]
-                                             for i, row in enumerate(self.matrix) if row[j - 1]})
-        return self._columns[letter, j]
+        if (letter, j) not in self._column_images:    # built once per operator
+            self._column_images[letter, j] = Poly({encode(((f"{letter}{i + 1}", 1),)): c
+                                                   for i, c in self.columns[j - 1].items()})
+        return self._column_images[letter, j]
 
     def _images(self, p: Poly, letters: str) -> dict[str, Poly]:
         """Image of each variable of p; each must be one of the generators."""
@@ -151,49 +151,75 @@ def _leibniz(p: Poly, images: dict[str, Poly]) -> Poly:
     return acc
 
 
+def _blockwise(cls, spec: ModuleSpec, column):
+    """The operator whose column of xi_l in a degree-k block is column(k, l), the
+    pairs (j, c) of xi_l -> sum c * xi_j; a zero pair is dropped before its
+    index (maybe outside the block) is read.  Keys share one int per index."""
+    index = list(range(spec.dimension))
+    return cls(spec, tuple({index[offset + j]: c for j, c in column(k, l) if c}
+                           for k, offset in zip(spec.blocks, spec.offsets())
+                           for l in range(k + 1)))
+
+
+def _binomial_rows(spec: ModuleSpec) -> list[tuple[int, ...]]:
+    """Rows 0..k of Pascal's triangle for the largest block degree k, by
+    additions (one `comb` per entry takes about 9 s at k = 1023); C(n, j) and
+    C(n, n-j) are one int object, which halves the memory their entries take."""
+    rows = [(1,)]
+    for n in range(1, max(spec.blocks) + 1):
+        row = (1, *map(add, rows[-1], rows[-1][1:]), 1)
+        rows.append(row[:n // 2 + 1] + row[(n - 1) // 2::-1])
+    return rows
+
+
 @lru_cache(maxsize=16)
 def g1_matrix(spec: ModuleSpec) -> LinearAction:
-    """Action of the upper unitriangular generator on each block."""
-    d = spec.dimension
-    m = [[0] * d for _ in range(d)]
-    for k, offset in zip(spec.blocks, spec.offsets()):
-        for l in range(k + 1):
-            for j in range(l + 1):
-                m[offset + j][offset + l] = comb(l, j)
-    return LinearAction(spec, tuple(tuple(row) for row in m))
+    """The upper unitriangular generator: xi_l -> sum_{j<=l} C(l, j) xi_j."""
+    rows = _binomial_rows(spec)
+    return _blockwise(LinearAction, spec, lambda k, l: enumerate(rows[l]))
 
 
 @lru_cache(maxsize=16)
 def g2_matrix(spec: ModuleSpec) -> LinearAction:
-    """Action of the lower unitriangular generator, mirroring g1."""
-    d = spec.dimension
-    m = [[0] * d for _ in range(d)]
-    for k, offset in zip(spec.blocks, spec.offsets()):
-        for l in range(k + 1):
-            for j in range(l + 1):
-                m[offset + k - j][offset + k - l] = comb(l, j)
-    return LinearAction(spec, tuple(tuple(row) for row in m))
+    """The lower one, mirroring g1: xi_l -> sum_{j>=l} C(k-l, j-l) xi_j."""
+    rows = _binomial_rows(spec)
+    return _blockwise(LinearAction, spec, lambda k, l: enumerate(rows[k - l], l))
+
+
+def _compose(a, b):
+    """Columns of the map a after b: each column of b sent through a."""
+    out = []
+    for column in b:
+        image = {}
+        for i, c in column.items():
+            for t, v in a[i].items():
+                image[t] = image.get(t, 0) + c * v
+        out.append({t: v for t, v in image.items() if v})
+    return tuple(out)
 
 
 def log_unipotent(g: LinearAction) -> Derivation:
     """Exact matrix logarithm of a unipotent action.
 
     The series log(1 + N) = N - N^2/2 + ... terminates because N is
-    nilpotent; a non-nilpotent input is rejected.  Dense and slow; it serves
-    as the independent check of the closed forms in `derivations`.
+    nilpotent; a non-nilpotent input is rejected.  Slow; it serves as the
+    independent check of the closed forms in `derivations`.
     """
-    d = g.spec.dimension
-    n = linalg.mat_sub([list(row) for row in g.matrix], linalg.identity(d))
-    acc = linalg.zero_matrix(d)
-    power = linalg.identity(d)
-    for step in range(1, d + 1):
-        power = linalg.mat_mul(power, n)
-        if linalg.is_zero_matrix(power):
+    n = tuple({i: c for i, c in {**column, j: column.get(j, 0) - 1}.items() if c}
+              for j, column in enumerate(g.columns))
+    log = [{} for _ in n]
+    power = n
+    for step in range(1, len(n) + 1):
+        if not any(power):
             break
-        acc = linalg.mat_add(acc, linalg.mat_scale(power, Fraction((-1) ** (step - 1), step)))
+        scale = Fraction((-1) ** (step - 1), step)
+        for out, column in zip(log, power):
+            for i, c in column.items():
+                out[i] = out.get(i, 0) + scale * c
+        power = _compose(n, power)
     else:
         raise NotUnipotent("matrix minus identity is not nilpotent")
-    return Derivation(g.spec, tuple(tuple(row) for row in acc))
+    return Derivation(g.spec, tuple({i: c for i, c in out.items() if c} for out in log))
 
 
 @lru_cache(maxsize=16)
@@ -202,17 +228,10 @@ def derivations(spec: ModuleSpec) -> tuple[Derivation, Derivation]:
 
     On a degree-k block, delta1(xi_l) = l * xi_{l-1} raises the weight and
     delta2(xi_l) = (k-l) * xi_{l+1} lowers it; `log_unipotent` of
-    `g1_matrix` and `g2_matrix` gives the same matrices the slow way.
+    `g1_matrix` and `g2_matrix` gives the same operators the slow way.
     """
-    d = spec.dimension
-    raising = [[0] * d for _ in range(d)]
-    lowering = [[0] * d for _ in range(d)]
-    for k, offset in zip(spec.blocks, spec.offsets()):
-        for l in range(1, k + 1):
-            raising[offset + l - 1][offset + l] = l
-            lowering[offset + l][offset + l - 1] = k - l + 1
-    return (Derivation(spec, tuple(tuple(row) for row in raising)),
-            Derivation(spec, tuple(tuple(row) for row in lowering)))
+    return (_blockwise(Derivation, spec, lambda k, l: [(l - 1, l)]),
+            _blockwise(Derivation, spec, lambda k, l: [(l + 1, k - l)]))
 
 
 def is_invariant(u, spec: ModuleSpec) -> bool:

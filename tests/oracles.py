@@ -126,21 +126,24 @@ def tuple_str(p):
 
 
 def exp_nilpotent(delta: Derivation) -> LinearAction:
-    """Exact matrix exponential of a nilpotent derivation matrix."""
+    """Exact matrix exponential of a nilpotent derivation, on the dense
+    matrix of its columns; stops at the first zero power."""
     d = delta.spec.dimension
-    n = [list(row) for row in delta.matrix]
-    acc = linalg.identity(d)
-    power = linalg.identity(d)
+    n = [[delta.columns[j].get(i, 0) for j in range(d)] for i in range(d)]
+    acc = [[int(i == j) for j in range(d)] for i in range(d)]
+    power = acc
     factorial = 1
     for step in range(1, d + 1):
         power = linalg.mat_mul(power, n)
         factorial *= step
-        if linalg.is_zero_matrix(power):
+        if not any(map(any, power)):
             break
-        acc = linalg.mat_add(acc, linalg.mat_scale(power, Fraction(1, factorial)))
+        acc = [[x + Fraction(y, factorial) for x, y in zip(ra, rp)]
+               for ra, rp in zip(acc, power)]
     else:
         raise NotUnipotent("derivation matrix is not nilpotent")
-    return LinearAction(delta.spec, tuple(tuple(row) for row in acc))
+    return LinearAction(delta.spec, tuple({i: acc[i][j] for i in range(d) if acc[i][j]}
+                                          for j in range(d)))
 
 
 def schur_function(k: int, l: int) -> dict[tuple[int, int], int]:

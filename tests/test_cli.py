@@ -415,6 +415,32 @@ class TestLeadingMinus:
         assert (code, positive) == (0, "-[x2,x1]\n")
 
 
+class TestZeroPaddedNames:
+    """A variable index takes no leading zero: x01 is refused, not read as x1."""
+
+    def test_pi_refuses_a_padded_generator(self, capsys):
+        code, out, err = run(capsys, "pi", "2", "x01", "x2")
+        assert (code, out) == (2, "")
+        assert err == "error: variable 'x01' at position 0: an index takes no leading zero\n"
+
+    def test_check_refuses_a_padded_generator(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("x01*x2 - x1*x2"))
+        code, out, err = run(capsys, "check", "2", "-")
+        assert (code, out) == (2, "")
+        assert "'x01' at position 0" in err
+
+    def test_normalize_refuses_a_padded_multiplier(self, capsys):
+        code, out, err = run(capsys, "normalize", "[x2,x1].(x01 - x1)")
+        assert (code, out) == (2, "")
+        assert "'x01' at position 9" in err
+
+    def test_unpadded_indices_stay_names(self, capsys):
+        for text in ("x0^2*x + x^2 - x0", "x10*x1"):
+            code, out, _ = run(capsys, "normalize", text)
+            assert code == 0, text
+        assert run(capsys, "normalize", "x00")[0] == 2
+
+
 class TestRankBudget:
     def test_huge_block_is_refused(self, capsys):
         code, out, err = run(capsys, "hilbert", str(10 ** 70), "polyring", "-N", "64")

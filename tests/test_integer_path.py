@@ -123,7 +123,8 @@ class TestCanonicalScalars:
     def test_catalog_path_holds_ints(self):
         spec = load_catalog()["vii"].spec
         for matrix in (g1_matrix(spec), g2_matrix(spec), *derivations(spec)):
-            assert all(type(c) is int for row in matrix.matrix for c in row)
+            assert all(type(c) is int for column in matrix.columns
+                       for c in column.values())
         character = weight_character(spec, 8, "module")
         table = extract_multiplicities(character)
         for values in (character.coefficients.values(), table.entries.values(),

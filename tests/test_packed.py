@@ -114,7 +114,7 @@ ROOT = Path(__file__).resolve().parent.parent
 COMMANDS = [
     ["normalize", "x11*y2 - 3*x2^2*z + a1*(x2 + x10)^2 - t2*t1"],
     ["normalize", "[x4,x1,x2] - 2[x3,x2].x1^2 + [x3,x1].(x2 + x10)^2"],
-    ["normalize", "x01^2*x1 + x1^2 - x01"],
+    ["normalize", "x0^2*x + x^2 - x0"],
     ["pi", "2,1", "x2^2 - x1*x3", "x4"],
     ["check", "2,1", "-", "--json"],
     ["witness", "2,1", "--count", "4", "--json"],
@@ -122,7 +122,8 @@ COMMANDS = [
 CHECK_INPUT = "[x2,x1].x4 + [x3,x1].(x1 + x2)"
 # registered before the command runs, in the reverse of the order a fresh
 # process meets them
-NAMES = ["x01"] + [f"{letter}{j}" for letter in "xya" for j in range(1, 13)] + ["z", "t1", "t2"]
+NAMES = ["x0", "x"] + [f"{letter}{j}" for letter in "xya" for j in range(1, 13)] \
+    + ["z", "t1", "t2"]
 REVERSED = f"""
 import sys
 from metalie import cli, poly

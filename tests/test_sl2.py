@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from itertools import product
+from math import comb
 
 import pytest
 from hypothesis import given
@@ -29,6 +30,11 @@ from oracles import exp_nilpotent
 # module specifications of rank 3, to match the three-variable strategies
 RANK_THREE_SPECS = [ModuleSpec(blocks) for blocks in ((2,), (1, 0), (0, 1))]
 
+# every specification of one to three blocks of degree at most 6 and rank at most 10
+SMALL_SPECS = [ModuleSpec(blocks) for size in (1, 2, 3)
+               for blocks in product(range(7), repeat=size)
+               if sum(k + 1 for k in blocks) <= 10]
+
 
 def block_degrees(u, spec):
     """The degree vectors, one entry per block, of the monomials of u."""
@@ -43,7 +49,7 @@ def block_degrees(u, spec):
 
 
 def column(action, j):
-    return tuple(action.matrix[i][j - 1] for i in range(action.spec.dimension))
+    return tuple(action.columns[j - 1].get(i, 0) for i in range(action.spec.dimension))
 
 
 class TestModuleSpec:
@@ -76,8 +82,8 @@ class TestGroupGenerators:
 
     def test_trivial_blocks_give_identity(self):
         g = g1_matrix(ModuleSpec((0, 0)))
-        assert g.matrix == ((1, 0), (0, 1))
-        assert g2_matrix(ModuleSpec((0,))).matrix == ((1,),)
+        assert g.columns == ({0: 1}, {1: 1})
+        assert g2_matrix(ModuleSpec((0,))).columns == ({0: 1},)
 
     def test_g2_mirrors_g1(self):
         g = g2_matrix(ModuleSpec((1,)))
@@ -92,12 +98,12 @@ class TestLogExp:
         # (g1 - 1)^2 = 0 on a single degree-one block, so log g1 = g1 - 1
         spec = ModuleSpec((1,))
         delta = log_unipotent(g1_matrix(spec))
-        assert delta.matrix == ((0, 1), (0, 0))
+        assert delta.columns == ({}, {0: 1})
 
     def test_identity_gives_zero(self):
         spec = ModuleSpec((0, 0))
         delta = log_unipotent(g1_matrix(spec))
-        assert all(all(x == 0 for x in row) for row in delta.matrix)
+        assert delta.columns == ({}, {})
 
     def test_degree_two_block_log(self):
         # raising operator: delta1(xi_l) = l * xi_{l-1}
@@ -125,11 +131,8 @@ class TestLogExp:
             assert column(lowering, l + 1) == expected_lower
 
     def test_closed_forms_match_the_matrix_logarithm(self):
-        specs = [ModuleSpec(blocks) for size in (1, 2, 3)
-                 for blocks in product(range(7), repeat=size)
-                 if sum(k + 1 for k in blocks) <= 10]
-        assert len(specs) == 163
-        for spec in specs:
+        assert len(SMALL_SPECS) == 163
+        for spec in SMALL_SPECS:
             assert derivations(spec) == \
                 (log_unipotent(g1_matrix(spec)), log_unipotent(g2_matrix(spec))), spec
 
@@ -137,10 +140,39 @@ class TestLogExp:
         spec = ModuleSpec((1,))
         from metalie.sl2 import LinearAction
 
-        doubled = LinearAction(spec, ((Fraction(2), Fraction(0)),
-                                      (Fraction(0), Fraction(1))))
+        doubled = LinearAction(spec, ({0: Fraction(2)}, {1: Fraction(1)}))
         with pytest.raises(NotUnipotent):
             log_unipotent(doubled)
+
+
+class TestSparseOperators:
+    def test_g2_is_g1_reflected_within_each_block(self):
+        for spec in SMALL_SPECS:
+            g1, g2 = g1_matrix(spec).columns, g2_matrix(spec).columns
+            for k, offset in zip(spec.blocks, spec.offsets()):
+                for m in range(k + 1):
+                    reflected = {2 * offset + k - i: c
+                                 for i, c in g1[offset + k - m].items()}
+                    assert g2[offset + m] == reflected, (spec, m)
+
+    def test_generators_of_a_wide_block_hold_binomials(self):
+        spec = ModuleSpec((40,))
+        g1, g2 = g1_matrix(spec).columns, g2_matrix(spec).columns
+        for l in range(41):
+            assert g1[l] == {j: comb(l, j) for j in range(l + 1)}
+            assert g2[l] == {j: comb(40 - l, j - l) for j in range(l, 41)}
+
+    def test_derivation_columns_hold_at_most_one_entry(self):
+        for spec in SMALL_SPECS:
+            for delta in derivations(spec):
+                assert all(len(column) <= 1 for column in delta.columns), spec
+
+    def test_derivations_of_a_wide_block_store_one_entry_per_step(self):
+        raising, lowering = derivations(ModuleSpec((1023,)))
+        assert len(raising.columns) == len(lowering.columns) == 1024
+        assert sum(map(len, raising.columns + lowering.columns)) == 2 * 1023
+        assert raising.columns[1023] == {1022: 1023}
+        assert lowering.columns[0] == {1: 1023}
 
 
 class TestPolyAction:
