@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Layer microbenchmarks and end-to-end timings, written to BENCH_15.json.
+"""Layer microbenchmarks and end-to-end timings, written to BENCH_16.json.
 
     python3 scripts/bench.py [--src DIR] [--column NAME[=DIR] ...] [--out FILE] [--tiny]
 
@@ -124,7 +124,7 @@ def layer_entries(tiny: bool):
            {"terms_a": len(f1.poly.terms), "terms_b": len(f2.poly.terms),
             "terms_out": len(bracket.poly.terms), "max_exponent": max_exponent(bracket.poly)})
 
-    cases = [(text, case.context()) for case in load_catalog().values()
+    cases = [(text, case.spec.context()) for case in load_catalog().values()
              for text in case.module_generator_texts]
     values = [parse_lie_expr(text).evaluate(ctx) for text, ctx in cases]
     yield ("metabelian.parse_lie_expr", f"the {len(cases)} catalog module generators parsed "
@@ -167,6 +167,7 @@ def catalog_entries(tiny: bool):
     """(name, what, thunk, sizes) for the series and rank layers of `catalog verify`."""
     from metalie import invariants
     from metalie.linalg import rank
+    from metalie.poly import Poly
     from metalie.series import (decompose_slice, expand_rational, parse_rational_function,
                                 symmetrizes_to, weight_character, weight_packing, weight_slices)
 
@@ -199,9 +200,9 @@ def catalog_entries(tiny: bool):
            lambda: all(symmetrizes_to(f, row, base) for f, row in zip(found, slices)),
            {"slices": len(slices), "multiplicities": multiplicities})
 
-    gens = [invariants.parse_lie_expr(text).evaluate(case.context())
+    gens = [invariants.parse_lie_expr(text).evaluate(case.spec.context())
             for text in case.module_generator_texts]
-    ring = case.ring_generators()
+    ring = [Poly.parse(text) for text in case.ring_generator_texts]
     products = invariants._ring_monomial_table(ring, n)
     rows = [v.ad_action(p).poly.terms for v in gens for p in products[n - v.total_degree()]]
     yield ("linalg.rank", f"rank of the degree-{n} module span rows of case vii",
@@ -424,7 +425,7 @@ def main() -> int:
                         help="directory holding the metalie package of a bare column name")
     parser.add_argument("--column", action="append",
                         help="NAME or NAME=DIR; repeat to alternate columns (default change)")
-    parser.add_argument("--out", default=str(ROOT / "BENCH_15.json"))
+    parser.add_argument("--out", default=str(ROOT / "BENCH_16.json"))
     parser.add_argument("--tiny", action="store_true", help="small sizes, for a smoke test")
     parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args()

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from importlib import resources
 from math import comb
 from time import perf_counter
@@ -29,6 +29,7 @@ from .metabelian import (
     NotInCommutatorIdeal,
     WreathElement,
     parse_lie_expr,
+    require_variables,
 )
 from .poly import (Poly, encode, fields, jacobian_minor, mono_exponent, mono_str, signed_sum,
                    slot, slot_key, slot_name, var_key)
@@ -65,10 +66,7 @@ MAX_SPAN_ROWS = 3000
 
 
 def _require_x_poly(f: Poly, ctx: LieContext) -> None:
-    for v in f.variables():
-        letter, index = var_key(v)
-        if letter != "x" or not 1 <= index <= ctx.dim:
-            raise ValueError(f"variable {v} is not one of x1..x{ctx.dim}")
+    require_variables(f, "x", ctx.dim)
     if not f.is_homogeneous():
         raise NonHomogeneousInput(f"not homogeneous: {f}")
 
@@ -291,11 +289,8 @@ def witness_pair(spec: ModuleSpec) -> tuple[WreathElement, Poly]:
         return pi(Poly.variable("x4"), f, ctx), f
     for entry in load_catalog().values():
         if entry.spec.blocks == blocks and entry.module_generator_texts:
-            gens = entry.module_generators()
-            rings = entry.ring_generators()
-            u = min(gens, key=WreathElement.total_degree)
-            f = min(rings, key=Poly.total_degree)
-            return u, f
+            return (min(entry.module_generators, key=WreathElement.total_degree),
+                    min(entry.ring_generators, key=Poly.total_degree))
     if len(blocks) == 1 and blocks[0] >= 3:
         k = blocks[0]
         if k % 2 == 1:
@@ -326,7 +321,11 @@ def infinite_family_witness(spec: ModuleSpec, pair: tuple[WreathElement, Poly] |
 @dataclass(frozen=True)
 class CatalogCase:
     """One verified decomposition: spec, closed-form Hilbert series of the
-    invariant commutator module and invariant ring, generators, relations."""
+    invariant commutator module and invariant ring, generators, relations.
+
+    The generators are parsed on first use and kept on the case; they are
+    immutable, so every caller may share them.  `dataclasses.replace` gives
+    a copy that parses its own texts again."""
 
     case_id: str
     spec: ModuleSpec
@@ -337,15 +336,14 @@ class CatalogCase:
     relation_texts: tuple[str, ...]
     ring_transcendence_degree: int
 
-    def context(self) -> LieContext:
-        return self.spec.context()
+    @cached_property
+    def module_generators(self) -> tuple[WreathElement, ...]:
+        ctx = self.spec.context()
+        return tuple(parse_lie_expr(text).evaluate(ctx) for text in self.module_generator_texts)
 
-    def module_generators(self) -> list[WreathElement]:
-        ctx = self.context()
-        return [parse_lie_expr(text).evaluate(ctx) for text in self.module_generator_texts]
-
-    def ring_generators(self) -> list[Poly]:
-        return [Poly.parse(text) for text in self.ring_generator_texts]
+    @cached_property
+    def ring_generators(self) -> tuple[Poly, ...]:
+        return tuple(Poly.parse(text) for text in self.ring_generator_texts)
 
     def module_series(self, truncation: int) -> TruncatedSeries:
         numerator, factors = parse_rational_function(self.module_series_text)
@@ -355,12 +353,11 @@ class CatalogCase:
         numerator, factors = parse_rational_function(self.ring_series_text)
         return expand_rational(numerator, factors, truncation)
 
-    def relation_values(self, gens: Sequence[WreathElement],
-                        ring: Sequence[Poly]) -> list[WreathElement]:
+    def relation_values(self) -> list[WreathElement]:
         """Each stored relation sum_i v_i * p_i(f_1, ..., f_r), evaluated at
-        the module generators v_i = gens[i - 1] and the ring generators
-        f_i = ring[i - 1]."""
-        ctx = self.context()
+        the module generators v_i and the ring generators f_i."""
+        gens, ring = self.module_generators, self.ring_generators
+        ctx = self.spec.context()
         values = []
         for text in self.relation_texts:
             combo = Poly.parse(text)
@@ -490,14 +487,12 @@ def span_rows(ring_degrees: Sequence[int], module_degrees: Sequence[int],
                                for e in module_degrees if e <= n)
 
 
-def check_span_budget(case: CatalogCase, rank_degree: int, module_gens=None,
-                      ring_gens=None) -> list[int]:
+def check_span_budget(case: CatalogCase, rank_degree: int) -> list[int]:
     """Refuse span checks of more than `MAX_SPAN_ROWS` rows with
     `SpanBudgetExceeded`; returns the degrees of the module generators."""
-    if module_gens is None:
-        module_gens, ring_gens = case.module_generators(), case.ring_generators()
-    module_degrees = [v.total_degree() for v in module_gens]
-    rows = span_rows([g.total_degree() for g in ring_gens], module_degrees, rank_degree)
+    module_degrees = [v.total_degree() for v in case.module_generators]
+    rows = span_rows([g.total_degree() for g in case.ring_generators], module_degrees,
+                     rank_degree)
     if rows > MAX_SPAN_ROWS:
         raise SpanBudgetExceeded(f"case {case.case_id}: span checks to degree {rank_degree} "
                                  f"need {rows} rows, over the budget of {MAX_SPAN_ROWS}")
@@ -517,7 +512,7 @@ def verify_catalog(case: CatalogCase, truncation: int = 12,
     generators onto the module invariants degree by degree (exact rank
     checks, up to `rank_degree`).
 
-    The generators are parsed once per call, the stated series expanded by
+    The generators are parsed once per case, the stated series expanded by
     `expand_rational`, and the series checks run on the packed slices of
     `weight_slices`.  The ring products are formed once; y_j is stored as
     x_j, so a module row is one envelope product v * p, one degree at a time.
@@ -536,9 +531,8 @@ def verify_catalog(case: CatalogCase, truncation: int = 12,
     checks = report.checks
     lap = _Lap()
 
-    module_gens = case.module_generators()
-    ring_gens = case.ring_generators()
-    module_degrees = check_span_budget(case, rank_degree, module_gens, ring_gens)
+    module_gens, ring_gens = case.module_generators, case.ring_generators
+    module_degrees = check_span_budget(case, rank_degree)
     for label, items in (("module", module_gens), ("ring", ring_gens)):
         bad = []
         for idx, g in enumerate(items, start=1):
@@ -548,7 +542,7 @@ def verify_catalog(case: CatalogCase, truncation: int = 12,
                                   f"not invariant: {', '.join(bad)}" if bad else "",
                                   lap(), len(items)))
 
-    values = case.relation_values(module_gens, ring_gens)
+    values = case.relation_values()
     bad = [str(idx) for idx, value in enumerate(values, start=1) if not value.is_zero()]
     checks.append(CheckResult("relations-vanish", not bad,
                               f"nonzero relation(s): {', '.join(bad)}" if bad else "",

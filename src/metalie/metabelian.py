@@ -58,6 +58,19 @@ class NotInCommutatorIdeal(ValueError):
     """Raised when an operation requires an element of the commutator ideal."""
 
 
+def require_variables(p: Poly, letters: str, dim: int) -> None:
+    """Raise `ContextMismatch` unless each variable of p is <c>1..<c>dim for a
+    letter c of `letters`, naming the first other one in variable order
+    (`var_key`, then name), so the message never depends on slot order."""
+    allowed = tuple(letters)
+    bad = [s for s, _ in fields(p.support())
+           if slot_key(s)[0] not in allowed or not 1 <= slot_key(s)[1] <= dim]
+    if bad:
+        first = slot_name(min(bad, key=lambda s: (slot_key(s), slot_name(s))))
+        raise ContextMismatch(f"variable {first} is not one of "
+                              + ", ".join(f"{c}1..{c}{dim}" for c in letters))
+
+
 @dataclass(frozen=True)
 class LieContext:
     """Fixes the rank d; all elements carry their context."""
@@ -80,14 +93,12 @@ class LieContext:
     def embed_poly(self, p: Poly) -> "WreathElement":
         """Image of p(x1,...,xd) under x_j -> a_j + y_j, computed by arithmetic
         in the envelope (products truncate the a-part at degree one)."""
-        gens = {f"x{j}": self.generator(j) for j in range(1, self.dim + 1)}
+        require_variables(p, "x", self.dim)
         acc = self.zero()
         for mono, coeff in p.terms.items():
             term = WreathElement(self, Poly.const(coeff))
             for v, e in decode(mono):
-                if v not in gens:
-                    raise ContextMismatch(f"variable {v} is not one of x1..x{self.dim}")
-                term = term * (gens[v] ** e)
+                term = term * (self.generator(var_key(v)[1]) ** e)
             acc = acc + term
         return acc
 
@@ -114,12 +125,7 @@ class WreathElement:
     __slots__ = ("ctx", "poly", "_in_ideal")
 
     def __init__(self, ctx: LieContext, poly: Poly):
-        for s, _ in fields(poly.support()):
-            letter, index = slot_key(s)
-            if letter not in ("a", "x"):
-                raise ContextMismatch(f"variable {slot_name(s)} is not in the a/x alphabets")
-            if index < 1 or index > ctx.dim:
-                raise ContextMismatch(f"variable {slot_name(s)} outside rank {ctx.dim}")
+        require_variables(poly, "ax", ctx.dim)
         a_mask = letter_mask("a")
         if any(mono_degree(m & a_mask) > 1 for m in poly.terms):
             raise ContextMismatch("a-degree exceeds one; not reduced")
@@ -224,10 +230,7 @@ class WreathElement:
         defined on the commutator ideal."""
         if not self.is_in_commutator_ideal():
             raise NotInCommutatorIdeal("module action is defined on the commutator ideal only")
-        for s, _ in fields(p.support()):
-            letter, index = slot_key(s)
-            if letter != "x" or not 1 <= index <= self.ctx.dim:
-                raise ContextMismatch(f"variable {slot_name(s)} is not one of x1..x{self.ctx.dim}")
+        require_variables(p, "x", self.ctx.dim)
         return _wrap(self.ctx, self.poly * p, in_ideal=True)
 
     # -- membership ----------------------------------------------------------

@@ -35,7 +35,8 @@ from operator import add
 from typing import Literal
 
 from . import linalg
-from .metabelian import LieContext, WreathElement, _compositions, words_of_multidegree
+from .metabelian import (LieContext, WreathElement, _compositions, require_variables,
+                         words_of_multidegree)
 from .poly import Poly, encode, fields, slot_key, slot_name
 
 
@@ -108,15 +109,8 @@ class _GeneratorMatrix:
 
     def _images(self, p: Poly, letters: str) -> dict[str, Poly]:
         """Image of each variable of p; each must be one of the generators."""
-        d = self.spec.dimension
-        images = {}
-        for s, _ in fields(p.support()):
-            letter, index = slot_key(s)
-            if letter not in letters or not 1 <= index <= d:
-                raise ValueError(f"variable {slot_name(s)} is not one of "
-                                 + ", ".join(f"{c}1..{c}{d}" for c in letters))
-            images[slot_name(s)] = self.column_image(letter, index)
-        return images
+        require_variables(p, letters, self.spec.dimension)
+        return {slot_name(s): self.column_image(*slot_key(s)) for s, _ in fields(p.support())}
 
     def _map(self, obj, extend):
         """Image of a polynomial in x1..xd or of an envelope element, where
@@ -261,15 +255,14 @@ def bidegree_components(u, spec: ModuleSpec):
     """Split into torus weight components; keys are bidegrees (p, q)."""
     if not isinstance(u, (Poly, WreathElement)):
         raise TypeError(f"cannot grade {type(u).__name__}")
+    poly = u if isinstance(u, Poly) else u.poly
+    require_variables(poly, "ax", spec.dimension)
     comps: dict[tuple[int, int], dict] = {}
     weights = spec.weights()
-    for m, c in (u.terms if isinstance(u, Poly) else u.poly.terms).items():
+    for m, c in poly.terms.items():
         w1 = w2 = 0
         for s, e in fields(m):
-            letter, index = slot_key(s)
-            if letter not in ("a", "x") or not 1 <= index <= len(weights):
-                raise ValueError(f"variable {slot_name(s)} carries no weight")
-            p, q = weights[index - 1]
+            p, q = weights[slot_key(s)[1] - 1]
             w1, w2 = w1 + e * p, w2 + e * q
         comps.setdefault((w1, w2), {})[m] = c
     wrap = Poly if isinstance(u, Poly) else lambda t: WreathElement(u.ctx, Poly(t))

@@ -199,7 +199,7 @@ class TestSpanRows:
         monkeypatch.setattr(linalg, "rank", rank)
         case = CATALOG[case_id]
         assert verify_catalog(case, 12).passed
-        gens, ring = case.module_generators(), case.ring_generators()
+        gens, ring = case.module_generators, case.ring_generators
         products = _ring_monomial_table(ring, 12)
         assert len(calls) == 13 + 11
         assert all(type(rows) is list for rows in calls)

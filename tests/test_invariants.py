@@ -1,6 +1,9 @@
 """The pi operator, invariant families, decisions, extensions, catalog."""
 
+import dataclasses
 import random
+import sys
+import threading
 from itertools import islice
 from math import comb
 
@@ -59,8 +62,8 @@ class TestPi:
 
     def test_quartic_ring_generators_give_nonzero_element(self):
         case = load_catalog()["iv"]
-        ctx = case.context()
-        f1, f2 = case.ring_generators()
+        ctx = case.spec.context()
+        f1, f2 = case.ring_generators
         value = pi(f1, f2, ctx)
         assert not value.is_zero()
         assert value.is_in_commutator_ideal()
@@ -118,7 +121,7 @@ class TestDiscriminant:
         assert discriminant(2) == Poly.parse("x1*x3 - x2^2")
 
     def test_cubic_matches_catalog(self):
-        assert discriminant(3) == load_catalog()["ii"].ring_generators()[0]
+        assert discriminant(3) == load_catalog()["ii"].ring_generators[0]
 
     def test_quartic_properties(self):
         d = discriminant(4)
@@ -302,7 +305,7 @@ class TestCatalog:
         ]
         assert report.to_json()["passed"] is True
 
-    def test_module_generators_are_parsed_once_per_call(self, monkeypatch):
+    def test_module_generators_are_parsed_once_per_case(self, monkeypatch):
         parsed = []
 
         def counting_parse(text):
@@ -310,10 +313,46 @@ class TestCatalog:
             return parse_lie_expr(text)
 
         monkeypatch.setattr(invariants, "parse_lie_expr", counting_parse)
-        for case in load_catalog().values():
+        # copies with empty caches, which witness_pair reads through load_catalog
+        copies = {case_id: dataclasses.replace(case)
+                  for case_id, case in load_catalog().items()}
+        monkeypatch.setattr(invariants, "load_catalog", lambda: copies)
+        for case in copies.values():
             parsed.clear()
-            assert verify_catalog(case, truncation=6, rank_degree=6).passed
-            assert sorted(parsed) == sorted(case.module_generator_texts)
+            for _ in range(2):
+                assert verify_catalog(case, truncation=6, rank_degree=6).passed
+            check_span_budget(case, 6)
+            if case.module_generator_texts:
+                u, _ = witness_pair(case.spec)
+                assert any(u is v for v in case.module_generators)
+            assert sorted(parsed) == sorted(case.module_generator_texts), case.case_id
+            # a fresh copy, as the corrupted-catalog tests make, parses again
+            parsed.clear()
+            fresh = dataclasses.replace(case)
+            assert fresh.module_generators == case.module_generators
+            assert sorted(parsed) == sorted(case.module_generator_texts), case.case_id
+
+    def test_threads_share_one_parse_of_a_case(self):
+        serial = load_catalog()["vii"]
+        expected = (serial.module_generators, serial.ring_generators, serial.relation_values())
+        case = dataclasses.replace(serial)
+        seen = []
+
+        def read():
+            seen.append((case.module_generators, case.ring_generators, case.relation_values()))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=read) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert seen == [expected] * 8
 
     def test_report_times_and_sizes_each_check(self):
         report = verify_catalog(load_catalog()["vii"], truncation=8, rank_degree=6)
@@ -337,8 +376,8 @@ class TestSpanBudget:
         for case in load_catalog().values():
             report = verify_catalog(case, truncation=9)
             sizes = {c.name: c.size for c in report.checks}
-            module_degrees = [v.total_degree() for v in case.module_generators()]
-            ring_degrees = [g.total_degree() for g in case.ring_generators()]
+            module_degrees = [v.total_degree() for v in case.module_generators]
+            ring_degrees = [g.total_degree() for g in case.ring_generators]
             assert span_rows(ring_degrees, module_degrees, 9) == \
                 sizes["ring-generators-span"] + sizes["module-generators-span"], case.case_id
 

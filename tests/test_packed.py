@@ -159,7 +159,7 @@ for i in range(1000):
     poly.slot(f"w{i}")
 case = load_catalog()["vii"]
 delta1 = derivations(case.spec)[0]
-gens = case.module_generators()
+gens = list(case.module_generators)
 # the generators are invariant, so delta1 kills them: take the images of their terms
 images = [delta1.act(WreathElement(u.ctx, Poly({m: c}))) for u in gens
           for m, c in u.poly.terms.items()]
@@ -205,3 +205,46 @@ def test_substitution_work_does_not_depend_on_registration_order(monkeypatch):
                                       for v, image in images.items()})
     assert calls == p_calls and len(calls) > 3
     assert by_q == by_p.rename(to_q)
+
+
+# the foreign variables registered in the reverse of their variable order; each
+# refusal must still name the first one in that order
+FIRST_FOREIGN = """
+import contextlib, io, json, sys
+from metalie import cli, poly
+from metalie.metabelian import ContextMismatch, LieContext, WreathElement
+from metalie.poly import Poly
+from metalie.sl2 import ModuleSpec, bidegree_components
+
+for name in ("w7", "z5", "q7", "y9"):
+    poly.slot(name)
+out = {}
+for argv, stdin in ((["normalize", "[x2,x1].(q7*w7)"], ""), (["check", "2", "-"], "q7*w7"),
+                    (["pi", "2", "q7*w7", "x1"], "")):
+    sys.stdin, err = io.StringIO(stdin), io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    out[argv[0]] = [code, err.getvalue()]
+p = Poly.parse("a1*z5 + y9")
+for name, build in (("wreath", lambda: WreathElement(LieContext(2), p)),
+                    ("bidegree", lambda: bidegree_components(p, ModuleSpec((1,))))):
+    try:
+        build()
+    except ContextMismatch as exc:
+        out[name] = str(exc)
+print(json.dumps(out))
+"""
+
+
+def test_refusals_name_the_first_foreign_variable_whatever_the_slot_order():
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", FIRST_FOREIGN], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=path), timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout) == {
+        "normalize": [2, "error: variable q7 is not one of x1..x2\n"],
+        "check": [2, "error: variable q7 is not one of x1..x3\n"],
+        "pi": [2, "error: variable q7 is not one of x1..x3\n"],
+        "wreath": "variable y9 is not one of a1..a2, x1..x2",
+        "bidegree": "variable y9 is not one of a1..a2, x1..x2",
+    }
