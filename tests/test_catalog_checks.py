@@ -13,8 +13,9 @@ from metalie import invariants, linalg, sl2
 from metalie.invariants import _ring_monomial_table, load_catalog, verify_catalog
 from metalie.metabelian import (CommutatorWord, ContextMismatch, LieContext, NotInCommutatorIdeal,
                                 parse_lie_expr)
-from metalie.series import (NotACharacter, decompose_slice, symmetrizes_to, weight_character,
-                            weight_packing, weight_slices)
+from metalie.poly import Poly
+from metalie.series import (NotACharacter, decompose_slice, invariant_dimension_series,
+                            symmetrizes_to, weight_character, weight_packing, weight_slices)
 from metalie.sl2 import ModuleSpec, derivations, g1_matrix, g2_matrix
 from helpers import decompose_character, slices_by
 from oracles import (bracket_chain, schur_function, tuple_decompose_character,
@@ -183,31 +184,111 @@ class TestPackedAgainstTuples:
         assert not tuple_symmetrizes(in_degree_zero(tops(multiplicities)), in_degree_zero(bad))
 
 
-# -- span rows against the module action ------------------------
+# -- span rows on the section, against the module action ------------------------
+
+
+def record_ranks(monkeypatch):
+    """The row lists handed to `linalg.rank`, in call order."""
+    calls = []
+    real_rank = linalg.rank
+
+    def rank(rows):
+        calls.append(rows)
+        return real_rank(rows)
+
+    monkeypatch.setattr(linalg, "rank", rank)
+    return calls
+
+
+def full_rows(case, degree):
+    """The unrestricted ring rows of degrees 0..degree and module rows of
+    degrees 2..degree, as `Poly` lists."""
+    gens, ring = case.module_generators, case.ring_generators
+    products = _ring_monomial_table(ring, degree)
+    module = [[v.ad_action(p).poly for v in gens if v.total_degree() <= n
+               for p in products[n - v.total_degree()]] for n in range(2, degree + 1)]
+    return products, module
+
+
+def terms(polys, zero=None):
+    return [p.substitute(zero or {}).terms for p in polys]
+
+
+def masked(report):
+    out = report.to_json()
+    for check in out["checks"]:
+        check.pop("elapsed")
+    return out
 
 
 class TestSpanRows:
     @pytest.mark.parametrize("case_id", sorted(CATALOG))
     def test_rows_equal_the_module_action_rows(self, case_id, monkeypatch):
-        calls = []
-        real_rank = linalg.rank
-
-        def rank(rows):
-            calls.append(rows)
-            return real_rank(rows)
-
-        monkeypatch.setattr(linalg, "rank", rank)
+        # the rows ranked are rho of the full ring and module products, rho
+        # setting the section's variables to 0; no degree falls back
+        calls = record_ranks(monkeypatch)
         case = CATALOG[case_id]
         assert verify_catalog(case, 12).passed
-        gens, ring = case.module_generators, case.ring_generators
-        products = _ring_monomial_table(ring, 12)
+        zero = dict.fromkeys(invariants._section(case.spec), Poly.zero())
+        assert zero
+        products, module = full_rows(case, 12)
         assert len(calls) == 13 + 11
         assert all(type(rows) is list for rows in calls)
         for n, rows in enumerate(calls[:13]):
-            assert rows == [p.terms for p in products[n]], n
+            assert rows == terms(products[n], zero), n
         for n, rows in enumerate(calls[13:], start=2):
-            assert rows == [v.ad_action(p).poly.terms for v in gens
-                            if v.total_degree() <= n for p in products[n - v.total_degree()]], n
+            assert rows == terms(module[n - 2], zero), n
+
+    @pytest.mark.parametrize("case_id", sorted(CATALOG))
+    def test_sliced_rank_equals_the_full_rank_to_degree_16(self, case_id):
+        case = CATALOG[case_id]
+        zero = dict.fromkeys(invariants._section(case.spec), Poly.zero())
+        products, module = full_rows(case, 16)
+        for space, families, low in (("polyring", products, 0), ("module", module, 2)):
+            dims = invariant_dimension_series(case.spec, 16, space)
+            for n, rows in enumerate(families, start=low):
+                full = linalg.rank(terms(rows))
+                assert linalg.rank(terms(rows, zero)) == full == dims.coefficient((n,)), \
+                    (space, n)
+
+    def test_no_section_falls_short_to_degree_24(self, monkeypatch):
+        calls = record_ranks(monkeypatch)
+        for case_id, case in CATALOG.items():
+            calls.clear()
+            assert verify_catalog(case, 24).passed, case_id
+            assert len(calls) == 25 + 23, case_id
+
+    @pytest.mark.parametrize("text, zeros", [
+        ("2", ("x1", "x3")), ("1,1", ("x1", "x4")), ("2,2", ("x1", "x6")),
+        ("1,0", ("x1",)), ("1", ("x1",)), ("0,0", ()),
+        ("0,1,0,2", ("x2", "x7")), ("0,1", ("x2",))])
+    def test_section_rule(self, text, zeros):
+        # xi_0 of the first moving block and xi_k of the last; xi_0 alone
+        # for a single V_1; nothing when no block moves
+        assert invariants._section(ModuleSpec.parse(text)) == zeros
+
+
+class TestSpanFallback:
+    def test_non_invariant_generator_ranks_the_full_rows_only(self, monkeypatch):
+        texts = ("[x4,x1]",) + CATALOG["iii"].module_generator_texts[1:]
+        case = dataclasses.replace(CATALOG["iii"], module_generator_texts=texts)
+        calls = record_ranks(monkeypatch)
+        report = verify_catalog(case, 12)
+        assert [c.name for c in report.failures()] == ["module-generators-invariant"]
+        products, module = full_rows(case, 12)
+        assert calls == [terms(row) for row in products] + [terms(rows) for rows in module]
+
+    def test_a_section_that_loses_rank_ranks_the_full_rows(self, monkeypatch):
+        case = CATALOG["iii"]
+        expected = masked(verify_catalog(case, 12))
+        # both coordinates of the first V_1 of 1,1: the rank falls short
+        monkeypatch.setattr(invariants, "_section", lambda spec: ("x1", "x2"))
+        calls = record_ranks(monkeypatch)
+        assert masked(verify_catalog(case, 12)) == expected
+        products, module = full_rows(case, 12)
+        assert len(calls) > 13 + 11
+        for rows in [terms(row) for row in products] + [terms(rows) for rows in module]:
+            assert rows in calls
 
 
 # -- brackets of generators and the sl2 operators -----------------------------------
