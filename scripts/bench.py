@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Layer microbenchmarks and end-to-end timings, written to BENCH_17.json.
+"""Layer microbenchmarks and end-to-end timings, written to BENCH_18.json.
 
     python3 scripts/bench.py [--src DIR] [--column NAME[=DIR] ...] [--out FILE] [--tiny]
 
@@ -67,7 +67,7 @@ def layer_entries(tiny: bool):
     from metalie.invariants import discriminant, infinite_family_witness, load_catalog
     from metalie.metabelian import (LieContext, from_commutator_basis, parse_lie_expr,
                                     to_commutator_basis)
-    from metalie.poly import slot, tokenize, var_key
+    from metalie.poly import Poly, slot, tokenize, var_key
     from metalie.sl2 import ModuleSpec, derivations, g1_matrix, g2_matrix, invariant_dimension
 
     rng = random.Random(6)
@@ -134,6 +134,15 @@ def layer_entries(tiny: bool):
             "terms_out": sum(len(v.poly.terms) for v in values)})
 
     expansion = to_commutator_basis(u)
+    pairs = [(delta, g) for case in load_catalog().values() for delta in derivations(case.spec)
+             for g in (*case.module_generators, *case.ring_generators)]
+    pairs += [(delta, u) for delta in derivations(spec)]
+    terms = [len((g if isinstance(g, Poly) else g.poly).terms) for _, g in pairs]
+    yield ("sl2.derivation_act", "delta1 and delta2 on every catalog generator and on that "
+                                 "V3 witness",
+           lambda: [delta.act(g) for delta, g in pairs],
+           {"actions": len(pairs), "terms_in": sum(terms), "max_terms_in": max(terms)})
+
     yield ("metabelian.to_commutator_basis", "expansion of that V3 witness in the word basis",
            lambda: to_commutator_basis(u),
            {"terms_in": len(u.poly.terms), "words_out": len(expansion)})
@@ -203,11 +212,20 @@ def catalog_entries(tiny: bool):
     gens = [invariants.parse_lie_expr(text).evaluate(case.spec.context())
             for text in case.module_generator_texts]
     ring = [Poly.parse(text) for text in case.ring_generator_texts]
+    # the rows `verify_catalog` ranks: restricted to the section, as it builds them
+    zero = dict.fromkeys(invariants._section(case.spec), Poly.zero())
+    products = invariants._ring_monomial_table([g.substitute(zero) for g in ring], n,
+                                               [g.total_degree() for g in ring])
+    sliced = [(v.poly.substitute(zero) * p).terms for v in gens
+              for p in products[n - v.total_degree()]]
     products = invariants._ring_monomial_table(ring, n)
     rows = [v.ad_action(p).poly.terms for v in gens for p in products[n - v.total_degree()]]
-    yield ("linalg.rank", f"rank of the degree-{n} module span rows of case vii",
-           lambda: rank(rows),
-           {"rows": len(rows), "columns": len(set().union(*rows)), "rank": rank(rows)})
+    for name, what, table in (("linalg.rank", "restricted to the section, as `catalog verify` "
+                                              "ranks them", sliced),
+                              ("linalg.rank.full", "in full, as the fallback ranks them", rows)):
+        yield (name, f"rank of the degree-{n} module span rows of case vii, {what}",
+               lambda table=table: rank(table),
+               {"rows": len(table), "columns": len(set().union(*table)), "rank": rank(table)})
 
     truncation = 16 if tiny else 64
     stated = [parse_rational_function(text) for c in invariants.load_catalog().values()
@@ -425,7 +443,7 @@ def main() -> int:
                         help="directory holding the metalie package of a bare column name")
     parser.add_argument("--column", action="append",
                         help="NAME or NAME=DIR; repeat to alternate columns (default change)")
-    parser.add_argument("--out", default=str(ROOT / "BENCH_17.json"))
+    parser.add_argument("--out", default=str(ROOT / "BENCH_18.json"))
     parser.add_argument("--tiny", action="store_true", help="small sizes, for a smoke test")
     parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args()

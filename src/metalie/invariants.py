@@ -37,6 +37,7 @@ from .series import (
     TruncatedSeries,
     decompose_slice,
     expand_rational,
+    lie_slices,
     parse_rational_function,
     symmetrizes_to,
     weight_packing,
@@ -324,9 +325,9 @@ class CatalogCase:
     """One verified decomposition: spec, closed-form Hilbert series of the
     invariant commutator module and invariant ring, generators, relations.
 
-    The generators are parsed on first use and kept on the case; they are
-    immutable, so every caller may share them.  `dataclasses.replace` gives
-    a copy that parses its own texts again."""
+    Its texts are parsed on first use and kept on the case (only the parses,
+    never an expansion or product); they are immutable, so every caller may
+    share them.  `dataclasses.replace` gives a copy that parses them again."""
 
     case_id: str
     spec: ModuleSpec
@@ -346,13 +347,20 @@ class CatalogCase:
     def ring_generators(self) -> tuple[Poly, ...]:
         return tuple(Poly.parse(text) for text in self.ring_generator_texts)
 
+    @cached_property
+    def relations(self) -> tuple[Poly, ...]:
+        return tuple(Poly.parse(text) for text in self.relation_texts)
+
+    @cached_property
+    def _stated(self) -> dict[str, tuple[Poly, list[Poly]]]:
+        return {"module": parse_rational_function(self.module_series_text),
+                "ring": parse_rational_function(self.ring_series_text)}
+
     def module_series(self, truncation: int) -> TruncatedSeries:
-        numerator, factors = parse_rational_function(self.module_series_text)
-        return expand_rational(numerator, factors, truncation)
+        return expand_rational(*self._stated["module"], truncation)
 
     def ring_series(self, truncation: int) -> TruncatedSeries:
-        numerator, factors = parse_rational_function(self.ring_series_text)
-        return expand_rational(numerator, factors, truncation)
+        return expand_rational(*self._stated["ring"], truncation)
 
     def relation_values(self) -> list[WreathElement]:
         """Each stored relation sum_i v_i * p_i(f_1, ..., f_r), evaluated at
@@ -360,8 +368,7 @@ class CatalogCase:
         gens, ring = self.module_generators, self.ring_generators
         ctx = self.spec.context()
         values = []
-        for text in self.relation_texts:
-            combo = Poly.parse(text)
+        for combo in self.relations:
             acc = ctx.zero()
             for mono, coeff in combo.terms.items():
                 v_index = None
@@ -526,9 +533,10 @@ def verify_catalog(case: CatalogCase, truncation: int = 12,
     generators onto the module invariants degree by degree (exact rank
     checks, up to `rank_degree`).
 
-    The generators are parsed once per case, the stated series expanded by
-    `expand_rational`, and the series checks run on the packed slices of
-    `weight_slices`.  The ring products are formed once; y_j is stored as
+    The texts of the case are parsed once.  The series checks fold the ring
+    character once and derive the module slices from it, decompose each
+    packed slice from its cells with a >= b and multiply the symmetrization
+    back by t1 - t2.  The ring products are formed once; y_j is stored as
     x_j, so a module row is one envelope product v * p, one degree at a time.
 
     When (a) passed, (d) ranks the rows R restricted by rho, which sets the
@@ -554,10 +562,8 @@ def verify_catalog(case: CatalogCase, truncation: int = 12,
     module_gens, ring_gens = case.module_generators, case.ring_generators
     module_degrees = check_span_budget(case, rank_degree)
     for label, items in (("module", module_gens), ("ring", ring_gens)):
-        bad = []
-        for idx, g in enumerate(items, start=1):
-            if not is_invariant_by_derivations(g, spec):
-                bad.append(f"{label[0]}{idx}")
+        bad = [f"{label[0]}{idx}" for idx, g in enumerate(items, start=1)
+               if not is_invariant_by_derivations(g, spec)]
         checks.append(CheckResult(f"{label}-generators-invariant", not bad,
                                   f"not invariant: {', '.join(bad)}" if bad else "",
                                   lap(), len(items)))
@@ -569,10 +575,10 @@ def verify_catalog(case: CatalogCase, truncation: int = 12,
                               lap(), len(values)))
 
     base, weights = weight_packing(spec, truncation)
+    ring = weight_slices(weights, truncation)
     dims, symmetrized = {}, []
-    for label, space, stated in (("module", "module", case.module_series),
-                                 ("ring", "polyring", case.ring_series)):
-        slices = weight_slices(weights, truncation, space)
+    for label, slices, stated in (("module", lie_slices(ring, weights), case.module_series),
+                                  ("ring", ring, case.ring_series)):
         found = [decompose_slice(row, base, n) for n, row in enumerate(slices)]
         # invariants: the S_(l, l), packed as l * (base + 1)
         dims[label] = [sum(m for top, m in f.items() if not top % (base + 1)) for f in found]

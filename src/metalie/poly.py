@@ -399,6 +399,30 @@ class Poly:
         out.terms = _canonical(terms)
         return out
 
+    def derive(self, images: Mapping[str, "Poly"]) -> "Poly":
+        """Image under the derivation sending each variable v of `images` to
+        images[v] and the others to 0, in one pass over the terms (Leibniz):
+        c * m with v^e adds e * c * c' at m - unit(v) + t for each term c' * t
+        of images[v].  An exponent over the budget raises `ExponentOverflow`."""
+        steps = [(W * slot(v), [(t - (1 << W * slot(v)), c) for t, c in image.terms.items()])
+                 for v, image in images.items() if image.terms]
+        terms: dict[Monomial, int | Fraction] = {}
+        get = terms.get
+        for m, c in self.terms.items():
+            for shift, moves in steps:
+                if e := (m >> shift) & _FIELD:
+                    for move, d in moves:
+                        key = m + move
+                        if s := get(key, 0) + e * c * d:
+                            terms[key] = s
+                        else:
+                            del terms[key]
+        if reduce(or_, terms, 0) & _guard:
+            raise ExponentOverflow()
+        out = Poly.__new__(Poly)
+        out.terms = _canonical(terms)
+        return out
+
     def substitute(self, images: Mapping[str, "Poly"]) -> "Poly":
         """Evaluate with each variable of `images` replaced by its image.
 

@@ -7,15 +7,15 @@ slice is built directly in weight space:
   1. `weight_slices` folds in one geometric factor 1/(1 - t^w_j z) per
      generator for the polynomial ring P; the free metabelian algebra is
      1 + L + (L - 1) P with L = sum_j t^w_j z, and its commutator ideal is
-     the same without the degrees <= 1,
+     the same without the degrees <= 1 (`lie_slices`, from the slices of P),
   2. `invariant_dimension_series` grades by the weight difference s = p - q
      and counts the invariants of degree n as c_n(0) - c_n(2)
      (Cayley-Sylvester),
   3. on weights packed as p * base + q (`weight_packing`), `decompose_slice`
      decomposes each slice by the rule m(k, l) = c_{k+l, l} - c_{k+l+1, l-1}
      (a character when symmetric with every m a nonnegative integer), and
-     `symmetrizes_to` divides back by t1 - t2; `verify_catalog` runs both on
-     the packed slices, and `extract_multiplicities` and
+     `symmetrizes_to` multiplies back by t1 - t2; `verify_catalog` runs both
+     on the packed slices, and `extract_multiplicities` and
      `verify_symmetrization` take the same steps on the (t1, t2, z) series of
      `weight_character`.
 
@@ -268,16 +268,23 @@ def weight_slices(weights: Sequence[int], truncation: int,
         raise ValueError(f"unknown space {space!r}")
     if truncation < 0:
         raise ValueError("need a nonnegative truncation")
-    if space != "polyring" and len(weights) < 2:
-        raise ValueError("need at least two generators")
     ring = [{0: 1}] + [{} for _ in range(truncation)]
     for w in weights:
         for n in range(1, truncation + 1):
             row = ring[n]
             for a, c in ring[n - 1].items():
                 row[a + w] = row.get(a + w, 0) + c
-    if space == "polyring":
-        return ring
+    return ring if space == "polyring" else lie_slices(ring, weights, space)
+
+
+def lie_slices(ring: Sequence[Mapping[int, int]], weights: Sequence[int],
+               space: str = "module") -> list[dict[int, int]]:
+    """The slices of the commutator ideal ("module") or of the whole
+    metabelian algebra ("algebra"), 1 + L + (L - 1) P, from the slices `ring`
+    of P = `weight_slices(weights, truncation)`; `ring` is left unchanged."""
+    if len(weights) < 2:
+        raise ValueError("need at least two generators")
+    truncation = len(ring) - 1
     slices = [{}, dict(ring[1]) if space == "algebra" and truncation else {}]
     linear = Counter(weights)
     for n in range(2, truncation + 1):
@@ -326,54 +333,53 @@ def decompose_slice(row: Mapping[int, int | Fraction], base: int,
     taken at every (a, b), a >= b, where c(a, b) or c(a+1, b-1) is nonzero.
     The slice is a character exactly when it is symmetric under t1 <-> t2
     and these m, which telescope back to c, are nonnegative integers; else
-    NotACharacter is raised, naming `degree` if given.  Exponents < base - 1."""
+    NotACharacter is raised, naming `degree` if given.  Exponents < base - 1.
+
+    Only cells with a >= b are read (a zero cell is absent): those with a > b
+    must equal their mirrors, and as many cells must have a < b.  Each m is
+    taken once, from its own cell, or from (a, b) when c(a-1, b+1) is empty."""
     where = "" if degree is None else f"degree {degree} slice: "
     result: dict[int, int] = {}
+    below = 0
+    get = row.get
     for key, v in row.items():
+        if not v:
+            continue
         a, b = divmod(key, base)
-        if row.get(b * base + a, 0) != v:
-            raise NotACharacter(f"{where}weight table is not symmetric under t1 <-> t2")
-        for x, y in ((a, b), (a - 1, b + 1)):
-            if x < y:
-                continue
-            top = x * base + y
-            m = row.get(top, 0) - row.get(top + base - 1, 0)  # y = 0 reads the empty (x, base-1)
+        if a < b:
+            below += 1
+            continue
+        if a > b:
+            if get(b * base + a, 0) != v:
+                raise NotACharacter(f"{where}weight table is not symmetric under t1 <-> t2")
+            below -= 1
+        # m(a, b), b = 0 reading the empty (a, base-1), and m(a-1, b+1) if its cell is empty
+        for top, m in ((key, v - get(key + base - 1, 0)),
+                       (key - base + 1, 0 if a < b + 2 or get(key - base + 1) else -v)):
             if m:
                 if m < 0 or m.denominator != 1:
-                    raise NotACharacter(f"{where}multiplicity {m} at weight {(x, y)}")
+                    raise NotACharacter(f"{where}multiplicity {m} at weight {divmod(top, base)}")
                 result[top] = int(m)
+    if below:
+        raise NotACharacter(f"{where}weight table is not symmetric under t1 <-> t2")
     return result
-
-
-def _divide_slice(numerator: Mapping[int, int | Fraction], base: int):
-    """Exact quotient of a packed slice by (t1 - t2), None if impossible: in
-    each part of t-degree s = a + b, the quotient at t1^(a-1) t2^(s-a) sums
-    the numerator from a up, and the whole part must sum to zero."""
-    parts: dict[int, dict[int, int | Fraction]] = {}
-    for key, c in numerator.items():
-        a, b = divmod(key, base)
-        parts.setdefault(a + b, {})[a] = c
-    quotient: dict[int, int | Fraction] = {}
-    for s, part in parts.items():
-        carry = 0
-        for a in range(max(part), 0, -1):
-            carry += part.get(a, 0)
-            if carry:
-                quotient[(a - 1) * base + s - a] = carry
-        if carry + part.get(0, 0):
-            return None
-    return quotient
 
 
 def symmetrizes_to(multiplicities: Mapping[int, int], row: Mapping[int, int], base: int) -> bool:
     """Whether the packed slice `row` (no zero entries) is (t1*f(t1,t2) -
-    t2*f(t2,t1)) / (t1 - t2), divided exactly, for f = {a * base + b: m}."""
-    numerator: dict[int, int] = {}
+    t2*f(t2,t1)) / (t1 - t2) for f = {a * base + b: m}, tested by multiplying
+    back: (t1 - t2) * row == t1*f(t1,t2) - t2*f(t2,t1), the same exact test
+    as dividing in Z[t1, t2].  Exponents < base - 1, so no cell carries."""
+    diff: dict[int, int] = {}  # the left side minus the right
+    get = diff.get
+    for key, c in row.items():
+        diff[key + base] = get(key + base, 0) + c
+        diff[key + 1] = get(key + 1, 0) - c
     for key, m in multiplicities.items():
         a, b = divmod(key, base)
-        for cell, c in ((key + base, m), (b * base + a + 1, -m)):  # t1 f(t1,t2), t2 f(t2,t1)
-            numerator[cell] = numerator.get(cell, 0) + c
-    return _divide_slice(numerator, base) == row
+        diff[key + base] = get(key + base, 0) - m
+        diff[b * base + a + 1] = get(b * base + a + 1, 0) + m
+    return not any(diff.values())
 
 
 def _packed_slices(*tables: Mapping[Exponents, int | Fraction]):

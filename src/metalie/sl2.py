@@ -18,7 +18,8 @@ which on each block are the raising and lowering derivations
 All four are stored by their sparse columns and built block by block by one
 helper, so delta1 and delta2 hold at most one entry per column.
 `derivations` builds the logarithms, and `check`, `witness` and
-`verify_catalog` decide invariance with them at a cost linear in the element.
+`verify_catalog` decide invariance with them in one pass over the packed
+terms of the element (`Poly.derive`), forming no partial derivative or product.
 `invariant_dimension` counts the invariants of one degree with delta1 alone:
 they are the weight-(p, p) vectors that delta1 kills.  Substitution by g1 and
 g2 (`is_invariant`) and the exact matrix logarithm (`log_unipotent`) remain as
@@ -135,14 +136,7 @@ class Derivation(_GeneratorMatrix):
     """Linear derivation, extended to products by the Leibniz rule."""
 
     def act(self, obj):
-        return self._map(obj, _leibniz)
-
-
-def _leibniz(p: Poly, images: dict[str, Poly]) -> Poly:
-    acc = Poly.zero()
-    for v, image in images.items():
-        acc = acc + image * p.partial(v)
-    return acc
+        return self._map(obj, Poly.derive)
 
 
 def _blockwise(cls, spec: ModuleSpec, column):

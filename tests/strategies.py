@@ -7,7 +7,8 @@ import hypothesis.strategies as st
 from helpers import monomial_element
 from metalie.metabelian import LieContext
 from metalie.poly import Poly, encode
-from metalie.sl2 import ModuleSpec
+from metalie.sl2 import Derivation, ModuleSpec
+from oracles import schur_function
 
 rationals = st.fractions(min_value=Fraction(-4), max_value=Fraction(4), max_denominator=3)
 nonzero_rationals = rationals.filter(bool)
@@ -80,3 +81,46 @@ def commutator_combinations(draw, min_dim=3, max_dim=3, max_word_length=4, max_t
 def module_specs(draw, max_blocks=3, max_k=3):
     blocks = draw(st.lists(st.integers(0, max_k), min_size=1, max_size=max_blocks))
     return ModuleSpec(tuple(blocks))
+
+
+@st.composite
+def spec_elements(draw, max_blocks=3, max_k=3):
+    """A specification and a `Poly` in its x's or an envelope element of its
+    rank, with rational coefficients."""
+    spec = draw(module_specs(max_blocks, max_k))
+    d = spec.dimension
+    if draw(st.booleans()):
+        return spec, draw(polys(tuple(f"x{j}" for j in range(1, d + 1)), max_terms=6))
+    return spec, draw(envelope_elements(dim=d, max_terms=5))
+
+
+@st.composite
+def random_derivations(draw, spec):
+    """A derivation of the specification's generators with random sparse
+    columns: several entries each, rational, some columns empty."""
+    d = spec.dimension
+    entries = st.dictionaries(st.integers(0, d - 1), nonzero_rationals, max_size=3)
+    return Derivation(spec, tuple(draw(entries) for _ in range(d)))
+
+
+@st.composite
+def slice_tables(draw, base=16):
+    """A packed slice {a * base + b: c}, a, b <= base - 2: a sum of Schur
+    characters, then a few cells, alone or with their mirror, changed by an
+    int (negative too) or a fraction, or set to an explicit zero (a cell of
+    the table, when it has one)."""
+    table = {}
+    for k, l, m in draw(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 3),
+                                           st.integers(1, 3)), max_size=4)):
+        for (a, b), v in schur_function(k, l).items():
+            table[a * base + b] = table.get(a * base + b, 0) + m * v
+    for _ in range(draw(st.integers(0, 3))):
+        zero, mirrored = draw(st.booleans()), draw(st.booleans())
+        if zero and table:
+            a, b = divmod(draw(st.sampled_from(sorted(table))), base)
+        else:
+            a, b = draw(st.integers(0, base - 2)), draw(st.integers(0, base - 2))
+        value = draw(st.one_of(st.integers(-3, 3), rationals))
+        for key in {a * base + b, b * base + a} if mirrored else {a * base + b}:
+            table[key] = 0 if zero else table.get(key, 0) + value
+    return table

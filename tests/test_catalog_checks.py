@@ -3,6 +3,7 @@ series routines, span rows, closed-form brackets and cached sl2 operators
 agree with the routes they replace."""
 
 import dataclasses
+from fractions import Fraction
 from itertools import product
 
 import hypothesis.strategies as st
@@ -18,8 +19,9 @@ from metalie.series import (NotACharacter, decompose_slice, invariant_dimension_
                             symmetrizes_to, weight_character, weight_packing, weight_slices)
 from metalie.sl2 import ModuleSpec, derivations, g1_matrix, g2_matrix
 from helpers import decompose_character, slices_by
-from oracles import (bracket_chain, schur_function, tuple_decompose_character,
-                     tuple_symmetrizes)
+from oracles import (bracket_chain, full_table_decompose_slice, schur_function,
+                     symmetrizes_by_division, tuple_decompose_character, tuple_symmetrizes)
+from strategies import slice_tables
 
 CATALOG = load_catalog()
 
@@ -182,6 +184,32 @@ class TestPackedAgainstTuples:
             assert result == "not a character"
         assert not symmetrizes_to(pack(tops(multiplicities)), pack(bad), BASE)
         assert not tuple_symmetrizes(in_degree_zero(tops(multiplicities)), in_degree_zero(bad))
+
+
+class TestHalfTableAgainstFullTable:
+    """`decompose_slice` reads half of each table and `symmetrizes_to`
+    multiplies back; the oracles read every cell and divide."""
+
+    @given(slice_tables())
+    def test_decompose_slice(self, row):
+        assert outcome(lambda t: decompose_slice(t, BASE), row) == \
+            outcome(lambda t: full_table_decompose_slice(t, BASE), row)
+
+    @given(slice_tables(), slice_tables(), st.booleans(), st.data())
+    def test_symmetrizes_to(self, table, other, perturb, data):
+        row = {key: c for key, c in table.items() if c}
+        try:
+            multiplicities = full_table_decompose_slice(row, BASE)  # they rebuild the row
+        except NotACharacter:
+            multiplicities = {key: c for key, c in other.items() if c}
+        if perturb:
+            target = data.draw(st.sampled_from([row, multiplicities]))
+            key = data.draw(st.sampled_from(sorted(target))) if target else 0
+            target[key] = target.get(key, 0) + data.draw(st.sampled_from([-1, 1, Fraction(1, 2)]))
+            if not target[key]:
+                del target[key]
+        assert symmetrizes_to(multiplicities, row, BASE) == \
+            symmetrizes_by_division(multiplicities, row, BASE)
 
 
 # -- span rows on the section, against the module action ------------------------

@@ -306,18 +306,27 @@ class TestCatalog:
         assert report.to_json()["passed"] is True
 
     def test_module_generators_are_parsed_once_per_case(self, monkeypatch):
+        """One parse per text: the generators, the stated series and the relations."""
         parsed = []
 
-        def counting_parse(text):
-            parsed.append(text)
-            return parse_lie_expr(text)
+        def counting(parse):
+            def count(text):
+                parsed.append(text)
+                return parse(text)
+            return count
 
-        monkeypatch.setattr(invariants, "parse_lie_expr", counting_parse)
+        monkeypatch.setattr(invariants, "parse_lie_expr", counting(parse_lie_expr))
+        monkeypatch.setattr(invariants, "parse_rational_function",
+                            counting(invariants.parse_rational_function))
+        monkeypatch.setattr(Poly, "parse", staticmethod(counting(Poly.parse)))
         # copies with empty caches, which witness_pair reads through load_catalog
         copies = {case_id: dataclasses.replace(case)
                   for case_id, case in load_catalog().items()}
         monkeypatch.setattr(invariants, "load_catalog", lambda: copies)
         for case in copies.values():
+            texts = sorted([*case.module_generator_texts, *case.ring_generator_texts,
+                            case.module_series_text, case.ring_series_text,
+                            *case.relation_texts])
             parsed.clear()
             for _ in range(2):
                 assert verify_catalog(case, truncation=6, rank_degree=6).passed
@@ -325,12 +334,14 @@ class TestCatalog:
             if case.module_generator_texts:
                 u, _ = witness_pair(case.spec)
                 assert any(u is v for v in case.module_generators)
-            assert sorted(parsed) == sorted(case.module_generator_texts), case.case_id
+            assert sorted(parsed) == texts, case.case_id
             # a fresh copy, as the corrupted-catalog tests make, parses again
             parsed.clear()
             fresh = dataclasses.replace(case)
-            assert fresh.module_generators == case.module_generators
-            assert sorted(parsed) == sorted(case.module_generator_texts), case.case_id
+            assert fresh.relation_values() == case.relation_values()
+            assert fresh.module_series(6) == case.module_series(6)
+            assert fresh.ring_series(6) == case.ring_series(6)
+            assert sorted(parsed) == texts, case.case_id
 
     def test_threads_share_one_parse_of_a_case(self):
         serial = load_catalog()["vii"]

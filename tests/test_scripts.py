@@ -62,7 +62,13 @@ def test_bench_at_a_tiny_size(tmp_path):
         result = run_script("bench.py", "--tiny", "--out", str(out), "--column", column)
         assert result.returncode == 0, result.stdout + result.stderr
     entries = json.loads(out.read_text())["entries"]
-    assert {"poly.mul", "poly.substitute", "poly.partial", "metabelian.bracket"} <= set(entries)
+    assert {"poly.mul", "poly.substitute", "poly.partial", "metabelian.bracket",
+            "sl2.derivation_act", "linalg.rank", "linalg.rank.full"} <= set(entries)
+    # the rows `catalog verify` ranks are the restriction of the full rows
+    sliced, full = (entries[name]["after"]["sizes"]
+                    for name in ("linalg.rank", "linalg.rank.full"))
+    assert sliced["rows"] == full["rows"] and sliced["rank"] == full["rank"]
+    assert sliced["columns"] < full["columns"]
     for entry in entries.values():
         assert entry["before"]["sizes"] == entry["after"]["sizes"]
         assert entry["after"]["seconds"] >= 0 and entry["after"]["peak_kb"] > 0

@@ -4,12 +4,13 @@ from fractions import Fraction
 from itertools import product
 from math import comb
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
 import strategies as strat
-from metalie.metabelian import parse_lie_expr
-from metalie.poly import Poly, decode, var_key
+from metalie.metabelian import WreathElement, parse_lie_expr
+from metalie.poly import MAX_EXPONENT, ExponentOverflow, Poly, decode, encode, var_key
 from metalie.series import weight_slices
 from metalie.sl2 import (
     ModuleSpec,
@@ -24,7 +25,7 @@ from metalie.sl2 import (
     is_invariant_by_derivations,
     log_unipotent,
 )
-from oracles import exp_nilpotent
+from oracles import derivation_by_partials, exp_nilpotent
 
 
 # module specifications of rank 3, to match the three-variable strategies
@@ -207,6 +208,40 @@ class TestPolyAction:
     def test_derivation_satisfies_leibniz(self, p, q):
         delta = log_unipotent(g2_matrix(ModuleSpec((2,))))
         assert delta.act(p * q) == delta.act(p) * q + p * delta.act(q)
+
+
+class TestOnePassLeibniz:
+    """`Derivation.act` in one pass over the terms (`Poly.derive`) against the
+    sum of image times partial derivative, one variable at a time."""
+
+    @staticmethod
+    def typed_terms(u):
+        terms = u.terms if isinstance(u, Poly) else u.poly.terms
+        return sorted((m, type(c), c) for m, c in terms.items())
+
+    @given(strat.spec_elements(), st.data())
+    def test_agrees_with_the_partials(self, spec_element, data):
+        spec, u = spec_element
+        for delta in (*derivations(spec), data.draw(strat.random_derivations(spec))):
+            image = delta.act(u)
+            assert type(image) is type(u)
+            assert self.typed_terms(image) == self.typed_terms(derivation_by_partials(delta, u))
+
+    @given(strat.module_specs().filter(lambda spec: any(spec.blocks)), st.booleans(), st.data())
+    def test_both_refuse_an_exponent_over_the_budget(self, spec, envelope, data):
+        offset, k = data.draw(st.sampled_from([(o, k) for o, k in zip(spec.offsets(), spec.blocks)
+                                               if k]))
+        l = data.draw(st.integers(1, k))
+        # delta1(xi_l) = l * xi_(l-1), whose exponent is at the budget already
+        top = encode(((f"x{offset + l}", MAX_EXPONENT), (f"x{offset + l + 1}", 1)))
+        names = tuple(f"x{j}" for j in range(1, spec.dimension + 1))
+        p = Poly.monomial(top, data.draw(strat.nonzero_rationals)) + data.draw(strat.polys(names))
+        u = WreathElement(spec.context(), p * Poly.variable("a1")) if envelope else p
+        delta1 = derivations(spec)[0]
+        with pytest.raises(ExponentOverflow):
+            delta1.act(u)
+        with pytest.raises(ExponentOverflow):
+            derivation_by_partials(delta1, u)
 
 
 class TestWreathAction:
