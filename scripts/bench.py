@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Layer microbenchmarks and end-to-end timings, written to BENCH_18.json.
+"""Layer microbenchmarks and end-to-end timings, written to BENCH_19.json.
 
     python3 scripts/bench.py [--src DIR] [--column NAME[=DIR] ...] [--out FILE] [--tiny]
 
@@ -8,13 +8,12 @@ names the directory, and a bare `NAME` takes `--src` (default: this
 checkout).  Every column runs in a worker process of its own, and the
 columns take turns repeat by repeat (in the order A B, then B A, ...), so
 drift of a shared host falls on all of them alike.  Each entry is timed with
-`time.perf_counter` over several runs (7 for the layer timings, 3 end to end)
-and stored as the median `seconds` with the quartiles `q1` and `q3` of those
-runs, then run once more under `tracemalloc` for its peak memory (an entry
-run in a fresh interpreter reports that interpreter's peak).  It is
-stored with its problem sizes (terms, maximum exponent) under its column;
-the other columns of an existing output file are kept.  A before/after table
-of the same inputs is therefore
+`time.perf_counter` over 7 runs and stored as the median `seconds` with the
+quartiles `q1` and `q3` of those runs, then run once more under `tracemalloc`
+for its peak memory (an entry run in a fresh interpreter reports that
+interpreter's peak).  It is stored with its problem sizes (terms, maximum
+exponent) under its column; the other columns of an existing output file are
+kept.  A before/after table of the same inputs is therefore
 
     python3 scripts/bench.py --column parent=../parent/src --column change
 
@@ -278,11 +277,12 @@ def cli_entries(tiny: bool):
                                      "on its second run",
            Child(env, CATALOG_AFTER_WIDE, degree), {"degree": int(degree), "wide_rank": 1024})
 
+    setup = Child(env, SETUP)
     yield ("setup.import", "a fresh interpreter importing the CLI and loading the catalog, "
-                           "as the benchmark's setup_s does; interpreter start included",
-           Child(env, SETUP),
-           {"source_lines": sum(len(path.read_text().splitlines())
-                                for path in package.glob("*.py"))})
+                           "timed inside it as the benchmark's setup_s is",
+           setup, {"source_lines": sum(len(path.read_text().splitlines())
+                                       for path in package.glob("*.py")),
+                   "modules_imported": int(setup.output("modules"))})
 
 
 # `catalog verify --degree <argv[1]>` timed in this interpreter after one wide
@@ -307,20 +307,25 @@ if codes[0] not in (0, 1) or codes[1:] != [0, 0]:
 print(tracemalloc.get_traced_memory()[1] if mode == "peak" else seconds)
 """
 
-# the benchmark's setup: timed from outside, interpreter start included;
-# prints nothing, or with "peak" its tracemalloc peak in bytes
+# the benchmark's setup, timed in the interpreter as setup_s is; prints its
+# seconds, with "peak" its tracemalloc peak in bytes, or with "modules" the
+# count of modules it adds to sys.modules
 SETUP = """
 import sys, tracemalloc
-if sys.argv[1] == "peak":
+from time import perf_counter
+mode, before = sys.argv[1], set(sys.modules)
+if mode == "peak":
     tracemalloc.start()
+start = perf_counter()
 import metalie.cli
 from metalie.invariants import load_catalog
 load_catalog()
-if tracemalloc.is_tracing():
-    print(tracemalloc.get_traced_memory()[1])
+seconds = perf_counter() - start
+print({"run": seconds, "peak": tracemalloc.get_traced_memory()[1],
+       "modules": len(set(sys.modules) - before)}[mode])
 """
 
-GROUPS = ((layer_entries, 7), (catalog_entries, 7), (cli_entries, 3))
+GROUPS = ((layer_entries, 7), (catalog_entries, 7), (cli_entries, 7))
 
 
 class Timed(float):
@@ -329,9 +334,9 @@ class Timed(float):
 
 class Child:
     """An entry run in a fresh interpreter by `script`, whose last argument is
-    "run" or "peak".  A run prints the seconds it measured itself, or nothing
-    when the whole interpreter is timed; a peak run prints the tracemalloc
-    peak of the same work in that interpreter, which the worker cannot see."""
+    "run", "peak" or another mode the script knows.  A run prints the seconds it measured itself, without the
+    interpreter's start; a peak run prints the tracemalloc peak of the same
+    work in that interpreter, which the worker cannot see."""
 
     def __init__(self, env: dict, script: str, *args: str):
         self.env, self.argv = env, [sys.executable, "-c", script, *args]
@@ -341,8 +346,7 @@ class Child:
                               capture_output=True, text=True).stdout
 
     def __call__(self):
-        seconds = self.output("run")
-        return Timed(seconds) if seconds else None
+        return Timed(self.output("run"))
 
 
 def run_once(thunk) -> float:
@@ -443,7 +447,7 @@ def main() -> int:
                         help="directory holding the metalie package of a bare column name")
     parser.add_argument("--column", action="append",
                         help="NAME or NAME=DIR; repeat to alternate columns (default change)")
-    parser.add_argument("--out", default=str(ROOT / "BENCH_18.json"))
+    parser.add_argument("--out", default=str(ROOT / "BENCH_19.json"))
     parser.add_argument("--tiny", action="store_true", help="small sizes, for a smoke test")
     parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args()

@@ -15,12 +15,11 @@ for the non finitely generated cases are built.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import os
+from collections.abc import Iterator, Sequence
 from functools import cached_property, lru_cache
-from importlib import resources
 from math import comb
 from time import perf_counter
-from typing import Iterator, Sequence
 
 from . import linalg
 from .metabelian import (
@@ -31,8 +30,9 @@ from .metabelian import (
     parse_lie_expr,
     require_variables,
 )
-from .poly import (Poly, encode, fields, jacobian_minor, mono_exponent, mono_str, signed_sum,
-                   slot, slot_key, slot_name, var_key)
+from .poly import (Poly, encode, field_mask, fields, jacobian_minor, mono_exponent, mono_str,
+                   signed_sum, slot, slot_key, slot_name, var_key)
+from .record import Record
 from .series import (
     TruncatedSeries,
     decompose_slice,
@@ -195,13 +195,15 @@ def discriminant(k: int) -> Poly:
 # -- finite generation decision ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GenerationVerdict:
+class GenerationVerdict(Record):
     """Outcome of the finite generation test for the invariant algebra."""
 
-    finitely_generated: bool
-    reason: str
-    generators: tuple[str, ...] | None = None
+    _fields = ("finitely_generated", "reason", "generators")
+
+    def __init__(self, finitely_generated: bool, reason: str,
+                 generators: tuple[str, ...] | None = None):
+        self.finitely_generated, self.reason, self.generators = \
+            finitely_generated, reason, generators
 
     def to_json(self) -> dict:
         out = {"finitelyGenerated": self.finitely_generated, "reason": self.reason}
@@ -237,17 +239,18 @@ def decide_finite_generation(spec: ModuleSpec) -> GenerationVerdict:
 # -- extension by a trivial block ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ExtensionBasis:
+class ExtensionBasis(Record):
     """Degree-truncated basis of the invariant commutator module obtained by
     appending one trivially acted variable: the old basis elements pushed by
     powers of ad x_d, together with pi(x_d, u) pushed likewise for u running
     over a basis of the positive-degree ring invariants one rank down."""
 
-    spec: ModuleSpec
-    max_degree: int
-    from_lie: tuple[WreathElement, ...]
-    from_ring: tuple[WreathElement, ...]
+    _fields = ("spec", "max_degree", "from_lie", "from_ring")
+
+    def __init__(self, spec: ModuleSpec, max_degree: int,
+                 from_lie: tuple[WreathElement, ...], from_ring: tuple[WreathElement, ...]):
+        self.spec, self.max_degree, self.from_lie, self.from_ring = \
+            spec, max_degree, from_lie, from_ring
 
 
 def extend_by_trivial_variable(lie_basis: Sequence[WreathElement],
@@ -320,23 +323,28 @@ def infinite_family_witness(spec: ModuleSpec, pair: tuple[WreathElement, Poly] |
 # -- the generator catalog ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CatalogCase:
+class CatalogCase(Record):
     """One verified decomposition: spec, closed-form Hilbert series of the
     invariant commutator module and invariant ring, generators, relations.
 
     Its texts are parsed on first use and kept on the case (only the parses,
     never an expansion or product); they are immutable, so every caller may
-    share them.  `dataclasses.replace` gives a copy that parses them again."""
+    share them.  A case built anew from the same texts parses them again."""
 
-    case_id: str
-    spec: ModuleSpec
-    module_series_text: str
-    ring_series_text: str
-    module_generator_texts: tuple[str, ...]
-    ring_generator_texts: tuple[str, ...]
-    relation_texts: tuple[str, ...]
-    ring_transcendence_degree: int
+    _fields = ("case_id", "spec", "module_series_text", "ring_series_text",
+               "module_generator_texts", "ring_generator_texts", "relation_texts",
+               "ring_transcendence_degree")
+
+    def __init__(self, case_id: str, spec: ModuleSpec, module_series_text: str,
+                 ring_series_text: str, module_generator_texts: tuple[str, ...],
+                 ring_generator_texts: tuple[str, ...], relation_texts: tuple[str, ...],
+                 ring_transcendence_degree: int):
+        self.case_id, self.spec = case_id, spec
+        self.module_series_text, self.ring_series_text = module_series_text, ring_series_text
+        self.module_generator_texts = module_generator_texts
+        self.ring_generator_texts = ring_generator_texts
+        self.relation_texts = relation_texts
+        self.ring_transcendence_degree = ring_transcendence_degree
 
     @cached_property
     def module_generators(self) -> tuple[WreathElement, ...]:
@@ -393,7 +401,9 @@ class CatalogCase:
 
 @lru_cache(maxsize=None)
 def load_catalog() -> dict[str, CatalogCase]:
-    raw = json.loads(resources.files("metalie.data").joinpath("catalog.json").read_text())
+    with open(os.path.join(os.path.dirname(__file__), "data", "catalog.json"),
+              encoding="utf-8") as fh:
+        raw = json.load(fh)
     catalog = {}
     for case_id, entry in raw.items():
         catalog[case_id] = CatalogCase(
@@ -412,23 +422,25 @@ def load_catalog() -> dict[str, CatalogCase]:
 # -- catalog verification --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Record):
     """Outcome of one catalog check, with the seconds it took and its problem
     size (what `size` counts is listed in `verify_catalog`)."""
 
-    name: str
-    passed: bool
-    detail: str = ""
-    elapsed: float = 0.0
-    size: int = 0
+    _fields = ("name", "passed", "detail", "elapsed", "size")
+
+    def __init__(self, name: str, passed: bool, detail: str = "", elapsed: float = 0.0,
+                 size: int = 0):
+        self.name, self.passed, self.detail, self.elapsed, self.size = \
+            name, passed, detail, elapsed, size
 
 
-@dataclass
-class CatalogReport:
-    case_id: str
-    truncation: int
-    checks: list[CheckResult] = field(default_factory=list)
+class CatalogReport(Record):
+    _fields = ("case_id", "truncation", "checks")
+    __hash__ = None
+
+    def __init__(self, case_id: str, truncation: int, checks: list[CheckResult] | None = None):
+        self.case_id, self.truncation = case_id, truncation
+        self.checks = [] if checks is None else checks
 
     @property
     def passed(self) -> bool:
@@ -596,13 +608,18 @@ def verify_catalog(case: CatalogCase, truncation: int = 12,
         all(symmetrizes_to(f, row, base) for f, row in symmetrized),
         "", lap(), sum(len(f) for f, _ in symmetrized)))
 
-    # rho is a ring homomorphism: the rows are rho(p) and rho(v) * rho(p)
-    sliced = checks[0].passed and checks[1].passed and _section(spec)
-    zero = dict.fromkeys(sliced or (), Poly.zero())
+    # rho keeps the terms free of the section's variables; it is a ring
+    # homomorphism, so the rows are rho(p) and rho(v) * rho(p)
+    mask = field_mask(_section(spec)) if checks[0].passed and checks[1].passed else 0
+    sliced = bool(mask)
+
+    def rho(p: Poly) -> Poly:
+        return Poly({m: c for m, c in p.terms.items() if not m & mask}) if mask else p
+
     full = lru_cache(maxsize=None)(lambda: _ring_monomial_table(ring_gens, rank_degree))
-    products = _ring_monomial_table([g.substitute(zero) for g in ring_gens], rank_degree,
+    products = _ring_monomial_table(list(map(rho, ring_gens)), rank_degree,
                                     [g.total_degree() for g in ring_gens]) if sliced else full()
-    restricted = [v.poly.substitute(zero) if sliced else v.poly for v in module_gens]
+    restricted = [rho(v.poly) for v in module_gens]
 
     def spans(dim: int, rows: list, full_rows) -> bool:
         found = linalg.rank(rows)

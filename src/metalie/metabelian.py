@@ -24,10 +24,9 @@ into the function that builds its element from a `LieContext`, not into a tree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from fractions import Fraction
 from functools import reduce
-from typing import Callable, Iterable, Mapping, Sequence
 
 from .poly import (
     Monomial,
@@ -48,6 +47,7 @@ from .poly import (
     tokenize,
     var_key,
 )
+from .record import Record
 
 
 class ContextMismatch(ValueError):
@@ -71,15 +71,15 @@ def require_variables(p: Poly, letters: str, dim: int) -> None:
                               + ", ".join(f"{c}1..{c}{dim}" for c in letters))
 
 
-@dataclass(frozen=True)
-class LieContext:
+class LieContext(Record):
     """Fixes the rank d; all elements carry their context."""
 
-    dim: int
+    _fields = ("dim",)
 
-    def __post_init__(self):
-        if self.dim < 1:
+    def __init__(self, dim: int):
+        if dim < 1:
             raise ValueError("rank must be at least 1")
+        self.dim = dim
 
     def zero(self) -> "WreathElement":
         return WreathElement(self, Poly.zero())
@@ -290,17 +290,17 @@ def _index(m: Monomial) -> int:
 # -- left-normed commutator words ---------------------------------------------
 
 
-@dataclass(frozen=True)
-class CommutatorWord:
+class CommutatorWord(Record):
     """Left-normed commutator [x_{j1}, x_{j2}, ..., x_{jk}], k >= 2."""
 
-    indices: tuple[int, ...]
+    _fields = ("indices",)
 
-    def __post_init__(self):
-        if len(self.indices) < 2:
+    def __init__(self, indices: tuple[int, ...]):
+        if len(indices) < 2:
             raise ValueError("commutator words have length at least two")
-        if any(j < 1 for j in self.indices):
+        if any(j < 1 for j in indices):
             raise ValueError("indices are 1-based")
+        self.indices = indices
 
     def is_normal(self) -> bool:
         j = self.indices

@@ -20,11 +20,11 @@ from __future__ import annotations
 
 import re
 import threading
+from collections.abc import Iterable, Iterator, Mapping
 from fractions import Fraction
 from functools import lru_cache, reduce
 from math import comb, gcd
 from operator import or_
-from typing import Iterable, Iterator, Mapping
 
 Monomial = int
 
@@ -103,6 +103,12 @@ for _name in [f"{c}{j}" for j in range(1, 17) for c in "ax"]:
 def letter_mask(letter: str) -> int:
     """The fields of all registered variables named `letter`<k>."""
     return _letter_masks.get(letter, 0)
+
+
+def field_mask(names: Iterable[str]) -> int:
+    """The fields of the named variables: m & field_mask(names) is 0 exactly
+    when m is free of them."""
+    return reduce(or_, (_FIELD << W * slot(v) for v in names), 0)
 
 
 def fields(m: Monomial) -> Iterator[tuple[int, int]]:
@@ -433,7 +439,7 @@ class Poly:
         (then `var_key`, name; never slot), so terms expand as late as possible.
         """
         order = sorted(images, key=lambda v: (len(images[v].terms), var_key(v), v))
-        replaced = reduce(or_, (_FIELD << W * slot(v) for v in order), 0)
+        replaced = field_mask(order)
         groups: dict[Monomial, dict] = {}
         for m, c in self.terms.items():
             groups.setdefault(m & replaced, {})[m & ~replaced] = c

@@ -34,13 +34,13 @@ drops terms beyond the truncation bound eagerly.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
-from typing import Mapping, Sequence
 
 from .metabelian import _compositions
 from .poly import (ParseError, Poly, TokenStream, _PolyParser, describe_token, exact,
                    mono_degree, signed_sum, tokenize)
+from .record import Record
 from .sl2 import ModuleSpec
 
 Exponents = tuple[int, ...]
@@ -54,8 +54,7 @@ class TruncationMismatch(ValueError):
     """Raised when series with incompatible shapes are combined."""
 
 
-@dataclass(eq=False)
-class TruncatedSeries:
+class TruncatedSeries(Record):
     """Power series with exact coefficients (see `poly.exact`), truncated in
     the graded variables.
 
@@ -63,20 +62,20 @@ class TruncatedSeries:
     the remaining variables (weights t1, t2) are carried along unbounded.
     """
 
-    variables: tuple[str, ...]
-    truncation: int
-    coefficients: dict[Exponents, int | Fraction] = field(default_factory=dict)
-    graded: tuple[str, ...] = None
+    _fields = ("variables", "truncation", "coefficients", "graded")
+    __hash__ = None
 
-    def __post_init__(self):
-        if self.graded is None:
-            self.graded = self.variables
+    def __init__(self, variables: tuple[str, ...], truncation: int,
+                 coefficients: Mapping[Exponents, int | Fraction] | None = None,
+                 graded: tuple[str, ...] | None = None):
+        self.variables, self.truncation = variables, truncation
+        self.graded = variables if graded is None else graded
         unknown = set(self.graded) - set(self.variables)
         if unknown:
             raise TruncationMismatch(f"graded variables {unknown} not declared")
         mask = self._mask()
         cleaned = {}
-        for exps, c in self.coefficients.items():
+        for exps, c in (coefficients or {}).items():
             if len(exps) != len(self.variables):
                 raise TruncationMismatch("exponent vector length mismatch")
             if type(c) is not int:
@@ -113,12 +112,6 @@ class TruncatedSeries:
         if (self.variables, self.truncation, self.graded) != \
                 (other.variables, other.truncation, other.graded):
             raise TruncationMismatch("series shapes differ")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return (self.variables, self.truncation, self.graded, self.coefficients) == \
-            (other.variables, other.truncation, other.graded, other.coefficients)
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._compatible(other)
@@ -396,12 +389,15 @@ def _packed_slices(*tables: Mapping[Exponents, int | Fraction]):
 # -- multiplicity tables ----------------------------------------------------------
 
 
-@dataclass(eq=True)
-class MultiplicityTable:
+class MultiplicityTable(Record):
     """Multiplicities m_n(k, l) of det^l (x) V_k inside each degree slice."""
 
-    truncation: int
-    entries: dict[tuple[int, int, int], int] = field(default_factory=dict)
+    _fields = ("truncation", "entries")
+    __hash__ = None
+
+    def __init__(self, truncation: int, entries: dict[tuple[int, int, int], int] | None = None):
+        self.truncation = truncation
+        self.entries = {} if entries is None else entries
 
     def multiplicity(self, n: int, k: int, l: int) -> int:
         return self.entries.get((n, k, l), 0)

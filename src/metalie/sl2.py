@@ -29,33 +29,33 @@ of a family, and the tests check every catalog generator both ways.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from operator import add
-from typing import Literal
 
 from . import linalg
 from .metabelian import (LieContext, WreathElement, _compositions, require_variables,
                          words_of_multidegree)
 from .poly import Poly, encode, fields, slot_key, slot_name
+from .record import Record
 
 
 class NotUnipotent(ValueError):
     """Raised when a matrix logarithm needs a unipotent input."""
 
 
-@dataclass(frozen=True)
-class ModuleSpec:
-    """Ordered block degrees (k_1, ..., k_r) of the generator module."""
+class ModuleSpec(Record):
+    """Ordered block degrees (k_1, ..., k_r) of the generator module; equal
+    specifications share one entry of the operator caches."""
 
-    blocks: tuple[int, ...]
+    _fields = ("blocks",)
 
-    def __post_init__(self):
-        if not self.blocks:
+    def __init__(self, blocks: tuple[int, ...]):
+        if not blocks:
             raise ValueError("module specification must list at least one block")
-        if any(k < 0 for k in self.blocks):
+        if any(k < 0 for k in blocks):
             raise ValueError("block degrees are nonnegative")
+        self.blocks = blocks
 
     @classmethod
     def parse(cls, text: str) -> "ModuleSpec":
@@ -88,19 +88,20 @@ class ModuleSpec:
         return [(k - l, l) for k in self.blocks for l in range(k + 1)]
 
 
-@dataclass(frozen=True)
-class _GeneratorMatrix:
+class _GeneratorMatrix(Record):
     """Linear map on the generators, by sparse columns: columns[j] = {i: c}
     sends x_{j+1} to sum c * x_{i+1} and holds the nonzero entries only.
 
     The same map acts on the x- and a-alphabets; the subclasses fix
-    how it extends from the generators to products.
+    how it extends from the generators to products.  Equality ignores the
+    cached column images.
     """
 
-    spec: ModuleSpec
-    columns: tuple[dict[int, int | Fraction], ...]
-    _column_images: dict[tuple[str, int], Poly] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
+    _fields = ("spec", "columns")
+
+    def __init__(self, spec: ModuleSpec, columns: tuple[dict[int, int | Fraction], ...]):
+        self.spec, self.columns = spec, columns
+        self._column_images: dict[tuple[str, int], Poly] = {}
 
     def column_image(self, letter: str, j: int) -> Poly:
         if (letter, j) not in self._column_images:    # built once per operator
@@ -290,8 +291,7 @@ def _balanced_basis(spec: ModuleSpec, degree: int, space: str) -> dict[tuple[int
     return groups
 
 
-def invariant_dimension(spec: ModuleSpec, degree: int,
-                        space: Literal["polyring", "module", "algebra"] = "polyring") -> int:
+def invariant_dimension(spec: ModuleSpec, degree: int, space: str = "polyring") -> int:
     """Dimension of the invariant part of a degree component, by exact linear
     algebra on its weight-(p, p) basis elements alone.
 

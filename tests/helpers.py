@@ -6,12 +6,14 @@ symmetric and skew squares, which the stated decomposition rules of
 `oracles` are checked against.  `decompose_character` runs the production
 rule `series.decompose_slice` on such a table, `multiplicity_series` and
 `slices_by` read a `MultiplicityTable` or a `TruncatedSeries` in the forms
-the symmetrization and the per-degree checks take, and `monomial_element`
-builds one basis element a_i * Y^q of the envelope.
+the symmetrization and the per-degree checks take, `monomial_element`
+builds one basis element a_i * Y^q of the envelope, and `replace_case` copies
+a catalog case with some of its texts changed.
 """
 
 from fractions import Fraction
 
+from metalie.invariants import CatalogCase
 from metalie.metabelian import ContextMismatch, WreathElement
 from metalie.poly import Poly, encode, exact
 from metalie.series import TruncatedSeries, decompose_slice
@@ -93,3 +95,10 @@ def monomial_element(ctx, a_index, y_exponents) -> WreathElement:
             raise IndexError(f"index {a_index} out of range 1..{ctx.dim}")
         mono.append((f"a{a_index}", 1))
     return WreathElement(ctx, Poly.monomial(encode(mono)))
+
+
+def replace_case(case: CatalogCase, **changes) -> CatalogCase:
+    """A new case with the fields of `case`, those named in `changes` replaced;
+    it starts with no parses, so it parses its texts again."""
+    return CatalogCase(**{**{name: getattr(case, name) for name in CatalogCase._fields},
+                          **changes})

@@ -2,7 +2,6 @@
 series routines, span rows, closed-form brackets and cached sl2 operators
 agree with the routes they replace."""
 
-import dataclasses
 from fractions import Fraction
 from itertools import product
 
@@ -18,7 +17,7 @@ from metalie.poly import Poly
 from metalie.series import (NotACharacter, decompose_slice, invariant_dimension_series,
                             symmetrizes_to, weight_character, weight_packing, weight_slices)
 from metalie.sl2 import ModuleSpec, derivations, g1_matrix, g2_matrix
-from helpers import decompose_character, slices_by
+from helpers import decompose_character, replace_case, slices_by
 from oracles import (bracket_chain, full_table_decompose_slice, schur_function,
                      symmetrizes_by_division, tuple_decompose_character, tuple_symmetrizes)
 from strategies import slice_tables
@@ -36,17 +35,17 @@ class TestCorruptedCatalog:
             assert failures(case) == set(), case.case_id
 
     def test_wrong_module_series(self):
-        case = dataclasses.replace(CATALOG["v"], module_series_text=
+        case = replace_case(CATALOG["v"], module_series_text=
                                    "(z^2 + z^3 + z^4)/((1-z^2)*(1-z^3))")
         assert failures(case) == {"module-series-matches"}
 
     def test_wrong_ring_series(self):
-        case = dataclasses.replace(CATALOG["v"], ring_series_text="1/((1-z^2)*(1-z^4))")
+        case = replace_case(CATALOG["v"], ring_series_text="1/((1-z^2)*(1-z^4))")
         assert failures(case) == {"ring-series-matches"}
 
     def test_non_invariant_module_generator(self):
         texts = ("[x4,x1]",) + CATALOG["iii"].module_generator_texts[1:]
-        case = dataclasses.replace(CATALOG["iii"], module_generator_texts=texts)
+        case = replace_case(CATALOG["iii"], module_generator_texts=texts)
         assert "module-generators-invariant" in failures(case)
 
     def test_invariance_is_decided_without_substitution(self, monkeypatch):
@@ -59,16 +58,16 @@ class TestCorruptedCatalog:
 
     def test_perturbed_relation(self):
         texts = (CATALOG["vi"].relation_texts[0] + " + v1*f1^2",)
-        case = dataclasses.replace(CATALOG["vi"], relation_texts=texts)
+        case = replace_case(CATALOG["vi"], relation_texts=texts)
         assert failures(case) == {"relations-vanish"}
 
     def test_dropped_ring_generator(self):
-        case = dataclasses.replace(CATALOG["v"], ring_generator_texts=
+        case = replace_case(CATALOG["v"], ring_generator_texts=
                                    CATALOG["v"].ring_generator_texts[:1])
         assert "ring-generators-span" in failures(case)
 
     def test_dropped_module_generator(self):
-        case = dataclasses.replace(CATALOG["iii"], module_generator_texts=
+        case = replace_case(CATALOG["iii"], module_generator_texts=
                                    CATALOG["iii"].module_generator_texts[1:])
         assert failures(case) == {"module-generators-span"}
 
@@ -84,7 +83,7 @@ class TestCorruptedCatalog:
         assert "symmetrization-identity" in failures(CATALOG["v"])
 
     def test_module_generator_outside_the_commutator_ideal(self):
-        case = dataclasses.replace(CATALOG["iii"], module_generator_texts=("[x2,x1]", "x1"))
+        case = replace_case(CATALOG["iii"], module_generator_texts=("[x2,x1]", "x1"))
         with pytest.raises(NotInCommutatorIdeal):
             verify_catalog(case, 4)
 
@@ -299,7 +298,7 @@ class TestSpanRows:
 class TestSpanFallback:
     def test_non_invariant_generator_ranks_the_full_rows_only(self, monkeypatch):
         texts = ("[x4,x1]",) + CATALOG["iii"].module_generator_texts[1:]
-        case = dataclasses.replace(CATALOG["iii"], module_generator_texts=texts)
+        case = replace_case(CATALOG["iii"], module_generator_texts=texts)
         calls = record_ranks(monkeypatch)
         report = verify_catalog(case, 12)
         assert [c.name for c in report.failures()] == ["module-generators-invariant"]

@@ -1,12 +1,18 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
+import contextlib
 import io
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 from time import perf_counter
 
 import pytest
 
-from metalie import cli, invariants
+from metalie import cli, invariants, sl2
 from metalie.cli import MAX_RANK, MAX_WITNESS_COUNT, main
 from metalie.linalg import LinearSolveError
 from metalie.metabelian import LieContext, parse_lie_expr
@@ -547,3 +553,76 @@ class TestInternalErrors:
         assert err.count("\n") == 1
         assert type(error).__name__ in err
         assert "Traceback" not in err
+
+
+# (argv, stdin): every subcommand, help, usage errors (2), a failed check (1),
+# and stdin input; the specifications are few enough for the operator caches
+REPEATED = [
+    (["decide", "2,1", "--json"], ""),
+    (["decide", "1,0,0"], ""),
+    (["hilbert", "2,1", "invariant-module", "-N", "8", "--json"], ""),
+    (["hilbert", "3", "invariant-ring", "-N", "6"], ""),
+    (["hilbert", "2", "metabelian", "-N", "5"], ""),
+    (["check", "2", "-", "--json"], "x2^2 - x1*x3"),
+    (["check", "1,1", "-"], "x1"),
+    (["check", "2", "-"], "x1 +"),
+    (["pi", "2,0", "x4", "x2^2 - x1*x3", "--json"], ""),
+    (["witness", "3", "--count", "3", "--json"], ""),
+    (["witness", "1,1", "--count", "2"], ""),
+    (["catalog", "show", "--case", "iii"], ""),
+    (["catalog", "verify", "--case", "v", "--degree", "6", "--json"], ""),
+    (["catalog", "verify", "--case", "ii", "--degree", "5"], ""),
+    (["normalize", "[x3,x1,x2] + [x2,x1,x3]"], ""),
+    (["normalize", "x1*x2 + x2*x1"], ""),
+    (["--help"], ""),
+    (["hilbert", "--help"], ""),
+    ([], ""),
+    (["decide", "2,,1"], ""),
+    (["hilbert", "2", "invariant-ring", "-N", "999"], ""),
+    (["catalog", "verify", "--case", "nope"], ""),
+]
+
+
+def masked(out):
+    """Output with the seconds of `catalog verify --json` taken out."""
+    return re.sub(r'"elapsed": [0-9.e-]+', '"elapsed": _', out)
+
+
+class TestRepeatedCalls:
+    """`main` called again and again in one process answers as a fresh
+    interpreter does; equal specifications share the sl2 operator caches."""
+
+    def in_process(self, monkeypatch, argv, stdin):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(list(argv))
+        return code, masked(out.getvalue()), err.getvalue()
+
+    def test_repeated_calls_match_fresh_interpreters(self, monkeypatch):
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src, COLUMNS="80")
+        monkeypatch.setenv("COLUMNS", "80")
+        fresh = []
+        for argv, stdin in REPEATED:
+            done = subprocess.run([sys.executable, "-m", "metalie.cli", *argv], input=stdin,
+                                  env=env, capture_output=True, text=True, timeout=120)
+            fresh.append((done.returncode, masked(done.stdout), done.stderr))
+        assert {code for code, _, _ in fresh} == {0, 1, 2}
+
+        def run_all(indices):
+            for i in indices:
+                argv, stdin = REPEATED[i]
+                assert self.in_process(monkeypatch, argv, stdin) == fresh[i], argv
+
+        caches = (sl2.g1_matrix, sl2.g2_matrix, sl2.derivations)
+        for cache in caches:
+            cache.cache_clear()
+        indices = range(len(REPEATED))
+        run_all(indices)
+        misses = [cache.cache_info().misses for cache in caches]
+        run_all(reversed(indices))
+        run_all(indices)
+        # later rounds build no operator again: equal specifications hit the caches
+        assert [cache.cache_info().misses for cache in caches] == misses
+        assert all(cache.cache_info().hits for cache in caches)

@@ -1,6 +1,5 @@
 """The pi operator, invariant families, decisions, extensions, catalog."""
 
-import dataclasses
 import random
 import sys
 import threading
@@ -37,6 +36,7 @@ from metalie.metabelian import LieContext, parse_lie_expr
 from metalie.poly import Poly, encode, is_pairwise_jacobian_zero
 from metalie.series import invariant_dimension_series
 from metalie.sl2 import ModuleSpec, is_invariant, is_invariant_by_derivations
+from helpers import replace_case
 
 
 def wreath(ctx, text):
@@ -320,7 +320,7 @@ class TestCatalog:
                             counting(invariants.parse_rational_function))
         monkeypatch.setattr(Poly, "parse", staticmethod(counting(Poly.parse)))
         # copies with empty caches, which witness_pair reads through load_catalog
-        copies = {case_id: dataclasses.replace(case)
+        copies = {case_id: replace_case(case)
                   for case_id, case in load_catalog().items()}
         monkeypatch.setattr(invariants, "load_catalog", lambda: copies)
         for case in copies.values():
@@ -337,7 +337,7 @@ class TestCatalog:
             assert sorted(parsed) == texts, case.case_id
             # a fresh copy, as the corrupted-catalog tests make, parses again
             parsed.clear()
-            fresh = dataclasses.replace(case)
+            fresh = replace_case(case)
             assert fresh.relation_values() == case.relation_values()
             assert fresh.module_series(6) == case.module_series(6)
             assert fresh.ring_series(6) == case.ring_series(6)
@@ -346,7 +346,7 @@ class TestCatalog:
     def test_threads_share_one_parse_of_a_case(self):
         serial = load_catalog()["vii"]
         expected = (serial.module_generators, serial.ring_generators, serial.relation_values())
-        case = dataclasses.replace(serial)
+        case = replace_case(serial)
         seen = []
 
         def read():
