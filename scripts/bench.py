@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Layer microbenchmarks and end-to-end timings, written to BENCH_19.json.
+"""Layer microbenchmarks and end-to-end timings, written to BENCH_20.json.
 
     python3 scripts/bench.py [--src DIR] [--column NAME[=DIR] ...] [--out FILE] [--tiny]
 
@@ -47,6 +47,13 @@ def max_exponent(p) -> int:
 
     decode = getattr(poly, "decode", lambda m: m)
     return max((e for m in p.terms for _, e in decode(m)), default=0)
+
+
+def child_env() -> dict:
+    """The environment of a fresh interpreter that imports this column's `metalie`."""
+    import metalie
+
+    return {**os.environ, "PYTHONPATH": str(Path(metalie.__file__).parent.parent)}
 
 
 def random_poly(rng, terms: int, variables: int, top: int):
@@ -160,24 +167,19 @@ def layer_entries(tiny: bool):
                     for n in range(top + 1)],
            {"rank": spec.dimension, "degrees": top + 1, "dimension_sum": sum(dims)})
 
-    wide = ModuleSpec((31 if tiny else 1023,))
-
-    def operators():
-        for build in (g1_matrix, g2_matrix, derivations):
-            build.cache_clear()
-        return g1_matrix(wide), g2_matrix(wide), derivations(wide)
-    yield ("sl2.operators", f"g1, g2, delta1 and delta2 of V{wide.blocks[0]}, built with "
-                            "their caches cleared",
-           operators, {"rank": wide.dimension})
+    k = 31 if tiny else 1023
+    yield ("sl2.operators", f"g1, g2, delta1 and delta2 of V{k}, built in a fresh "
+                            "interpreter, timed there",
+           Child(child_env(), OPERATORS, str(k)), {"rank": k + 1})
 
 
 def catalog_entries(tiny: bool):
     """(name, what, thunk, sizes) for the series and rank layers of `catalog verify`."""
-    from metalie import invariants
+    from metalie import invariants, series
     from metalie.linalg import rank
     from metalie.poly import Poly
     from metalie.series import (decompose_slice, expand_rational, parse_rational_function,
-                                symmetrizes_to, weight_character, weight_packing, weight_slices)
+                                symmetrizes_to, weight_character, weight_slices)
 
     n = 6 if tiny else 12
     case = invariants.load_catalog()["vii"]
@@ -188,24 +190,33 @@ def catalog_entries(tiny: bool):
            lambda: character * character,
            {"terms_a": len(character.coefficients), "terms_out": len(square.coefficients)})
 
-    # the series checks of `catalog verify`, on the packed slices of both spaces
-    base, weights = weight_packing(case.spec, n)
+    # the series checks of `catalog verify` on the slices of both spaces: dicts
+    # {p * base + q: c} where the package has `weight_packing`, else lines
+    # {t: [c(0, t), ..., c(t, 0)]}; sizes count the nonzero cells of either
+    if hasattr(series, "weight_packing"):
+        base, weights = series.weight_packing(case.spec, n)
+        extra, nonzero = (base,), len
+    else:
+        weights, extra = case.spec.weights(), ()
+
+        def nonzero(row):
+            return sum(len(line) - line.count(0) for line in row.values())
     spaces = ("module", "polyring")
     slices = [row for space in spaces for row in weight_slices(weights, n, space)]
-    cells = sum(map(len, slices))
-    yield ("series.weight_slices", f"the packed module and ring weight slices of {case.spec} "
+    cells = sum(map(nonzero, slices))
+    yield ("series.weight_slices", f"the module and ring weight slices of {case.spec} "
                                    f"to degree {n}",
            lambda: [weight_slices(weights, n, space) for space in spaces],
            {"slices": len(slices), "cells": cells})
 
-    found = [decompose_slice(row, base) for row in slices]
-    multiplicities = sum(map(len, found))
+    found = [decompose_slice(row, *extra) for row in slices]
+    multiplicities = sum(map(nonzero, found))
     yield ("series.decompose_slice", "decomposition of each of those slices",
-           lambda: [decompose_slice(row, base) for row in slices],
+           lambda: [decompose_slice(row, *extra) for row in slices],
            {"slices": len(slices), "cells": cells, "multiplicities": multiplicities})
 
     yield ("series.symmetrizes_to", "each of those slices rebuilt from its multiplicities",
-           lambda: all(symmetrizes_to(f, row, base) for f, row in zip(found, slices)),
+           lambda: all(symmetrizes_to(f, row, *extra) for f, row in zip(found, slices)),
            {"slices": len(slices), "multiplicities": multiplicities})
 
     gens = [invariants.parse_lie_expr(text).evaluate(case.spec.context())
@@ -251,6 +262,20 @@ def cli_entries(tiny: bool):
             return out.getvalue()
         return run
 
+    # hilbert on several specifications and truncations, the last near the
+    # budget of slice cells (27 blocks V8 at -N 64: 7 978 176 cells)
+    top = 16 if tiny else 64
+    for spec, target, n in (("2,1", "invariant-module", 16), ("4,2,1", "invariant-ring", 16),
+                            ("8,7,6", "invariant-module", top), ("3,2,1", "invariant-module", top),
+                            (",".join(["8"] * 27), "invariant-module", 8 if tiny else 64)):
+        hilbert = ("hilbert", spec, target, "-N", str(n), "--json")
+        blocks = [int(k) for k in spec.split(",")]
+        d = sum(k + 1 for k in blocks)
+        name = " ".join(hilbert[:-1]) if len(blocks) < 27 else f"hilbert 27xV8 {target} -N {n}"
+        yield (name, f"invariant dimensions of rank {d} to degree {n}", command(*hilbert),
+               {"rank": d, "truncation": n, "cells": d * n * (n * max(blocks) + 1),
+                "dimension_sum": sum(json.loads(command(*hilbert)()))})
+
     for spec in ("3", "4"):
         witness = ("witness", spec, "--count", "2" if tiny else "6", "--json")
         rows = json.loads(command(*witness)())
@@ -270,7 +295,7 @@ def cli_entries(tiny: bool):
                {"cases": len(reports), "rows_ranked": rows_ranked})
 
     package = Path(metalie.__file__).parent
-    env = {**os.environ, "PYTHONPATH": str(package.parent)}
+    env = child_env()
     degree = "8" if tiny else "12"
     yield ("cli.catalog_after_wide", "catalog verify at the same degree in a fresh interpreter "
                                      "after one check 1023 on x1 + ... + x1024, timed there "
@@ -304,6 +329,23 @@ with contextlib.redirect_stdout(io.StringIO()):
     seconds = perf_counter() - start
 if codes[0] not in (0, 1) or codes[1:] != [0, 0]:
     sys.exit(f"exit codes {codes}")
+print(tracemalloc.get_traced_memory()[1] if mode == "peak" else seconds)
+"""
+
+# g1, g2, delta1 and delta2 of V_<argv[1]> built in this interpreter, whose
+# operator caches start empty; prints their seconds, or with "peak" their
+# tracemalloc peak in bytes
+OPERATORS = """
+import sys, tracemalloc
+from time import perf_counter
+from metalie.sl2 import ModuleSpec, derivations, g1_matrix, g2_matrix
+
+wide, mode = ModuleSpec((int(sys.argv[1]),)), sys.argv[2]
+if mode == "peak":
+    tracemalloc.start()
+start = perf_counter()
+g1_matrix(wide), g2_matrix(wide), derivations(wide)
+seconds = perf_counter() - start
 print(tracemalloc.get_traced_memory()[1] if mode == "peak" else seconds)
 """
 
@@ -447,7 +489,7 @@ def main() -> int:
                         help="directory holding the metalie package of a bare column name")
     parser.add_argument("--column", action="append",
                         help="NAME or NAME=DIR; repeat to alternate columns (default change)")
-    parser.add_argument("--out", default=str(ROOT / "BENCH_19.json"))
+    parser.add_argument("--out", default=str(ROOT / "BENCH_20.json"))
     parser.add_argument("--tiny", action="store_true", help="small sizes, for a smoke test")
     parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args()

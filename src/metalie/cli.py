@@ -35,7 +35,8 @@ from .metabelian import (
     to_commutator_basis,
 )
 from .poly import ParseError, Poly
-from .series import NotACharacter, TruncationMismatch, invariant_dimension_series, weight_slices
+from .series import (NotACharacter, TruncationMismatch, invariant_dimension_series,
+                     weight_difference_counts)
 from .sl2 import ModuleSpec, failing_derivation_image, is_invariant, is_invariant_by_derivations
 
 MAX_TRUNCATION = 64
@@ -46,8 +47,9 @@ MAX_TRUNCATION = 64
 # (Python 3.11, a shared 2-CPU host).
 MAX_RANK = 1024
 # Budget for the invariant targets of `hilbert`, in slice cells the weight-space
-# builder touches (about d * N * (N * k_max + 1)); an input at the budget takes
-# about 2 s.
+# builder touches (about d * N * (N * k_max + 1)); the slowest input found near
+# it, `16,15,...,1 invariant-module -N 64` (9 971 200 cells), takes 0.7 - 1.1 s
+# in-process (Python 3.11, a shared 2-CPU host).
 MAX_HILBERT_CELLS = 10_000_000
 # Budget on the members `witness --count` asks for.
 MAX_WITNESS_COUNT = 64
@@ -198,13 +200,12 @@ def _witness_family(spec: ModuleSpec, count: int) -> list:
     members = infinite_family_witness(spec, (u, f))
     family = [next(members)]
     built = len(u.poly.terms)
-    diffs = [p - q for p, q in spec.weights()]
     while len(family) < count:
         bound = len(family[-1].poly.terms) * len(f.terms)
         if built + bound > MAX_WITNESS_TERMS:    # the a_i * y^q of weight 0 and degree n + 1
             n = family[-1].total_degree() + f.total_degree() - 1
-            ys = weight_slices(diffs, n)[n]
-            bound = min(bound, sum(ys.get(-w, 0) for w in diffs))
+            ys = weight_difference_counts(spec, n, "polyring", [q - p for p, q in spec.weights()])
+            bound = min(bound, sum(ys[n]))
         if built + bound > MAX_WITNESS_TERMS:
             raise UsageError(f"witness {spec} --count {count}: member {len(family) + 1} "
                              f"could take the family past the budget of "

@@ -40,7 +40,6 @@ from .series import (
     lie_slices,
     parse_rational_function,
     symmetrizes_to,
-    weight_packing,
     weight_slices,
 )
 from .sl2 import ModuleSpec, is_invariant_by_derivations
@@ -546,10 +545,11 @@ def verify_catalog(case: CatalogCase, truncation: int = 12,
     checks, up to `rank_degree`).
 
     The texts of the case are parsed once.  The series checks fold the ring
-    character once and derive the module slices from it, decompose each
-    packed slice from its cells with a >= b and multiply the symmetrization
-    back by t1 - t2.  The ring products are formed once; y_j is stored as
-    x_j, so a module row is one envelope product v * p, one degree at a time.
+    character once, a list per total weight, and derive the module slices
+    from it, decompose each list by differences of neighbours and multiply
+    the symmetrization back by t1 - t2, list by list.  The ring products are
+    formed once; y_j is stored as x_j, so a module row is one envelope
+    product v * p, one degree at a time.
 
     When (a) passed, (d) ranks the rows R restricted by rho, which sets the
     variables of `_section` to 0, and ranks R only if that falls short.  R lies
@@ -586,14 +586,13 @@ def verify_catalog(case: CatalogCase, truncation: int = 12,
                               f"nonzero relation(s): {', '.join(bad)}" if bad else "",
                               lap(), len(values)))
 
-    base, weights = weight_packing(spec, truncation)
-    ring = weight_slices(weights, truncation)
+    ring = weight_slices(spec.weights(), truncation)
     dims, symmetrized = {}, []
-    for label, slices, stated in (("module", lie_slices(ring, weights), case.module_series),
+    for label, slices, stated in (("module", lie_slices(ring, spec.weights()), case.module_series),
                                   ("ring", ring, case.ring_series)):
-        found = [decompose_slice(row, base, n) for n, row in enumerate(slices)]
-        # invariants: the S_(l, l), packed as l * (base + 1)
-        dims[label] = [sum(m for top, m in f.items() if not top % (base + 1)) for f in found]
+        found = [decompose_slice(row, n) for n, row in enumerate(slices)]
+        # invariants: the S_(l, l), in the middle of the even lines
+        dims[label] = [sum(f[t // 2] for t, f in row.items() if not t % 2) for row in found]
         computed = TruncatedSeries(("z",), truncation,
                                    {(n,): c for n, c in enumerate(dims[label])})
         expected = stated(truncation)
@@ -601,12 +600,12 @@ def verify_catalog(case: CatalogCase, truncation: int = 12,
         checks.append(CheckResult(
             f"{label}-series-matches", computed == expected,
             "" if computed == expected else f"stated {expected} != computed {computed}",
-            lap(), sum(map(len, slices))))
+            lap(), sum(len(line) - line.count(0) for row in slices for line in row.values())))
 
     checks.append(CheckResult(
         "symmetrization-identity",
-        all(symmetrizes_to(f, row, base) for f, row in symmetrized),
-        "", lap(), sum(len(f) for f, _ in symmetrized)))
+        all(symmetrizes_to(f, row) for f, row in symmetrized),
+        "", lap(), sum(len(line) - line.count(0) for f, _ in symmetrized for line in f.values())))
 
     # rho keeps the terms free of the section's variables; it is a ring
     # homomorphism, so the rows are rho(p) and rho(v) * rho(p)

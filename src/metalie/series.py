@@ -2,22 +2,25 @@
 
 A generator x_j of torus weight (p_j, q_j) contributes t1^p_j t2^q_j z, and
 that substitution is a ring homomorphism, so the character of every degree
-slice is built directly in weight space:
+slice is built directly in weight space.  A slice is one list per total
+weight t = a + b, its line [c(0, t), c(1, t - 1), ..., c(t, 0)], and every
+step below works a line at a time with list operations:
 
   1. `weight_slices` folds in one geometric factor 1/(1 - t^w_j z) per
-     generator for the polynomial ring P; the free metabelian algebra is
+     generator for the polynomial ring P, adding line t into line
+     t + p_j + q_j at offset p_j; the free metabelian algebra is
      1 + L + (L - 1) P with L = sum_j t^w_j z, and its commutator ideal is
      the same without the degrees <= 1 (`lie_slices`, from the slices of P),
   2. `invariant_dimension_series` grades by the weight difference s = p - q
-     and counts the invariants of degree n as c_n(0) - c_n(2)
-     (Cayley-Sylvester),
-  3. on weights packed as p * base + q (`weight_packing`), `decompose_slice`
-     decomposes each slice by the rule m(k, l) = c_{k+l, l} - c_{k+l+1, l-1}
-     (a character when symmetric with every m a nonnegative integer), and
-     `symmetrizes_to` multiplies back by t1 - t2; `verify_catalog` runs both
-     on the packed slices, and `extract_multiplicities` and
-     `verify_symmetrization` take the same steps on the (t1, t2, z) series of
-     `weight_character`.
+     alone, every generator on one line (`weight_difference_counts`), and
+     counts the invariants of degree n as c_n(0) - c_n(2) (Cayley-Sylvester),
+  3. `decompose_slice` decomposes each slice by the rule
+     m(k, l) = c_{k+l, l} - c_{k+l+1, l-1}, a difference of neighbours on a
+     line (a character when every line is a palindrome and every m a
+     nonnegative integer), and `symmetrizes_to` multiplies back by t1 - t2;
+     `verify_catalog` runs both on the slices, and `extract_multiplicities`
+     and `verify_symmetrization` take the same steps on the (t1, t2, z)
+     series of `weight_character`.
 
 The multigraded series `hilbert_polyring`, `hilbert_metabelian` and
 `hilbert_metabelian_module`, collapsed by `weight_substitute`, enumerate all
@@ -36,6 +39,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
+from operator import add, neg, sub
 
 from .metabelian import _compositions
 from .poly import (ParseError, Poly, TokenStream, _PolyParser, describe_token, exact,
@@ -248,142 +252,139 @@ def weight_substitute(h: TruncatedSeries, spec: ModuleSpec) -> TruncatedSeries:
 SPACES = ("polyring", "module", "algebra")
 
 
-def weight_slices(weights: Sequence[int], truncation: int,
-                  space: str = "polyring") -> list[dict[int, int]]:
-    """Degree slices [{weight: count}, ...] of the character of `space` on
-    generators of the given integer weights.
+def weight_slices(weights: Sequence[tuple[int, int]], truncation: int,
+                  space: str = "polyring") -> list[dict[int, list]]:
+    """Degree slices of the character of `space` on generators of the given
+    torus weights (p, q), p, q >= 0, as lines {t: [c(0, t), ..., c(t, 0)]}.
 
     `space` is "polyring", "module" (commutator ideal) or "algebra" (the whole
-    metabelian algebra).  The ring prod_j 1/(1 - t^w_j z) is folded in one
-    factor at a time; the algebra is 1 + L + (L - 1) P with L = sum_j t^w_j z.
+    metabelian algebra).  The ring prod_j 1/(1 - t1^p_j t2^q_j z) is folded in
+    one factor at a time; the algebra is 1 + L + (L - 1) P with L = sum_j
+    t1^p_j t2^q_j z.
     """
     if space not in SPACES:
         raise ValueError(f"unknown space {space!r}")
     if truncation < 0:
         raise ValueError("need a nonnegative truncation")
-    ring = [{0: 1}] + [{} for _ in range(truncation)]
-    for w in weights:
-        for n in range(1, truncation + 1):
-            row = ring[n]
-            for a, c in ring[n - 1].items():
-                row[a + w] = row.get(a + w, 0) + c
+    ring = [{0: [1]}] + [{} for _ in range(truncation)]
+    for p, q in weights:
+        for prev, row in zip(ring, ring[1:]):
+            for t, src in prev.items():
+                dst = row.get(t + p + q)
+                if dst is None:
+                    row[t + p + q] = [0] * p + src + [0] * q
+                else:
+                    e = p + len(src)
+                    dst[p:e] = map(add, dst[p:e], src)
     return ring if space == "polyring" else lie_slices(ring, weights, space)
 
 
-def lie_slices(ring: Sequence[Mapping[int, int]], weights: Sequence[int],
-               space: str = "module") -> list[dict[int, int]]:
+def lie_slices(ring: Sequence[Mapping[int, list]], weights: Sequence[tuple[int, int]],
+               space: str = "module") -> list[dict[int, list]]:
     """The slices of the commutator ideal ("module") or of the whole
     metabelian algebra ("algebra"), 1 + L + (L - 1) P, from the slices `ring`
-    of P = `weight_slices(weights, truncation)`; `ring` is left unchanged."""
+    of P = `weight_slices(weights, truncation)`: sum_w m_w t^w P_(n-1) - P_n
+    in degree n >= 2, m_w generators of weight w, each term added into a line
+    of P_n; `ring` is left unchanged."""
     if len(weights) < 2:
         raise ValueError("need at least two generators")
     truncation = len(ring) - 1
-    slices = [{}, dict(ring[1]) if space == "algebra" and truncation else {}]
+    slices = [{}, {t: line[:] for t, line in ring[1].items()}
+              if space == "algebra" and truncation else {}]
     linear = Counter(weights)
     for n in range(2, truncation + 1):
-        row = {a: -c for a, c in ring[n].items()}
-        for w, m in linear.items():
-            for a, c in ring[n - 1].items():
-                row[a + w] = row.get(a + w, 0) + m * c
-        slices.append({a: c for a, c in row.items() if c})
+        row = {t: list(map(neg, line)) for t, line in ring[n].items()}
+        for (p, q), m in linear.items():
+            for t, src in ring[n - 1].items():
+                dst, e = row[t + p + q], p + len(src)
+                dst[p:e] = map(add, dst[p:e], src if m == 1 else [m * c for c in src])
+        slices.append(row)
     return slices[:truncation + 1]
-
-
-def weight_packing(spec: ModuleSpec, truncation: int) -> tuple[int, list[int]]:
-    """(base, packed weights p * base + q), base two above every t1 or t2
-    exponent up to the truncation, as `symmetrizes_to` needs."""
-    base = truncation * max(spec.blocks) + 2
-    return base, [p * base + q for p, q in spec.weights()]
 
 
 def weight_character(spec: ModuleSpec, truncation: int,
                      space: str = "polyring") -> TruncatedSeries:
     """The (t1, t2, z) character of `space`, equal to `weight_substitute` of
-    its multigraded Hilbert series: `weight_slices` on packed weights."""
-    base, weights = weight_packing(spec, truncation)
-    coeffs = {(*divmod(key, base), n): c
-              for n, row in enumerate(weight_slices(weights, truncation, space))
-              for key, c in row.items()}
+    its multigraded Hilbert series: the cells of `weight_slices`."""
+    coeffs = {(a, t - a, n): c
+              for n, row in enumerate(weight_slices(spec.weights(), truncation, space))
+              for t, line in row.items() for a, c in enumerate(line) if c}
     return TruncatedSeries(("t1", "t2", "z"), truncation, coeffs, graded=("z",))
+
+
+def weight_difference_counts(spec: ModuleSpec, truncation: int, space: str,
+                             differences: Sequence[int]) -> list[list]:
+    """[[c_n(s) for s in differences] for n = 0..truncation]: the cells of
+    weight difference s = p - q in the degree slices of `space`.  Every
+    generator goes on one line, at ((s + k) / h, (k - s) / h) for k the
+    largest block degree, h = 2 when every block degree has the parity of k
+    (then so has every s) and 1 else: c_n(s) sits at index (s + n k) / h."""
+    k = max(spec.blocks)
+    h = 2 if len({b % 2 for b in spec.blocks}) == 1 else 1
+    slices = weight_slices([((p - q + k) // h, (q - p + k) // h) for p, q in spec.weights()],
+                           truncation, space)
+    lines = [row.get(2 * k * n // h, ()) for n, row in enumerate(slices)]
+    return [[line[i] if not r and 0 <= i < len(line) else 0
+             for i, r in (divmod(s + n * k, h) for s in differences)]
+            for n, line in enumerate(lines)]
 
 
 def invariant_dimension_series(spec: ModuleSpec, truncation: int,
                                space: str = "polyring") -> TruncatedSeries:
     """Invariant dimensions of the chosen graded algebra (see `weight_slices`
     for `space`): c_n(0) - c_n(2) in the weight difference s = p - q."""
-    slices = weight_slices([p - q for p, q in spec.weights()], truncation, space)
-    coeffs = {(n,): row.get(0, 0) - row.get(2, 0) for n, row in enumerate(slices)}
+    coeffs = {(n,): c0 - c2 for n, (c0, c2)
+              in enumerate(weight_difference_counts(spec, truncation, space, (0, 2)))}
     return TruncatedSeries(("z",), truncation, coeffs)
 
 
 # -- the weight-difference rule ---------------------------------------------------
 
 
-def decompose_slice(row: Mapping[int, int | Fraction], base: int,
-                    degree: int | None = None) -> dict[int, int]:
-    """Multiplicities {(k + l) * base + l: m} of S_{(k+l, l)} in the packed
-    slice {a * base + b: c(a, b)}, by m(k, l) = c(k+l, l) - c(k+l+1, l-1)
-    taken at every (a, b), a >= b, where c(a, b) or c(a+1, b-1) is nonzero.
-    The slice is a character exactly when it is symmetric under t1 <-> t2
-    and these m, which telescope back to c, are nonnegative integers; else
-    NotACharacter is raised, naming `degree` if given.  Exponents < base - 1.
-
-    Only cells with a >= b are read (a zero cell is absent): those with a > b
-    must equal their mirrors, and as many cells must have a < b.  Each m is
-    taken once, from its own cell, or from (a, b) when c(a-1, b+1) is empty."""
+def decompose_slice(row: Mapping[int, list], degree: int | None = None) -> dict[int, list]:
+    """Multiplicities of the S_(k+l, l) in the slice `row` as lines {t: F},
+    F[k + l] = m(k, l) = c(k+l, l) - c(k+l+1, l-1) on the line t = k + 2 l:
+    F[a] = L[a] - L[a + 1] for a >= t / 2, and 0 below.  The slice is a
+    character exactly when every line is symmetric, L == L[::-1], and these m,
+    which telescope back to c, are nonnegative integers; else NotACharacter
+    is raised, naming `degree` if given.  Line t holds t + 1 cells."""
     where = "" if degree is None else f"degree {degree} slice: "
-    result: dict[int, int] = {}
-    below = 0
-    get = row.get
-    for key, v in row.items():
-        if not v:
-            continue
-        a, b = divmod(key, base)
-        if a < b:
-            below += 1
-            continue
-        if a > b:
-            if get(b * base + a, 0) != v:
-                raise NotACharacter(f"{where}weight table is not symmetric under t1 <-> t2")
-            below -= 1
-        # m(a, b), b = 0 reading the empty (a, base-1), and m(a-1, b+1) if its cell is empty
-        for top, m in ((key, v - get(key + base - 1, 0)),
-                       (key - base + 1, 0 if a < b + 2 or get(key - base + 1) else -v)):
-            if m:
+    result = {}
+    for t, line in row.items():
+        if line != line[::-1]:
+            raise NotACharacter(f"{where}weight table is not symmetric under t1 <-> t2")
+        h = (t + 1) // 2
+        found = list(map(sub, line[h:], line[h + 1:] + [0]))
+        if min(found) < 0 or type(sum(found)) is not int:  # a Fraction makes the sum one
+            for a, m in enumerate(found, start=h):
                 if m < 0 or m.denominator != 1:
-                    raise NotACharacter(f"{where}multiplicity {m} at weight {divmod(top, base)}")
-                result[top] = int(m)
-    if below:
-        raise NotACharacter(f"{where}weight table is not symmetric under t1 <-> t2")
+                    raise NotACharacter(f"{where}multiplicity {m} at weight {(a, t - a)}")
+            found = list(map(int, found))
+        result[t] = [0] * h + found
     return result
 
 
-def symmetrizes_to(multiplicities: Mapping[int, int], row: Mapping[int, int], base: int) -> bool:
-    """Whether the packed slice `row` (no zero entries) is (t1*f(t1,t2) -
-    t2*f(t2,t1)) / (t1 - t2) for f = {a * base + b: m}, tested by multiplying
-    back: (t1 - t2) * row == t1*f(t1,t2) - t2*f(t2,t1), the same exact test
-    as dividing in Z[t1, t2].  Exponents < base - 1, so no cell carries."""
-    diff: dict[int, int] = {}  # the left side minus the right
-    get = diff.get
-    for key, c in row.items():
-        diff[key + base] = get(key + base, 0) + c
-        diff[key + 1] = get(key + 1, 0) - c
-    for key, m in multiplicities.items():
-        a, b = divmod(key, base)
-        diff[key + base] = get(key + base, 0) - m
-        diff[b * base + a + 1] = get(b * base + a + 1, 0) + m
-    return not any(diff.values())
+def symmetrizes_to(multiplicities: Mapping[int, list], row: Mapping[int, list]) -> bool:
+    """Whether the slice `row` is (t1*f(t1,t2) - t2*f(t2,t1)) / (t1 - t2) for
+    the lines f = `multiplicities`, tested by multiplying back line by line:
+    (t1 - t2) * L == t1*F - t2*F reversed, [0]+L - (L+[0]) against
+    [0]+F - (F[::-1]+[0]), the same exact test as dividing in Z[t1, t2].
+    Line t holds t + 1 cells; a line absent from one side is zero there."""
+    for t in row.keys() | multiplicities.keys():
+        line = row.get(t) or [0] * (t + 1)
+        f = multiplicities.get(t) or [0] * (t + 1)
+        # the two sides with the subtracted terms moved across
+        if list(map(add, [0, *line], [*f[::-1], 0])) != list(map(add, [0, *f], [*line, 0])):
+            return False
+    return True
 
 
-def _packed_slices(*tables: Mapping[Exponents, int | Fraction]):
-    """Tables {(a, b, n): c} as packed slices [{a * base + b: c}, ...], one base."""
-    keys = [key for table in tables for key in table]
-    base = 2 + max((max(a, b) for a, b, _ in keys), default=0)
-    packed = [[{} for _ in range(1 + max((n for *_, n in keys), default=0))] for _ in tables]
-    for table, slices in zip(tables, packed):
-        for (a, b, n), c in table.items():
-            slices[n][a * base + b] = c
-    return base, packed
+def _lines(table: Mapping[Exponents, int | Fraction], truncation: int) -> list[dict[int, list]]:
+    """A table {(a, b, n): c} as slices of lines, degrees 0..truncation."""
+    slices = [{} for _ in range(truncation + 1)]
+    for (a, b, n), c in table.items():
+        slices[n].setdefault(a + b, [0] * (a + b + 1))[a] = c
+    return slices
 
 
 # -- multiplicity tables ----------------------------------------------------------
@@ -410,10 +411,9 @@ def extract_multiplicities(hgl: TruncatedSeries) -> MultiplicityTable:
     """Decompose every degree slice of a weight-substituted Hilbert series."""
     if hgl.variables != ("t1", "t2", "z") or hgl.graded != ("z",):
         raise TruncationMismatch("expected a series in (t1, t2, z) graded by z")
-    base, [slices] = _packed_slices(hgl.coefficients)
     return MultiplicityTable(hgl.truncation, {
-        (n, x - y, y): m for n, row in enumerate(slices)
-        for top, m in decompose_slice(row, base, n).items() for x, y in [divmod(top, base)]})
+        (n, 2 * a - t, t - a): m for n, row in enumerate(_lines(hgl.coefficients, hgl.truncation))
+        for t, found in decompose_slice(row, n).items() for a, m in enumerate(found) if m})
 
 
 def verify_symmetrization(candidate: TruncatedSeries, hgl: TruncatedSeries) -> bool:
@@ -423,8 +423,8 @@ def verify_symmetrization(candidate: TruncatedSeries, hgl: TruncatedSeries) -> b
         raise TruncationMismatch("expected series in (t1, t2, z)")
     if candidate.truncation != hgl.truncation:
         raise TruncationMismatch("truncations differ")
-    base, (found, rows) = _packed_slices(candidate.coefficients, hgl.coefficients)
-    return all(symmetrizes_to(m, row, base) for m, row in zip(found, rows))
+    found, rows = (_lines(s.coefficients, hgl.truncation) for s in (candidate, hgl))
+    return all(symmetrizes_to(f, row) for f, row in zip(found, rows))
 
 
 # -- rational function expansion -----------------------------------------------

@@ -3,8 +3,9 @@
 Torus characters are tables {(a, b): c} of the monomials t1^a t2^b: the
 character of a binary-form module, the product of two characters, and the
 symmetric and skew squares, which the stated decomposition rules of
-`oracles` are checked against.  `decompose_character` runs the production
-rule `series.decompose_slice` on such a table, `multiplicity_series` and
+`oracles` are checked against.  `lines_of` and `table_of` convert such a
+table to and from the lines of a slice, and `decompose_character` runs the
+production rule `series.decompose_slice` on it; `multiplicity_series` and
 `slices_by` read a `MultiplicityTable` or a `TruncatedSeries` in the forms
 the symmetrization and the per-degree checks take, `monomial_element`
 builds one basis element a_i * Y^q of the envelope, and `replace_case` copies
@@ -63,11 +64,28 @@ def skew_square_character(c: Character) -> Character:
     return _half_square(c, -1)
 
 
+def lines_of(table) -> dict[int, list]:
+    """A table {(a, b): c}, a, b >= 0, as the lines {t: [c(0, t), ..., c(t, 0)]}
+    of a slice; a zero cell of the table still opens its line."""
+    lines: dict[int, list] = {}
+    for (a, b), c in table.items():
+        lines.setdefault(a + b, [0] * (a + b + 1))[a] = c
+    return lines
+
+
+def table_of(lines) -> dict[tuple[int, int], int]:
+    """The nonzero cells {(a, b): c} of a slice of lines."""
+    return {(a, t - a): c for t, line in lines.items() for a, c in enumerate(line) if c}
+
+
+def schur_multiplicities(found) -> dict[tuple[int, int], int]:
+    """Multiplicity lines of `decompose_slice` as {(k, l): m}, top weight (k + l, l)."""
+    return {(a - b, b): m for (a, b), m in table_of(found).items()}
+
+
 def decompose_character(character) -> dict[tuple[int, int], int]:
     """Multiplicities {(k, l): m} of S_{(k+l,l)} in {(a, b): c}, a, b >= 0 (`decompose_slice`)."""
-    base = 2 + max(map(max, character), default=0)
-    found = decompose_slice({a * base + b: c for (a, b), c in character.items()}, base)
-    return {(x - y, y): m for top, m in found.items() for x, y in [divmod(top, base)]}
+    return schur_multiplicities(decompose_slice(lines_of(character)))
 
 
 def multiplicity_series(table) -> TruncatedSeries:

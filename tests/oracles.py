@@ -16,12 +16,11 @@ derivations, weight by weight, over the bracket-chain words.
 `tuple_decompose_character`, `tuple_divide_by_t1_minus_t2` and
 `tuple_symmetrizes` are the weight-difference rule and the symmetrization
 identity on tables keyed by exponent tuples, the route `verify_catalog` took
-before it worked on packed weight slices.  `full_table_decompose_slice`,
-`divide_slice` and `symmetrizes_by_division` are those packed routes before
-`decompose_slice` read only half of the table and `symmetrizes_to` multiplied
-back instead of dividing, and `derivation_by_partials` applies a derivation as
-the sum of image times partial derivative, one variable at a time, the route
-`Derivation.act` took before the one-pass `Poly.derive`.
+before it worked on weight slices: they read every cell against its mirror
+and divide by t1 - t2, where `decompose_slice` differences neighbours on a
+line and `symmetrizes_to` multiplies back.  `derivation_by_partials` applies
+a derivation as the sum of image times partial derivative, one variable at a
+time, the route `Derivation.act` took before the one-pass `Poly.derive`.
 """
 
 from fractions import Fraction
@@ -319,54 +318,3 @@ def leibniz_by_partials(p, images):
 def derivation_by_partials(delta, obj):
     """`delta.act(obj)` for a `Poly` or `WreathElement`, by `leibniz_by_partials`."""
     return delta._map(obj, leibniz_by_partials)
-
-
-def full_table_decompose_slice(row, base, degree=None):
-    """`series.decompose_slice` read over the whole table: every cell is checked
-    against its mirror, and m is taken at (a, b) and (a-1, b+1) from each cell."""
-    where = "" if degree is None else f"degree {degree} slice: "
-    result = {}
-    for key, v in row.items():
-        a, b = divmod(key, base)
-        if row.get(b * base + a, 0) != v:
-            raise NotACharacter(f"{where}weight table is not symmetric under t1 <-> t2")
-        for x, y in ((a, b), (a - 1, b + 1)):
-            if x < y:
-                continue
-            top = x * base + y
-            m = row.get(top, 0) - row.get(top + base - 1, 0)
-            if m:
-                if m < 0 or m.denominator != 1:
-                    raise NotACharacter(f"{where}multiplicity {m} at weight {(x, y)}")
-                result[top] = int(m)
-    return result
-
-
-def divide_slice(numerator, base):
-    """Exact quotient of a packed slice by (t1 - t2), None if impossible: in
-    each part of t-degree s = a + b, the quotient at t1^(a-1) t2^(s-a) sums
-    the numerator from a up, and the whole part must sum to zero."""
-    parts = {}
-    for key, c in numerator.items():
-        a, b = divmod(key, base)
-        parts.setdefault(a + b, {})[a] = c
-    quotient = {}
-    for s, part in parts.items():
-        carry = 0
-        for a in range(max(part), 0, -1):
-            carry += part.get(a, 0)
-            if carry:
-                quotient[(a - 1) * base + s - a] = carry
-        if carry + part.get(0, 0):
-            return None
-    return quotient
-
-
-def symmetrizes_by_division(multiplicities, row, base):
-    """`series.symmetrizes_to` by dividing t1*f(t1,t2) - t2*f(t2,t1) by t1 - t2."""
-    numerator = {}
-    for key, m in multiplicities.items():
-        a, b = divmod(key, base)
-        for cell, c in ((key + base, m), (b * base + a + 1, -m)):
-            numerator[cell] = numerator.get(cell, 0) + c
-    return divide_slice(numerator, base) == row

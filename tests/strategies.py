@@ -104,23 +104,23 @@ def random_derivations(draw, spec):
 
 
 @st.composite
-def slice_tables(draw, base=16):
-    """A packed slice {a * base + b: c}, a, b <= base - 2: a sum of Schur
-    characters, then a few cells, alone or with their mirror, changed by an
-    int (negative too) or a fraction, or set to an explicit zero (a cell of
-    the table, when it has one)."""
+def slice_tables(draw, top=14):
+    """A slice {(a, b): c}, a, b <= top: a sum of Schur characters, then a few
+    cells, alone or with their mirror, changed by an int (negative too) or a
+    fraction, or set to an explicit zero (a cell of the table, when it has
+    one)."""
     table = {}
     for k, l, m in draw(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 3),
                                            st.integers(1, 3)), max_size=4)):
-        for (a, b), v in schur_function(k, l).items():
-            table[a * base + b] = table.get(a * base + b, 0) + m * v
+        for key, v in schur_function(k, l).items():
+            table[key] = table.get(key, 0) + m * v
     for _ in range(draw(st.integers(0, 3))):
         zero, mirrored = draw(st.booleans()), draw(st.booleans())
         if zero and table:
-            a, b = divmod(draw(st.sampled_from(sorted(table))), base)
+            a, b = draw(st.sampled_from(sorted(table)))
         else:
-            a, b = draw(st.integers(0, base - 2)), draw(st.integers(0, base - 2))
+            a, b = draw(st.integers(0, top)), draw(st.integers(0, top))
         value = draw(st.one_of(st.integers(-3, 3), rationals))
-        for key in {a * base + b, b * base + a} if mirrored else {a * base + b}:
+        for key in {(a, b), (b, a)} if mirrored else {(a, b)}:
             table[key] = 0 if zero else table.get(key, 0) + value
     return table

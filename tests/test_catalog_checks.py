@@ -1,5 +1,5 @@
-"""The checks of `verify_catalog` catch a corrupted catalog, and the packed
-series routines, span rows, closed-form brackets and cached sl2 operators
+"""The checks of `verify_catalog` catch a corrupted catalog, and the series
+routines on lines, span rows, closed-form brackets and cached sl2 operators
 agree with the routes they replace."""
 
 from fractions import Fraction
@@ -15,11 +15,12 @@ from metalie.metabelian import (CommutatorWord, ContextMismatch, LieContext, Not
                                 parse_lie_expr)
 from metalie.poly import Poly
 from metalie.series import (NotACharacter, decompose_slice, invariant_dimension_series,
-                            symmetrizes_to, weight_character, weight_packing, weight_slices)
+                            symmetrizes_to, weight_character, weight_slices)
 from metalie.sl2 import ModuleSpec, derivations, g1_matrix, g2_matrix
-from helpers import decompose_character, replace_case, slices_by
-from oracles import (bracket_chain, full_table_decompose_slice, schur_function,
-                     symmetrizes_by_division, tuple_decompose_character, tuple_symmetrizes)
+from helpers import (decompose_character, lines_of, replace_case, schur_multiplicities,
+                     slices_by)
+from oracles import (bracket_chain, schur_function, tuple_decompose_character,
+                     tuple_symmetrizes)
 from strategies import slice_tables
 
 CATALOG = load_catalog()
@@ -72,11 +73,10 @@ class TestCorruptedCatalog:
         assert failures(case) == {"module-generators-span"}
 
     def test_wrong_multiplicity(self, monkeypatch):
-        def decompose_slice_plus_one(row, base, degree=None):
-            found = decompose_slice(row, base, degree)
+        def decompose_slice_plus_one(row, degree=None):
+            found = decompose_slice(row, degree)
             if degree == 4 and found:
-                top = max(found)
-                found[top] += 1
+                found[max(found)][-1] += 1  # m at the top weight (t, 0) of the top line
             return found
 
         monkeypatch.setattr(invariants, "decompose_slice", decompose_slice_plus_one)
@@ -88,17 +88,7 @@ class TestCorruptedCatalog:
             verify_catalog(case, 4)
 
 
-# -- packed slices against the tuple-keyed routes ---------------------------------
-
-BASE = 16  # two above every exponent drawn below
-
-
-def pack(table, base=BASE):
-    return {a * base + b: c for (a, b), c in table.items() if c}
-
-
-def unpack(found, base=BASE):
-    return {(x - y, y): m for top, m in found.items() for x, y in [divmod(top, base)]}
+# -- slices of lines against the tuple-keyed routes ---------------------------------
 
 
 def outcome(decompose, table):
@@ -137,29 +127,47 @@ def tops(multiplicities):
 
 
 class TestPackedAgainstTuples:
+    """The slices of lines, once packed keys, against the tables keyed by
+    exponent tuples."""
+
     @pytest.mark.parametrize("space", ["module", "polyring"])
     @pytest.mark.parametrize("case_id", sorted(CATALOG))
     def test_catalog_slices_to_degree_16(self, case_id, space):
         spec = CATALOG[case_id].spec
-        base, weights = weight_packing(spec, 16)
         character = weight_character(spec, 16, space)
         by_degree = slices_by(character, "z")
         multiplicities = {}
-        for n, row in enumerate(weight_slices(weights, 16, space)):
-            found = decompose_slice(row, base, n)
+        for n, row in enumerate(weight_slices(spec.weights(), 16, space)):
+            found = decompose_slice(row, n)
             expected = tuple_decompose_character(by_degree.get(n, {}))
-            assert unpack(found, base) == expected, n
-            assert symmetrizes_to(found, row, base), n
+            assert schur_multiplicities(found) == expected, n
+            assert symmetrizes_to(found, row), n
             multiplicities.update({(k + l, l, n): m for (k, l), m in expected.items()})
         assert tuple_symmetrizes(multiplicities, character.coefficients)
+
+    @pytest.mark.parametrize("case_id", sorted(CATALOG))
+    def test_report_sizes_at_degree_12(self, case_id):
+        # the series checks count the nonzero character cells, the
+        # symmetrization the nonzero multiplicities: no zero of a line
+        spec = CATALOG[case_id].spec
+        sizes = {check.name: check.size for check in verify_catalog(CATALOG[case_id], 12).checks}
+        cells, multiplicities = {}, 0
+        for space in ("module", "polyring"):
+            character = weight_character(spec, 12, space)
+            cells[space] = len(character.coefficients)
+            multiplicities += sum(len(tuple_decompose_character(table))
+                                  for table in slices_by(character, "z").values())
+        assert sizes["module-series-matches"] == cells["module"]
+        assert sizes["ring-series-matches"] == cells["polyring"]
+        assert sizes["symmetrization-identity"] == multiplicities
 
     @given(schur_sums)
     def test_sums_of_schur_characters(self, terms):
         table, expected = character_of(terms), multiplicities_of(terms)
         assert decompose_character(table) == tuple_decompose_character(table) == expected
-        found = decompose_slice(pack(table), BASE)
-        assert unpack(found) == expected
-        assert symmetrizes_to(found, pack(table), BASE)
+        found = decompose_slice(lines_of(table))
+        assert schur_multiplicities(found) == expected
+        assert symmetrizes_to(found, lines_of(table))
         assert tuple_symmetrizes(in_degree_zero(tops(expected)), in_degree_zero(table))
 
     @given(schur_sums, st.sampled_from(["asymmetric", "negative", "off by one"]), st.data())
@@ -181,34 +189,46 @@ class TestPackedAgainstTuples:
         assert result == outcome(tuple_decompose_character, bad)
         if how != "off by one":
             assert result == "not a character"
-        assert not symmetrizes_to(pack(tops(multiplicities)), pack(bad), BASE)
+        assert not symmetrizes_to(lines_of(tops(multiplicities)), lines_of(bad))
         assert not tuple_symmetrizes(in_degree_zero(tops(multiplicities)), in_degree_zero(bad))
 
 
 class TestHalfTableAgainstFullTable:
-    """`decompose_slice` reads half of each table and `symmetrizes_to`
-    multiplies back; the oracles read every cell and divide."""
+    """`decompose_slice` differences neighbours on each line and
+    `symmetrizes_to` multiplies back; the tuple-keyed oracles read every cell
+    against its mirror and divide."""
 
     @given(slice_tables())
     def test_decompose_slice(self, row):
-        assert outcome(lambda t: decompose_slice(t, BASE), row) == \
-            outcome(lambda t: full_table_decompose_slice(t, BASE), row)
+        assert outcome(decompose_character, row) == outcome(tuple_decompose_character, row)
+
+    def test_the_two_messages_and_integral_fractions(self):
+        with pytest.raises(NotACharacter, match=r"^degree 3 slice: weight table is not "
+                                                r"symmetric under t1 <-> t2$"):
+            decompose_slice({2: [1, 0, 2]}, 3)
+        with pytest.raises(NotACharacter, match=r"^degree 3 slice: multiplicity -1 at "
+                                                r"weight \(1, 1\)$"):
+            decompose_slice({2: [1, 0, 1]}, 3)
+        with pytest.raises(NotACharacter, match=r"^multiplicity 1/2 at weight \(1, 0\)$"):
+            decompose_slice({1: [Fraction(1, 2), Fraction(1, 2)]})
+        found = decompose_slice({0: [Fraction(2)], 2: [1, 1, 1]})
+        assert found == {0: [2], 2: [0, 0, 1]} and type(found[0][0]) is int
 
     @given(slice_tables(), slice_tables(), st.booleans(), st.data())
     def test_symmetrizes_to(self, table, other, perturb, data):
         row = {key: c for key, c in table.items() if c}
         try:
-            multiplicities = full_table_decompose_slice(row, BASE)  # they rebuild the row
+            multiplicities = tops(tuple_decompose_character(row))  # they rebuild the row
         except NotACharacter:
             multiplicities = {key: c for key, c in other.items() if c}
         if perturb:
             target = data.draw(st.sampled_from([row, multiplicities]))
-            key = data.draw(st.sampled_from(sorted(target))) if target else 0
+            key = data.draw(st.sampled_from(sorted(target))) if target else (0, 0)
             target[key] = target.get(key, 0) + data.draw(st.sampled_from([-1, 1, Fraction(1, 2)]))
             if not target[key]:
                 del target[key]
-        assert symmetrizes_to(multiplicities, row, BASE) == \
-            symmetrizes_by_division(multiplicities, row, BASE)
+        assert symmetrizes_to(lines_of(multiplicities), lines_of(row)) == \
+            tuple_symmetrizes(in_degree_zero(multiplicities), in_degree_zero(row))
 
 
 # -- span rows on the section, against the module action ------------------------

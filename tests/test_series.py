@@ -24,6 +24,7 @@ from metalie.series import (
     parse_rational_function,
     verify_symmetrization,
     weight_character,
+    weight_difference_counts,
     weight_slices,
     weight_substitute,
 )
@@ -32,10 +33,10 @@ from helpers import (character_product, decompose_character, multiplicity_series
                      skew_square_character, slices_by, symmetric_square_character,
                      vk_character)
 from oracles import (
-    divide_slice,
     expand_rational_by_power_sums,
     skew_square_rule,
     symmetric_square_rule,
+    tuple_divide_by_t1_minus_t2,
     two_derivation_kernel_dimension,
     young_tensor_rule,
 )
@@ -387,11 +388,34 @@ class TestWeightSpaceRoute:
             assert invariant_dimension_series(case.spec, 64, "module") == case.module_series(64)
 
     def test_slices_of_one_v1_block(self):
-        # weights +1, -1: Sym^n V_1 = V_n, and the commutator ideal is det (x) V_{n-2}
-        assert weight_slices([1, -1], 3) == [{0: 1}, {1: 1, -1: 1},
-                                             {2: 1, 0: 1, -2: 1}, {3: 1, 1: 1, -1: 1, -3: 1}]
-        assert weight_slices([1, -1], 3, "module") == [{}, {}, {0: 1}, {1: 1, -1: 1}]
-        assert weight_slices([1, -1], 3, "algebra") == [{}, {1: 1, -1: 1}, {0: 1}, {1: 1, -1: 1}]
+        # weights (1, 0), (0, 1): Sym^n V_1 = V_n, and the commutator ideal is
+        # det (x) V_{n-2}
+        v1 = [(1, 0), (0, 1)]
+        assert weight_slices(v1, 3) == [{0: [1]}, {1: [1, 1]}, {2: [1, 1, 1]},
+                                        {3: [1, 1, 1, 1]}]
+        assert weight_slices(v1, 3, "module") == [{}, {}, {2: [0, 1, 0]}, {3: [0, 1, 1, 0]}]
+        assert weight_slices(v1, 3, "algebra") == [{}, {1: [1, 1]}, {2: [0, 1, 0]},
+                                                   {3: [0, 1, 1, 0]}]
+        # the weight differences s = +1, -1 of V_1, read at s = -3..3
+        assert weight_difference_counts(ModuleSpec((1,)), 3, "polyring", range(-3, 4)) == [
+            [0, 0, 0, 1, 0, 0, 0], [0, 0, 1, 0, 1, 0, 0], [0, 1, 0, 1, 0, 1, 0],
+            [1, 0, 1, 0, 1, 0, 1]]
+        # the degree-2 commutators of V_1 + V_1: Lambda^2 = 3 det + V_2
+        assert weight_difference_counts(ModuleSpec((1, 1)), 2, "module", range(-2, 3))[2] == \
+            [1, 0, 4, 0, 1]
+
+    @pytest.mark.parametrize("space", SPACES)
+    @pytest.mark.parametrize("blocks", [(1,), (2,), (0, 0), (1, 1), (2, 1), (3, 0), (4, 2, 2),
+                                        (3, 2, 1)])
+    def test_weight_difference_counts_collapse_the_character(self, blocks, space):
+        # one line per degree, halved when every block has the parity of the
+        # largest, against the (t1, t2, z) character collapsed to s = a - b
+        spec = ModuleSpec(blocks)
+        top = 6 * max(blocks) + 2  # two beyond every weight difference
+        expected = [[0] * (2 * top + 1) for _ in range(7)]
+        for (a, b, n), c in weight_character(spec, 6, space).coefficients.items():
+            expected[n][a - b + top] += c
+        assert weight_difference_counts(spec, 6, space, range(-top, top + 1)) == expected
 
     def test_unknown_space(self):
         with pytest.raises(ValueError, match="unknown space"):
@@ -401,14 +425,13 @@ class TestWeightSpaceRoute:
 class TestDivision:
     @given(st.dictionaries(st.tuples(st.integers(0, 4), st.integers(0, 4)), st.integers(-3, 3)))
     def test_division_inverts_multiplication_by_t1_minus_t2(self, table):
-        base = 7  # above every exponent of the product
-        quotient = {a * base + b: Fraction(c) for (a, b), c in table.items() if c}
+        quotient = {(a, b, 0): Fraction(c) for (a, b), c in table.items() if c}
         product: dict = {}
-        for key, c in quotient.items():
-            product[key + base] = product.get(key + base, 0) + c
-            product[key + 1] = product.get(key + 1, 0) - c
+        for (a, b, n), c in quotient.items():
+            product[(a + 1, b, n)] = product.get((a + 1, b, n), 0) + c
+            product[(a, b + 1, n)] = product.get((a, b + 1, n), 0) - c
         product = {key: c for key, c in product.items() if c}
-        assert divide_slice(product, base) == quotient
+        assert tuple_divide_by_t1_minus_t2(product) == quotient
         # a multiple of t1 - t2 vanishes at t1 = t2; adding t1 breaks that
-        product[base] = product.get(base, 0) + 1
-        assert divide_slice(product, base) is None
+        product[(1, 0, 0)] = product.get((1, 0, 0), 0) + 1
+        assert tuple_divide_by_t1_minus_t2(product) is None
