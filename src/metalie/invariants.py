@@ -27,11 +27,12 @@ from .metabelian import (
     LieExpr,
     NotInCommutatorIdeal,
     WreathElement,
+    _wrap,
     parse_lie_expr,
     require_variables,
 )
-from .poly import (Poly, encode, field_mask, fields, jacobian_minor, mono_exponent, mono_str,
-                   signed_sum, slot, slot_key, slot_name, var_key)
+from .poly import (Poly, encode, field_mask, fields, jacobian_minors, mono_exponent, mono_mul,
+                   mono_str, signed_sum, slot, slot_key, slot_name, var_key)
 from .record import Record
 from .series import (
     TruncatedSeries,
@@ -73,21 +74,18 @@ def _require_x_poly(f: Poly, ctx: LieContext) -> None:
 
 
 def pi(f1: Poly, f2: Poly, ctx: LieContext) -> WreathElement:
-    """The closed Jacobian form of the bracket of the embedded polynomials."""
+    """The bracket of the embedded polynomials, so in the commutator ideal, in closed
+    form: each term m of d(f1,f2)/d(x_i,x_j), i < j, adds at m a_i x_j and -m a_j x_i."""
     _require_x_poly(f1, ctx)
     _require_x_poly(f2, ctx)
-    # a minor vanishes unless both of its variables occur in f1 or f2
-    present = sorted({var_key(v)[1] for v in f1.variables() + f2.variables()})
-    acc = Poly.zero()
-    for pos, i in enumerate(present):
-        for j in present[pos + 1:]:
-            minor = jacobian_minor(f1, f2, f"x{i}", f"x{j}")
-            if minor.is_zero():
-                continue
-            pair = Poly.variable(f"a{i}") * Poly.variable(f"x{j}") \
-                - Poly.variable(f"a{j}") * Poly.variable(f"x{i}")
-            acc = acc + pair * minor
-    return WreathElement(ctx, acc)
+    terms: dict = {}
+    for v, w, minor in jacobian_minors(f1, f2):
+        for unit, sign in ((encode([("a" + v[1:], 1), (w, 1)]), 1),
+                           (encode([("a" + w[1:], 1), (v, 1)]), -1)):
+            for m, c in minor.terms.items():
+                key = mono_mul(m, unit)
+                terms[key] = terms.get(key, 0) + sign * c
+    return _wrap(ctx, Poly(terms), in_ideal=True)
 
 
 def pi_via_bracket(f1: Poly, f2: Poly, ctx: LieContext) -> WreathElement:
@@ -159,16 +157,12 @@ def resultant(coeffs_f: Sequence[Poly], coeffs_g: Sequence[Poly]) -> Poly:
         raise ValueError("resultant needs two nonconstant polynomials")
     size = fdeg + gdeg
     rows: list[list[Poly]] = []
-    for shift in range(gdeg):
-        row = [Poly.zero()] * size
-        for t, c in enumerate(coeffs_f):
-            row[shift + fdeg - t] = c
-        rows.append(row)
-    for shift in range(fdeg):
-        row = [Poly.zero()] * size
-        for t, c in enumerate(coeffs_g):
-            row[shift + gdeg - t] = c
-        rows.append(row)
+    for coeffs, deg, shifts in ((coeffs_f, fdeg, gdeg), (coeffs_g, gdeg, fdeg)):
+        for shift in range(shifts):
+            row = [Poly.zero()] * size
+            for t, c in enumerate(coeffs):
+                row[shift + deg - t] = c
+            rows.append(row)
     return _sylvester_determinant(rows)
 
 

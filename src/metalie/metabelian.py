@@ -494,8 +494,9 @@ def _parse_lie_term(stream: TokenStream, sign: int) -> _Node:
     node = _parse_lie_factor(stream)
     multiplier = None
     while stream.accept_op(".", "*"):
+        pos = stream.peek()[2]
         factor = _PolyParser(stream).parse_factor()
-        multiplier = factor if multiplier is None else multiplier * factor
+        multiplier = factor if multiplier is None else _PolyParser.product(multiplier, factor, pos)
     if multiplier is not None:
         node = _act(node, multiplier)
     coeff = sign if scalar is None else sign * scalar

@@ -172,7 +172,9 @@ def mono_exponent(m: Monomial, s: int) -> int:
 
 
 def mono_degree(m: Monomial) -> int:
-    return sum(e for _, e in fields(m))
+    """Sum of the fields: the low bytes and the high bytes of m summed apart."""
+    b = m.to_bytes((m.bit_length() + 15) // 8, "little")
+    return sum(b[::2]) + 256 * sum(b[1::2])
 
 
 def mono_sort_key(m: Monomial):
@@ -533,23 +535,31 @@ def jacobian_minor(f1: Poly, f2: Poly, v1: str, v2: str) -> Poly:
     return f1.partial(v1) * f2.partial(v2) - f1.partial(v2) * f2.partial(v1)
 
 
+def jacobian_minors(f1: Poly, f2: Poly, variables: Iterable[str] | None = None
+                    ) -> Iterator[tuple[str, str, Poly]]:
+    """(v, w, d(f1,f2)/d(v,w)) for each pair v before w of `variables` (default: those of
+    f1 and f2, the only ones with nonzero minors), each partial taken once; every
+    product of two partials is held to `MAX_TERM_PAIRS` before the first is formed."""
+    names = sorted(set(f1.variables()) | set(f2.variables()), key=var_key) \
+        if variables is None else list(variables)
+    # d f/d v has one term for each term of f that v divides
+    masks = [_FIELD << W * slot(v) for v in names]
+    n1, n2 = ([sum(1 for m in f.terms if m & mask) for mask in masks] for f in (f1, f2))
+    _check_term_pairs(max((s * t for a, s in enumerate(n1) for b, t in enumerate(n2) if a != b),
+                          default=0), "a Jacobian minor product")
+    d1, d2 = ([f.partial(v) for v in names] for f in (f1, f2))
+    for i, v in enumerate(names):
+        for j in range(i + 1, len(names)):
+            yield v, names[j], d1[i] * d2[j] - d1[j] * d2[i]
+
+
 def is_pairwise_jacobian_zero(f1: Poly, f2: Poly, variables: Iterable[str] | None = None) -> bool:
     """True when every 2x2 Jacobian minor of (f1, f2) vanishes.
 
     By the Jacobian criterion in characteristic 0 this certifies that f1 and
     f2 are algebraically dependent.
     """
-    if variables is None:
-        variables = sorted(set(f1.variables()) | set(f2.variables()), key=var_key)
-    else:
-        variables = list(variables)
-    partials1 = {v: f1.partial(v) for v in variables}
-    partials2 = {v: f2.partial(v) for v in variables}
-    for i, vi in enumerate(variables):
-        for vj in variables[i + 1:]:
-            if partials1[vi] * partials2[vj] != partials1[vj] * partials2[vi]:
-                return False
-    return True
+    return all(minor.is_zero() for _, _, minor in jacobian_minors(f1, f2, variables))
 
 
 # -- tokenizer and parser ----------------------------------------------------
@@ -601,9 +611,9 @@ def describe_token(kind: str, text: str) -> str:
     return text if kind == "end" else f"token {text!r}"
 
 
-def _check_term_pairs(pairs: int, what: str, pos: int) -> None:
+def _check_term_pairs(pairs: int, what: str) -> None:
     if pairs > MAX_TERM_PAIRS:
-        raise ParseError(f"{what} at position {pos} needs up to {pairs} term pairs, "
+        raise ParseError(f"{what} needs up to {pairs} term pairs, "
                          f"over the budget of {MAX_TERM_PAIRS}")
 
 
@@ -701,9 +711,13 @@ class _PolyParser:
                 if not (kind in ("num", "name") or (kind == "op" and text == "(")):
                     return acc
             pos = self.stream.peek()[2]
-            factor = self.parse_factor()
-            _check_term_pairs(len(acc.terms) * len(factor.terms), "product", pos)
-            acc = acc * factor
+            acc = self.product(acc, self.parse_factor(), pos)
+
+    @staticmethod
+    def product(acc: Poly, factor: Poly, pos: int) -> Poly:
+        """acc * factor, refused before it is formed past `MAX_TERM_PAIRS` term pairs."""
+        _check_term_pairs(len(acc.terms) * len(factor.terms), f"product at position {pos}")
+        return acc * factor
 
     def parse_factor(self) -> Poly:
         base = self.parse_atom()
@@ -715,7 +729,7 @@ class _PolyParser:
         if t > 1:
             h = n // 2
             _check_term_pairs(comb(h + t - 1, min(h, t - 1))
-                              * comb(n - h + t - 1, min(n - h, t - 1)), "power", pos)
+                              * comb(n - h + t - 1, min(n - h, t - 1)), f"power at position {pos}")
         return base ** n
 
     def parse_atom(self) -> Poly:

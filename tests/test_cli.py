@@ -16,7 +16,7 @@ from metalie import cli, invariants, sl2
 from metalie.cli import MAX_RANK, MAX_WITNESS_COUNT, main
 from metalie.linalg import LinearSolveError
 from metalie.metabelian import LieContext, parse_lie_expr
-from metalie.poly import MAX_EXPONENT, MAX_TERM_PAIRS
+from metalie.poly import MAX_EXPONENT, MAX_TERM_PAIRS, Poly
 from metalie.series import NotACharacter, TruncationMismatch
 
 
@@ -269,23 +269,28 @@ WITNESS_SPECS = [("2,0", 6), ("3", 6), ("1,1", 6), ("4", 6), ("2,1", 6), ("1,1,1
 
 class TestWitnessDecision:
     @pytest.mark.parametrize("spec, count", WITNESS_SPECS)
-    def test_first_member_substituted_every_member_derived(self, capsys, monkeypatch,
-                                                             spec, count):
+    def test_every_member_decided_by_derivations_alone(self, capsys, monkeypatch, spec, count):
+        def refuse(*args):
+            raise AssertionError("substitution by g1 or g2 on the witness path")
+
         calls = []
-        monkeypatch.setattr(cli, "is_invariant", counted(cli.is_invariant, calls))
+        monkeypatch.setattr(sl2, "is_invariant", refuse)
+        monkeypatch.setattr(Poly, "substitute", refuse)
         monkeypatch.setattr(cli, "is_invariant_by_derivations",
                             counted(cli.is_invariant_by_derivations, calls))
         code, out, _ = run(capsys, "witness", spec, "--count", str(count), "--json")
         assert code == 0
-        assert all(row["invariant"] for row in json.loads(out))
-        assert calls.count("is_invariant") == 1
-        assert calls.count("is_invariant_by_derivations") == count
+        assert [row["invariant"] for row in json.loads(out)] == [True] * count
+        assert calls == ["is_invariant_by_derivations"] * count
 
-    def test_substitution_decides_the_first_row_only(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "is_invariant", lambda u, spec: False)
-        code, out, _ = run(capsys, "witness", "2,1", "--count", "6", "--json")
-        assert code == 0
-        assert [row["invariant"] for row in json.loads(out)] == [False] + [True] * 5
+    # the independent check of that route: g1 and g2 fix the first member of
+    # every family the CLI builds
+    @pytest.mark.parametrize("spec", [spec for spec, _ in WITNESS_SPECS])
+    def test_first_member_fixed_by_substitution(self, spec):
+        module = sl2.ModuleSpec.parse(spec)
+        [u] = cli._witness_family(module, 1)
+        assert sl2.is_invariant(u, module)
+        assert not sl2.is_invariant(u + module.context().generator(1), module)
 
     def test_derivations_decide_every_row(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "is_invariant_by_derivations", lambda u, spec: False)
@@ -327,7 +332,6 @@ class TestWitnessBudget:
         def undecided(u, spec):
             raise AssertionError("a member was decided")
         monkeypatch.setattr(cli, "infinite_family_witness", members)
-        monkeypatch.setattr(cli, "is_invariant", undecided)
         monkeypatch.setattr(cli, "is_invariant_by_derivations", undecided)
         code, out, err = run(capsys, "witness", spec, "--count", str(count))
         assert (code, out) == (2, "")
@@ -479,6 +483,15 @@ class TestRankBudget:
         assert code == 2 and "budget" in err
 
 
+SEXTIC_12 = "(x1+x2+x3+x4+x5+x6)^12"
+
+
+def seconds_to_read_two_factors():
+    start = perf_counter()
+    Poly.parse(SEXTIC_12), Poly.parse(SEXTIC_12)
+    return perf_counter() - start
+
+
 class TestExpressionBudget:
     def test_power_over_the_budget_is_refused_before_expanding(self, capsys):
         start = perf_counter()
@@ -497,6 +510,38 @@ class TestExpressionBudget:
                              "(x1+x2+x3+x4+x5+x6)^12*(x1+x2+x3+x4+x5+x6)^12")
         assert (code, out) == (2, "")
         assert "product at position" in err and "budget" in err
+
+    # each refusal below comes after its two factors S^12 are read (6188 terms
+    # each, about 0.08 s together), and before the product, which would take
+    # minutes; so the time past reading them is what is bounded
+    @pytest.mark.parametrize("expression", [
+        f"[x2,x1].{SEXTIC_12}*{SEXTIC_12}",
+        f"[x2,x1].{SEXTIC_12}.{SEXTIC_12}",
+        f"[x2,x1].({SEXTIC_12}*{SEXTIC_12})",
+    ])
+    def test_module_action_product_over_the_budget_is_refused(self, capsys, expression):
+        reading = seconds_to_read_two_factors()
+        start = perf_counter()
+        code, out, err = run(capsys, "normalize", expression)
+        assert perf_counter() - start < reading + 0.1
+        assert (code, out) == (2, "")
+        assert re.fullmatch(r"error: product at position \d+ needs up to 38291344 term "
+                            f"pairs, over the budget of {MAX_TERM_PAIRS}\n", err)
+
+    def test_pi_minor_product_over_the_budget_is_refused(self, capsys):
+        reading = seconds_to_read_two_factors()
+        start = perf_counter()
+        code, out, err = run(capsys, "pi", "5", "--", SEXTIC_12, SEXTIC_12)
+        assert perf_counter() - start < reading + 0.1
+        assert (code, out) == (2, "")
+        assert err == ("error: a Jacobian minor product needs up to 19079424 term pairs, "
+                       f"over the budget of {MAX_TERM_PAIRS}\n")
+
+    def test_pi_minor_products_within_the_budget_are_formed(self, capsys):
+        code, out, _ = run(capsys, "pi", "3", "--json", "--", "(x1+x2+x3+x4)^14",
+                           "(x1+x2+x3+x4)^14")
+        assert code == 0
+        assert json.loads(out)["zero"] is True
 
     def test_exponent_over_the_field_is_refused(self, capsys):
         code, out, err = run(capsys, "normalize", "x1^123456789012")
@@ -590,7 +635,7 @@ def masked(out):
 
 class TestRepeatedCalls:
     """`main` called again and again in one process answers as a fresh
-    interpreter does; equal specifications share the sl2 operator caches."""
+    interpreter does; equal specifications share the cached derivations."""
 
     def in_process(self, monkeypatch, argv, stdin):
         monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
@@ -623,6 +668,7 @@ class TestRepeatedCalls:
         misses = [cache.cache_info().misses for cache in caches]
         run_all(reversed(indices))
         run_all(indices)
-        # later rounds build no operator again: equal specifications hit the caches
+        # later rounds build no operator again: equal specifications hit the
+        # cache of the derivations; no command builds g1 or g2 at all
         assert [cache.cache_info().misses for cache in caches] == misses
-        assert all(cache.cache_info().hits for cache in caches)
+        assert misses[:2] == [0, 0] and sl2.derivations.cache_info().hits

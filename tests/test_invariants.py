@@ -32,8 +32,9 @@ from metalie.invariants import (
     witness_pair,
 )
 from metalie.linalg import rank
-from metalie.metabelian import LieContext, parse_lie_expr
-from metalie.poly import Poly, encode, is_pairwise_jacobian_zero
+from metalie.metabelian import LieContext, WreathElement, parse_lie_expr
+from metalie.poly import (MAX_EXPONENT, ExponentOverflow, Poly, encode,
+                          is_pairwise_jacobian_zero)
 from metalie.series import invariant_dimension_series
 from metalie.sl2 import ModuleSpec, is_invariant, is_invariant_by_derivations
 from helpers import replace_case
@@ -69,10 +70,19 @@ class TestPi:
         assert value.is_in_commutator_ideal()
         assert is_invariant_by_derivations(value, case.spec)
 
+    def test_exponent_over_the_field_is_refused(self):
+        # the minor x1 * x2^MAX_EXPONENT times a1 * x2 leaves the field of x2
+        f1 = Poly.parse(f"x1*x2^{MAX_EXPONENT}")
+        with pytest.raises(ExponentOverflow):
+            pi(f1, Poly.parse("x1*x2"), LieContext(2))
+
     @given(f1=strat.homogeneous_polys(degree=2), f2=strat.homogeneous_polys(degree=3))
     def test_two_paths_agree(self, f1, f2):
         ctx = LieContext(3)
-        assert pi(f1, f2, ctx) == pi_via_bracket(f1, f2, ctx)
+        value = pi(f1, f2, ctx)
+        assert value == pi_via_bracket(f1, f2, ctx)
+        # pi marks its value as in the commutator ideal; a fresh element decides it
+        assert WreathElement(ctx, value.poly).is_in_commutator_ideal()
 
     @given(f1=strat.homogeneous_polys(degree=2), f2=strat.homogeneous_polys(degree=2))
     def test_nonvanishing_for_independent_pairs(self, f1, f2):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 
 import strategies as strat
+from metalie import poly
 from metalie.metabelian import parse_lie_expr
 from metalie.poly import (
     MAX_NESTING,
@@ -16,6 +17,7 @@ from metalie.poly import (
     encode,
     is_pairwise_jacobian_zero,
     jacobian_minor,
+    jacobian_minors,
     mono_degree,
     mono_mul,
     var_key,
@@ -114,6 +116,26 @@ class TestJacobian:
         f1 = Poly.parse("x1*x5 - 4*x2*x4 + 3*x3^2")
         f2 = Poly.parse("-x1*x3*x5 - 2*x2*x3*x4 + x3^3 + x1*x4^2 + x2^2*x5")
         assert not is_pairwise_jacobian_zero(f1, f2)
+
+    def test_minors_each_partial_once(self, monkeypatch):
+        f1, f2 = x1 ** 2 * x3 - x2 ** 3, x1 * x2 + x3 ** 2
+        partial = Poly.partial
+        taken = []
+        monkeypatch.setattr(Poly, "partial", lambda f, v: taken.append(v) or partial(f, v))
+        minors = list(jacobian_minors(f1, f2))
+        assert sorted(taken) == ["x1", "x1", "x2", "x2", "x3", "x3"]
+        assert [(v, w) for v, w, _ in minors] == [("x1", "x2"), ("x1", "x3"), ("x2", "x3")]
+        assert all(minor == jacobian_minor(f1, f2, v, w) for v, w, minor in minors)
+
+    def test_minor_products_over_the_budget_are_refused_before_the_first(self, monkeypatch):
+        def unformed(*args):
+            raise AssertionError("a minor product was formed")
+
+        f = Poly.parse("(x1+x2+x3)^2")  # every partial has 3 terms
+        monkeypatch.setattr(poly, "MAX_TERM_PAIRS", 8)
+        monkeypatch.setattr(Poly, "__mul__", unformed)
+        with pytest.raises(ParseError, match="a Jacobian minor product needs up to 9 term pairs"):
+            next(jacobian_minors(f, f))
 
     @given(f1=strat.polys(), f2=strat.polys(), g=strat.polys())
     def test_bilinear_and_skew(self, f1, f2, g):
