@@ -284,7 +284,7 @@ def cli_entries(tiny: bool):
         witness = ("witness", spec, "--count", "2" if tiny else "6", "--json")
         rows = json.loads(command(*witness)())
         yield (" ".join(witness[:4]), f"witness family of V{spec}, each member decided by "
-                                      "the derivations alone",
+                                      "the derivations, the first also by substitution",
                command(*witness), {"elements": len(rows), "max_degree": rows[-1]["degree"]})
 
     heavy = ("--case", "v", "--degree", "8" if tiny else "12")

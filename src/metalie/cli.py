@@ -37,7 +37,7 @@ from .metabelian import (
 from .poly import ParseError, Poly
 from .series import (NotACharacter, TruncationMismatch, invariant_dimension_series,
                      weight_difference_counts)
-from .sl2 import ModuleSpec, failing_derivation_image, is_invariant_by_derivations
+from .sl2 import ModuleSpec, failing_derivation_image, is_invariant, is_invariant_by_derivations
 
 MAX_TRUNCATION = 64
 # Budget on the rank: the generators of a module specification, or the largest
@@ -184,10 +184,8 @@ def cmd_pi(args) -> int:
 def _witness_family(spec: ModuleSpec, count: int) -> list:
     """The first `count` members, each built only while the family stays
     within MAX_WITNESS_TERMS summed terms."""
-    # refused before the pair is built: V_k, k >= 8, needs discriminant(k), and
-    # discriminant(8) alone takes 7.8 s; V6's first member (2634 terms) builds and
-    # is decided in about 0.1 s, but no measured budget covers the rest of its
-    # family yet.  V5 and V7 build theirs in under 1 s.
+    # substituting g1, g2 into V6's first member (2634 terms) takes about 3 s and
+    # discriminant(8) alone 7.8 s (Python 3.11, 2 CPUs); V5, V7 take under 1 s
     if len(spec.blocks) == 1 and (spec.blocks[0] == 6 or spec.blocks[0] >= 8):
         raise UsageError(f"the witness pair of {spec} is over the budget "
                          "(single blocks of degree 6 or at least 8 are refused)")
@@ -220,9 +218,11 @@ def cmd_witness(args) -> int:
     if not 0 <= args.count <= MAX_WITNESS_COUNT:
         raise UsageError(f"--count must be between 0 and {MAX_WITNESS_COUNT}")
     family = _witness_family(spec, args.count)
-    # delta1 and delta2 alone decide each member: they kill exactly what g1, g2 fix
-    rows = [{"degree": u.total_degree(), "invariant": is_invariant_by_derivations(u, spec),
-             "element": format_commutator_expansion(to_commutator_basis(u))} for u in family]
+    # delta1, delta2 decide every member; substitution by g1, g2 must agree on the first
+    rows = [{"degree": u.total_degree(),
+             "invariant": is_invariant_by_derivations(u, spec) & (n > 0 or is_invariant(u, spec)),
+             "element": format_commutator_expansion(to_commutator_basis(u))}
+            for n, u in enumerate(family)]
     if args.json:
         print(json.dumps(rows))
     else:

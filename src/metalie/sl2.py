@@ -22,9 +22,9 @@ helper, so delta1 and delta2 hold at most one entry per column.
 terms of the element (`Poly.derive`), forming no partial derivative or product.
 `invariant_dimension` counts the invariants of one degree with delta1 alone:
 they are the weight-(p, p) vectors that delta1 kills.  Substitution by g1 and
-g2 (`is_invariant`) and the exact matrix logarithm (`log_unipotent`) remain
-only as independent checks: no command substitutes, and the tests check every
-catalog generator and the first member of every witness family both ways.
+g2 (`is_invariant`) and the exact matrix logarithm (`log_unipotent`) remain as
+independent checks of that path: `witness` substitutes into the first member
+of a family, and the tests check every catalog generator both ways.
 """
 
 from __future__ import annotations

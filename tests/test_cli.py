@@ -269,22 +269,26 @@ WITNESS_SPECS = [("2,0", 6), ("3", 6), ("1,1", 6), ("4", 6), ("2,1", 6), ("1,1,1
 
 class TestWitnessDecision:
     @pytest.mark.parametrize("spec, count", WITNESS_SPECS)
-    def test_every_member_decided_by_derivations_alone(self, capsys, monkeypatch, spec, count):
-        def refuse(*args):
-            raise AssertionError("substitution by g1 or g2 on the witness path")
-
+    def test_first_member_substituted_every_member_derived(self, capsys, monkeypatch,
+                                                             spec, count):
         calls = []
-        monkeypatch.setattr(sl2, "is_invariant", refuse)
-        monkeypatch.setattr(Poly, "substitute", refuse)
+        monkeypatch.setattr(cli, "is_invariant", counted(cli.is_invariant, calls))
         monkeypatch.setattr(cli, "is_invariant_by_derivations",
                             counted(cli.is_invariant_by_derivations, calls))
         code, out, _ = run(capsys, "witness", spec, "--count", str(count), "--json")
         assert code == 0
-        assert [row["invariant"] for row in json.loads(out)] == [True] * count
-        assert calls == ["is_invariant_by_derivations"] * count
+        assert all(row["invariant"] for row in json.loads(out))
+        assert calls.count("is_invariant") == 1
+        assert calls.count("is_invariant_by_derivations") == count
 
-    # the independent check of that route: g1 and g2 fix the first member of
-    # every family the CLI builds
+    def test_substitution_decides_the_first_row_only(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "is_invariant", lambda u, spec: False)
+        code, out, _ = run(capsys, "witness", "2,1", "--count", "6", "--json")
+        assert code == 0
+        assert [row["invariant"] for row in json.loads(out)] == [False] + [True] * 5
+
+    # the substitution oracle, outside the CLI: g1 and g2 fix the first member
+    # of every family the CLI builds, and not that member plus x1
     @pytest.mark.parametrize("spec", [spec for spec, _ in WITNESS_SPECS])
     def test_first_member_fixed_by_substitution(self, spec):
         module = sl2.ModuleSpec.parse(spec)
@@ -332,6 +336,7 @@ class TestWitnessBudget:
         def undecided(u, spec):
             raise AssertionError("a member was decided")
         monkeypatch.setattr(cli, "infinite_family_witness", members)
+        monkeypatch.setattr(cli, "is_invariant", undecided)
         monkeypatch.setattr(cli, "is_invariant_by_derivations", undecided)
         code, out, err = run(capsys, "witness", spec, "--count", str(count))
         assert (code, out) == (2, "")
@@ -635,7 +640,7 @@ def masked(out):
 
 class TestRepeatedCalls:
     """`main` called again and again in one process answers as a fresh
-    interpreter does; equal specifications share the cached derivations."""
+    interpreter does; equal specifications share the sl2 operator caches."""
 
     def in_process(self, monkeypatch, argv, stdin):
         monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
@@ -668,7 +673,6 @@ class TestRepeatedCalls:
         misses = [cache.cache_info().misses for cache in caches]
         run_all(reversed(indices))
         run_all(indices)
-        # later rounds build no operator again: equal specifications hit the
-        # cache of the derivations; no command builds g1 or g2 at all
+        # later rounds build no operator again: equal specifications hit the caches
         assert [cache.cache_info().misses for cache in caches] == misses
-        assert misses[:2] == [0, 0] and sl2.derivations.cache_info().hits
+        assert all(cache.cache_info().hits for cache in caches)
