@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Layer microbenchmarks and end-to-end timings, written to BENCH_21.json.
+"""Layer microbenchmarks and end-to-end timings, written to BENCH_22.json.
 
     python3 scripts/bench.py [--src DIR] [--column NAME[=DIR] ...] [--out FILE] [--tiny]
 
@@ -266,6 +266,19 @@ def cli_entries(tiny: bool):
             return out.getvalue()
         return run
 
+    # the cost every command pays in `main`: the parser built, the arguments
+    # read and one trivial job run, averaged over a batch of calls
+    calls = 20 if tiny else 200
+    normalize = command("normalize", "x1")
+
+    def per_call():
+        start = perf_counter()
+        for _ in range(calls):
+            normalize()
+        return Timed((perf_counter() - start) / calls)
+    yield ("cli.main.per_call", f"main(['normalize', 'x1']) in-process, seconds per call over "
+                                f"{calls} calls", per_call, {"calls": calls})
+
     # hilbert on several specifications and truncations, the last near the
     # budget of slice cells (27 blocks V8 at -N 64: 7 978 176 cells)
     top = 16 if tiny else 64
@@ -493,7 +506,7 @@ def main() -> int:
                         help="directory holding the metalie package of a bare column name")
     parser.add_argument("--column", action="append",
                         help="NAME or NAME=DIR; repeat to alternate columns (default change)")
-    parser.add_argument("--out", default=str(ROOT / "BENCH_21.json"))
+    parser.add_argument("--out", default=str(ROOT / "BENCH_22.json"))
     parser.add_argument("--tiny", action="store_true", help="small sizes, for a smoke test")
     parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args()

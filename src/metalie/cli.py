@@ -42,9 +42,9 @@ from .sl2 import ModuleSpec, failing_derivation_image, is_invariant, is_invarian
 MAX_TRUNCATION = 64
 # Budget on the rank: the generators of a module specification, or the largest
 # x<k> of a `normalize` input.  `check` builds the two derivations by their
-# sparse columns; at the budget, `check 1023` takes about 0.01 s and 18 MB
-# peak RSS on `x1`, and 0.4 s and 22 MB on the sum of all 1024 variables
-# (Python 3.11, a shared 2-CPU host).
+# sparse columns; at the budget, `check 1023` takes about 0.004 s and 18 MB
+# peak RSS on `x1`, and 0.17 s and 21 MB on the sum of all 1024 variables
+# (in-process, Python 3.11, a shared 2-CPU host).
 MAX_RANK = 1024
 # Budget for the invariant targets of `hilbert`, in slice cells the weight-space
 # builder touches (about d * N * (N * k_max + 1)); the slowest input found near

@@ -34,6 +34,7 @@ from .poly import (
     Poly,
     TokenStream,
     _PolyParser,
+    _check_term_pairs,
     decode,
     describe_token,
     encode,
@@ -62,13 +63,14 @@ def require_variables(p: Poly, letters: str, dim: int) -> None:
     """Raise `ContextMismatch` unless each variable of p is <c>1..<c>dim for a
     letter c of `letters`, naming the first other one in variable order
     (`var_key`, then name), so the message never depends on slot order."""
-    allowed = tuple(letters)
-    bad = [s for s, _ in fields(p.support())
-           if slot_key(s)[0] not in allowed or not 1 <= slot_key(s)[1] <= dim]
-    if bad:
-        first = slot_name(min(bad, key=lambda s: (slot_key(s), slot_name(s))))
-        raise ContextMismatch(f"variable {first} is not one of "
-                              + ", ".join(f"{c}1..{c}{dim}" for c in letters))
+    for s, _ in fields(p.support()):
+        letter, index = slot_key(s)
+        if len(letter) > 1 or letter not in letters or not 1 <= index <= dim:
+            bad = [s for s, _ in fields(p.support())
+                   if slot_key(s)[0] not in tuple(letters) or not 1 <= slot_key(s)[1] <= dim]
+            first = slot_name(min(bad, key=lambda s: (slot_key(s), slot_name(s))))
+            raise ContextMismatch(f"variable {first} is not one of "
+                                  + ", ".join(f"{c}1..{c}{dim}" for c in letters))
 
 
 class LieContext(Record):
@@ -455,9 +457,15 @@ def _bracket(items: list[_Node]) -> _Node:
     return lambda ctx: reduce(WreathElement.bracket, (build(ctx) for build in builders))
 
 
-def _act(node: _Node, multiplier: Poly) -> _Node:
+def _act(node: _Node, multiplier: Poly, pos: int) -> _Node:
     arg = _builder(node)
-    return lambda ctx: arg(ctx).ad_action(multiplier)
+
+    def act(ctx: LieContext) -> WreathElement:    # refused before it is formed past the budget
+        u = arg(ctx)
+        _check_term_pairs(len(u.poly.terms) * len(multiplier.terms),
+                          f"module action at position {pos}")
+        return u.ad_action(multiplier)
+    return act
 
 
 def _scale(coeff: int | Fraction, node: _Node) -> _Node:
@@ -492,13 +500,13 @@ def _parse_lie_term(stream: TokenStream, sign: int) -> _Node:
     if scalar is not None:
         stream.accept_op("*")
     node = _parse_lie_factor(stream)
-    multiplier = None
+    multiplier, start = None, stream.peek()[2]
     while stream.accept_op(".", "*"):
         pos = stream.peek()[2]
         factor = _PolyParser(stream).parse_factor()
         multiplier = factor if multiplier is None else _PolyParser.product(multiplier, factor, pos)
     if multiplier is not None:
-        node = _act(node, multiplier)
+        node = _act(node, multiplier, start)
     coeff = sign if scalar is None else sign * scalar
     return node if coeff == 1 else _scale(coeff, node)
 

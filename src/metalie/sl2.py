@@ -15,11 +15,13 @@ which on each block are the raising and lowering derivations
 
     delta1(xi_l) = l * xi_{l-1},    delta2(xi_l) = (k-l) * xi_{l+1}.
 
-All four are stored by their sparse columns and built block by block by one
-helper, so delta1 and delta2 hold at most one entry per column.
-`derivations` builds the logarithms, and `check`, `witness` and
-`verify_catalog` decide invariance with them in one pass over the packed
-terms of the element (`Poly.derive`), forming no partial derivative or product.
+All four are stored by their sparse columns, built block by block by one
+helper, so delta1 and delta2 hold at most one entry per column.  `check`,
+`witness` and `verify_catalog` decide invariance with the logarithms
+(`derivations`) in one pass over the packed terms (`Poly.derive`), read from
+a move table per slot: on the first sight of the slot s of v, after
+`require_variables`, it gets (W*s, [(unit(t) - unit(v), c), ...]) for the
+image sum c * t of v, so an act forms no variable name.
 `invariant_dimension` counts the invariants of one degree with delta1 alone:
 they are the weight-(p, p) vectors that delta1 kills.  Substitution by g1 and
 g2 (`is_invariant`) and the exact matrix logarithm (`log_unipotent`) remain as
@@ -34,9 +36,9 @@ from functools import lru_cache
 from operator import add
 
 from . import linalg
-from .metabelian import (LieContext, WreathElement, _compositions, require_variables,
+from .metabelian import (LieContext, WreathElement, _compositions, _wrap, require_variables,
                          words_of_multidegree)
-from .poly import Poly, encode, fields, slot_key, slot_name
+from .poly import W, Poly, encode, fields, slot, slot_key, slot_name
 from .record import Record
 
 
@@ -102,6 +104,7 @@ class _GeneratorMatrix(Record):
     def __init__(self, spec: ModuleSpec, columns: tuple[dict[int, int | Fraction], ...]):
         self.spec, self.columns = spec, columns
         self._column_images: dict[tuple[str, int], Poly] = {}
+        self._moves: dict[str, dict[int, tuple]] = {"x": {}, "ax": {}}    # read by Derivation
 
     def column_image(self, letter: str, j: int) -> Poly:
         if (letter, j) not in self._column_images:    # built once per operator
@@ -114,15 +117,16 @@ class _GeneratorMatrix(Record):
         require_variables(p, letters, self.spec.dimension)
         return {slot_name(s): self.column_image(*slot_key(s)) for s, _ in fields(p.support())}
 
-    def _map(self, obj, extend):
+    def _map(self, obj, extend, images):
         """Image of a polynomial in x1..xd or of an envelope element, where
-        extend(p, images) extends the images of the variables of p to p."""
+        extend(p, images(p, letters)) extends the images of the variables of p to
+        p; it keeps the alphabets and the a-degree, so it is not checked again."""
         if isinstance(obj, Poly):
-            return extend(obj, self._images(obj, "x"))
+            return extend(obj, images(obj, "x"))
         if isinstance(obj, WreathElement):
             if obj.ctx.dim != self.spec.dimension:
                 raise ValueError("element rank does not match the module specification")
-            return WreathElement(obj.ctx, extend(obj.poly, self._images(obj.poly, "ax")))
+            return _wrap(obj.ctx, extend(obj.poly, images(obj.poly, "ax")))
         raise TypeError(f"cannot act on {type(obj).__name__}")
 
 
@@ -130,14 +134,27 @@ class LinearAction(_GeneratorMatrix):
     """Linear substitution of the generators, extended as an algebra map."""
 
     def act(self, obj):
-        return self._map(obj, Poly.substitute)
+        return self._map(obj, Poly.substitute, self._images)
 
 
 class Derivation(_GeneratorMatrix):
     """Linear derivation, extended to products by the Leibniz rule."""
 
+    def _steps(self, p: Poly, letters: str) -> list[tuple]:
+        """The move-table entries of the slots of p (see the module docstring)."""
+        table = self._moves[letters]
+        try:
+            return [table[s] for s, _ in fields(p.support())]
+        except KeyError:
+            require_variables(p, letters, self.spec.dimension)
+        for s, _ in fields(p.support()):
+            letter, j = slot_key(s)
+            table[s] = (W * s, [((1 << W * slot(f"{letter}{i + 1}")) - (1 << W * s), c)
+                                for i, c in self.columns[j - 1].items()])
+        return self._steps(p, letters)
+
     def act(self, obj):
-        return self._map(obj, Poly.derive)
+        return self._map(obj, Poly.derive, self._steps)
 
 
 def _blockwise(cls, spec: ModuleSpec, column):
@@ -225,10 +242,7 @@ def derivations(spec: ModuleSpec) -> tuple[Derivation, Derivation]:
 
 def is_invariant(u, spec: ModuleSpec) -> bool:
     """Independent check: both unitriangular generators fix the element."""
-    for g in (g1_matrix(spec), g2_matrix(spec)):
-        if g.act(u) != u:
-            return False
-    return True
+    return all(g.act(u) == u for g in (g1_matrix(spec), g2_matrix(spec)))
 
 
 def failing_derivation_image(u, spec: ModuleSpec):

@@ -317,4 +317,4 @@ def leibniz_by_partials(p, images):
 
 def derivation_by_partials(delta, obj):
     """`delta.act(obj)` for a `Poly` or `WreathElement`, by `leibniz_by_partials`."""
-    return delta._map(obj, leibniz_by_partials)
+    return delta._map(obj, leibniz_by_partials, delta._images)

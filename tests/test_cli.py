@@ -16,7 +16,7 @@ from metalie import cli, invariants, sl2
 from metalie.cli import MAX_RANK, MAX_WITNESS_COUNT, main
 from metalie.linalg import LinearSolveError
 from metalie.metabelian import LieContext, parse_lie_expr
-from metalie.poly import MAX_EXPONENT, MAX_TERM_PAIRS, Poly
+from metalie.poly import MAX_EXPONENT, MAX_MINORS, MAX_TERM_PAIRS, Poly
 from metalie.series import NotACharacter, TruncationMismatch
 
 
@@ -532,6 +532,31 @@ class TestExpressionBudget:
         assert (code, out) == (2, "")
         assert re.fullmatch(r"error: product at position \d+ needs up to 38291344 term "
                             f"pairs, over the budget of {MAX_TERM_PAIRS}\n", err)
+
+    # the action of S^8 (1287 terms) on [x2,x1].S^8 (2574 terms) needs 3 312 738
+    # term pairs, and the refusal comes before any of them is formed
+    ACTED_TWICE = "([x2,x1].(x1+x2+x3+x4+x5+x6)^8).(x1+x2+x3+x4+x5+x6)^8"
+    ACTION_REFUSED = ("error: module action at position 31 needs up to 3312738 term pairs, "
+                      f"over the budget of {MAX_TERM_PAIRS}\n")
+
+    def test_module_action_over_the_budget_is_refused_by_normalize(self, capsys):
+        start = perf_counter()
+        code, out, err = run(capsys, "normalize", self.ACTED_TWICE)
+        assert perf_counter() - start < 0.1
+        assert (code, out, err) == (2, "", self.ACTION_REFUSED)
+
+    def test_module_action_over_the_budget_is_refused_by_check(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO(self.ACTED_TWICE))
+        start = perf_counter()
+        code, out, err = run(capsys, "check", "5", "-")
+        assert perf_counter() - start < 0.1
+        assert (code, out, err) == (2, "", self.ACTION_REFUSED)
+
+    def test_pi_with_too_many_minors_is_refused(self, capsys):
+        f1, f2 = ("+".join(f"{c}x{j}" for j in range(1, 401)) for c in ("", "2*"))
+        code, out, err = run(capsys, "pi", "399", "--", f1, f2)
+        assert (code, out) == (2, "")
+        assert err == f"error: 79800 Jacobian minors, over the budget of {MAX_MINORS}\n"
 
     def test_pi_minor_product_over_the_budget_is_refused(self, capsys):
         reading = seconds_to_read_two_factors()

@@ -137,6 +137,18 @@ class TestJacobian:
         with pytest.raises(ParseError, match="a Jacobian minor product needs up to 9 term pairs"):
             next(jacobian_minors(f, f))
 
+    def test_too_many_minors_are_refused_before_any_partial(self, monkeypatch):
+        def untaken(*args):
+            raise AssertionError("a partial was taken")
+
+        f = Poly.parse("x1 + x2 + x3 + x4")  # 6 minors
+        monkeypatch.setattr(poly, "MAX_MINORS", 5)
+        monkeypatch.setattr(Poly, "partial", untaken)
+        with pytest.raises(ParseError, match="^6 Jacobian minors, over the budget of 5$"):
+            next(jacobian_minors(f, 2 * f))
+        monkeypatch.undo()
+        assert len(list(jacobian_minors(f, 2 * f))) == 6
+
     @given(f1=strat.polys(), f2=strat.polys(), g=strat.polys())
     def test_bilinear_and_skew(self, f1, f2, g):
         j = lambda a, b: jacobian_minor(a, b, "x1", "x2")

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given
 
 import strategies as strat
-from metalie.metabelian import WreathElement, parse_lie_expr
+from metalie import poly
+from metalie.metabelian import ContextMismatch, WreathElement, _wrap, parse_lie_expr
 from metalie.poly import MAX_EXPONENT, ExponentOverflow, Poly, decode, encode, var_key
 from metalie.series import weight_slices
 from metalie.sl2 import (
@@ -242,6 +243,41 @@ class TestOnePassLeibniz:
             delta1.act(u)
         with pytest.raises(ExponentOverflow):
             derivation_by_partials(delta1, u)
+
+
+class TestMoveTables:
+    """`Derivation.act` reads its move tables by slot; a slot missing from them
+    goes through `require_variables`, and a slot is entered on first sight."""
+
+    SPEC = ModuleSpec((2, 1))
+
+    @pytest.mark.parametrize("name", ["x7", "a9", "y1"])
+    def test_a_variable_outside_the_alphabet_is_refused_with_the_same_message(self, name):
+        ctx = self.SPEC.context()
+        stray = Poly.variable(name) * Poly.variable("x2")
+        for delta in derivations(self.SPEC):
+            # warm both tables with every slot of the alphabets first
+            delta.act(sum((Poly.variable(f"x{j}") for j in range(1, 6)), Poly.zero()))
+            delta.act(sum((ctx.generator(j) for j in range(1, 6)), ctx.zero()))
+            with pytest.raises(ContextMismatch) as found:
+                delta.act(stray + Poly.variable("x1"))
+            assert str(found.value) == f"variable {name} is not one of x1..x5"
+            with pytest.raises(ContextMismatch) as found:
+                delta.act(_wrap(ctx, stray * Poly.variable("a1") if name[0] == "x" else stray))
+            assert str(found.value) == f"variable {name} is not one of a1..a5, x1..x5"
+
+    def test_an_a_variable_seen_in_an_envelope_element_is_refused_in_a_polynomial(self):
+        ctx = self.SPEC.context()
+        delta1 = derivations(self.SPEC)[0]
+        delta1.act(ctx.generator(2))
+        with pytest.raises(ContextMismatch, match="^variable a2 is not one of x1..x5$"):
+            delta1.act(Poly.variable("a2"))
+
+    def test_an_act_registers_only_the_slots_of_the_images_it_needs(self):
+        delta2 = derivations(ModuleSpec((1023,)))[1]
+        registered = len(poly._slot_names)
+        assert delta2.act(Poly.variable("x1")) == 1023 * Poly.variable("x2")
+        assert len(poly._slot_names) == registered
 
 
 class TestWreathAction:
