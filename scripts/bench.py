@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Layer microbenchmarks and end-to-end timings, written to BENCH_22.json.
+"""Layer microbenchmarks and end-to-end timings, written to BENCH_23.json.
 
     python3 scripts/bench.py [--src DIR] [--column NAME[=DIR] ...] [--out FILE] [--tiny]
 
@@ -255,13 +255,18 @@ def cli_entries(tiny: bool):
     """(name, what, thunk, sizes) for whole `metalie` commands."""
     import metalie
     from metalie.cli import main
+    from metalie.poly import Poly
 
-    def command(*argv):
+    def command(*argv, stdin="", exit_code=0):
         def run():
             out = io.StringIO()
-            with contextlib.redirect_stdout(out):
-                code = main(list(argv))
-            if code != 0:
+            channel, sys.stdin = sys.stdin, io.StringIO(stdin)
+            try:
+                with contextlib.redirect_stdout(out):
+                    code = main(list(argv))
+            finally:
+                sys.stdin = channel
+            if code != exit_code:
                 raise RuntimeError(f"{' '.join(argv)} exited {code}")
             return out.getvalue()
         return run
@@ -292,6 +297,16 @@ def cli_entries(tiny: bool):
         yield (name, f"invariant dimensions of rank {d} to degree {n}", command(*hilbert),
                {"rank": d, "truncation": n, "cells": d * n * (n * max(blocks) + 1),
                 "dimension_sum": sum(json.loads(command(*hilbert)()))})
+
+    # check on growing blocks, as the benchmark's wide jobs: the cube of the top
+    # variable of V_k, which delta1 moves (exit 1); each block's operators are
+    # built on the first run and cached, as in any process that checks again
+    for k in (10, 20) if tiny else (10, 20, 40):
+        check, text = ("check", str(k), "-", "--json"), f"x{k + 1}^3"
+        run = command(*check, stdin=text, exit_code=1)
+        image = json.loads(run())["failing"]["image"]
+        yield (f"check {k} - {text}", f"invariance of {text} on the single block V{k}", run,
+               {"rank": k + 1, "image_terms": len(Poly.parse(image).terms)})
 
     for spec in ("3", "4"):
         witness = ("witness", spec, "--count", "2" if tiny else "6", "--json")
@@ -506,7 +521,7 @@ def main() -> int:
                         help="directory holding the metalie package of a bare column name")
     parser.add_argument("--column", action="append",
                         help="NAME or NAME=DIR; repeat to alternate columns (default change)")
-    parser.add_argument("--out", default=str(ROOT / "BENCH_22.json"))
+    parser.add_argument("--out", default=str(ROOT / "BENCH_23.json"))
     parser.add_argument("--tiny", action="store_true", help="small sizes, for a smoke test")
     parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args()

@@ -1,10 +1,10 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or parse error
-(including an input over a budget), 3 internal error: an exception the
-program does not expect on any input, reported as one `internal error:`
-line on stderr.  All machine output goes through --json; plain output is
-aligned text.
+Exit codes: 0 success, 1 verification failure, 2 a refused input: a
+`poly.UsageError` (parse errors and inputs over a budget included) or an
+`OSError`, 3 internal error: any other exception, a bare `ValueError`
+included, reported as one `internal error:` line on stderr.  All machine
+output goes through --json; plain output is aligned text.
 """
 
 from __future__ import annotations
@@ -15,8 +15,6 @@ import sys
 from math import comb
 
 from .invariants import (
-    NoKnownWitness,
-    NonHomogeneousInput,
     check_span_budget,
     decide_finite_generation,
     infinite_family_witness,
@@ -25,18 +23,15 @@ from .invariants import (
     verify_catalog,
     witness_pair,
 )
-from .linalg import LinearSolveError
 from .metabelian import (
     LieContext,
-    NotInCommutatorIdeal,
     format_commutator_expansion,
     lie_normal_form,
     parse_lie_expr,
     to_commutator_basis,
 )
-from .poly import ParseError, Poly
-from .series import (NotACharacter, TruncationMismatch, invariant_dimension_series,
-                     weight_difference_counts)
+from .poly import Poly, UsageError
+from .series import invariant_dimension_series, weight_difference_counts
 from .sl2 import ModuleSpec, failing_derivation_image, is_invariant, is_invariant_by_derivations
 
 MAX_TRUNCATION = 64
@@ -63,15 +58,8 @@ MAX_WITNESS_COUNT = 64
 MAX_WITNESS_TERMS = 58_000
 
 
-class UsageError(Exception):
-    pass
-
-
 def _parse_spec(text: str) -> ModuleSpec:
-    try:
-        spec = ModuleSpec.parse(text)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    spec = ModuleSpec.parse(text)
     _check_rank(spec.dimension)
     return spec
 
@@ -118,11 +106,11 @@ def cmd_hilbert(args) -> int:
     spec = _parse_spec(args.spec)
     n = _check_truncation(args.truncation)
     d = spec.dimension
+    if d < 2 and args.target in ("metabelian", "invariant-module"):
+        raise UsageError("need at least two generators")
     if args.target == "polyring":
         dims = [comb(m + d - 1, d - 1) for m in range(n + 1)]
     elif args.target == "metabelian":
-        if d < 2:
-            raise UsageError("need at least two generators")
         dims = [0, d][:n + 1] + [d * comb(m + d - 2, d - 1) - comb(m + d - 1, d - 1)
                                  for m in range(2, n + 1)]
     else:
@@ -140,11 +128,14 @@ def cmd_hilbert(args) -> int:
 
 def cmd_check(args) -> int:
     spec = _parse_spec(args.spec)
-    if args.file == "-":
-        text = sys.stdin.read()
-    else:
-        with open(args.file) as fh:
-            text = fh.read()
+    try:
+        if args.file == "-":
+            text = sys.stdin.read()
+        else:
+            with open(args.file) as fh:
+                text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise UsageError(str(exc)) from None
     expr = _parse_expression(text)
     value = expr.evaluate(spec.context()) if not isinstance(expr, Poly) else expr
     failing = failing_derivation_image(value, spec)
@@ -191,10 +182,7 @@ def _witness_family(spec: ModuleSpec, count: int) -> list:
                          "(single blocks of degree 6 or at least 8 are refused)")
     if not count:
         return []
-    try:
-        u, f = witness_pair(spec)
-    except NoKnownWitness as exc:
-        raise UsageError(str(exc)) from exc
+    u, f = witness_pair(spec)
     members = infinite_family_witness(spec, (u, f))
     family = [next(members)]
     built = len(u.poly.terms)
@@ -358,20 +346,13 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (NotACharacter, TruncationMismatch, LinearSolveError) as exc:
-        return _internal_error(exc)
-    except (ParseError, UsageError, NonHomogeneousInput, NotInCommutatorIdeal,
-            OSError, ValueError) as exc:
+    except (UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:
-        return _internal_error(exc)
-
-
-def _internal_error(exc: Exception) -> int:
-    message = " ".join(f"{type(exc).__name__}: {exc}".split())
-    print(f"internal error: {message}", file=sys.stderr)
-    return 3
+        message = " ".join(f"{type(exc).__name__}: {exc}".split())
+        print(f"internal error: {message}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -31,8 +31,8 @@ from .metabelian import (
     parse_lie_expr,
     require_variables,
 )
-from .poly import (Poly, encode, field_mask, fields, jacobian_minors, mono_exponent, mono_mul,
-                   mono_str, signed_sum, slot, slot_key, slot_name, var_key)
+from .poly import (Poly, UsageError, encode, field_mask, fields, jacobian_minors, mono_exponent,
+                   mono_mul, mono_str, signed_sum, slot, slot_key, slot_name, var_key)
 from .record import Record
 from .series import (
     TruncatedSeries,
@@ -46,15 +46,15 @@ from .series import (
 from .sl2 import ModuleSpec, is_invariant_by_derivations
 
 
-class NonHomogeneousInput(ValueError):
+class NonHomogeneousInput(UsageError):
     """Raised when an operation requires homogeneous polynomial input."""
 
 
-class NoKnownWitness(LookupError):
+class NoKnownWitness(UsageError, LookupError):
     """Raised when no witness pair is on file for a module specification."""
 
 
-class SpanBudgetExceeded(ValueError):
+class SpanBudgetExceeded(UsageError):
     """Raised when the span rank checks would build more rows than the budget."""
 
 

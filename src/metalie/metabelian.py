@@ -33,6 +33,7 @@ from .poly import (
     ParseError,
     Poly,
     TokenStream,
+    UsageError,
     _PolyParser,
     _check_term_pairs,
     decode,
@@ -51,11 +52,11 @@ from .poly import (
 from .record import Record
 
 
-class ContextMismatch(ValueError):
+class ContextMismatch(UsageError):
     """Raised when elements of algebras of different rank are combined."""
 
 
-class NotInCommutatorIdeal(ValueError):
+class NotInCommutatorIdeal(UsageError):
     """Raised when an operation requires an element of the commutator ideal."""
 
 

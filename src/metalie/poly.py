@@ -37,11 +37,15 @@ _FIELD = (1 << W) - 1
 _VAR_RE = re.compile(r"^([A-Za-z]+)(0|[1-9]\d*)?$")
 
 
-class ParseError(ValueError):
+class UsageError(ValueError):
+    """An input refused (CLI exit 2); any other exception is a fault (exit 3)."""
+
+
+class ParseError(UsageError):
     """Raised when an expression string cannot be parsed."""
 
 
-class ExponentOverflow(ValueError):
+class ExponentOverflow(UsageError):
     """Raised when an exponent would leave its W-bit field."""
 
     def __init__(self):
@@ -55,7 +59,16 @@ def var_key(name: str) -> tuple[str, int]:
     m = _VAR_RE.match(name)
     if m is None:
         raise ValueError(f"bad variable name {name!r}")
-    return m.group(1), int(m.group(2) or 0)
+    return m.group(1), _digit_limited(int, m.group(2) or "0")
+
+
+def _digit_limited(convert, value):
+    """int(value) of a digit string or str(value) of a number, refused past the
+    interpreter's limit on digits (`sys.get_int_max_str_digits`)."""
+    try:
+        return convert(value)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 # The slot registry is append-only, and a slot is published in `_slot_of` only
@@ -199,8 +212,8 @@ def signed_sum(terms: Iterable[tuple[int | Fraction, str]]) -> str:
     """
     parts: list[str] = []
     for c, body in terms:
-        mag = abs(c)
-        text = (str(mag) if not body else body if mag == 1
+        mag = _digit_limited(str, abs(c))
+        text = (mag if not body else body if mag == "1"
                 else f"{mag}{body}" if body.startswith("[") else f"{mag}*{body}")
         if not parts:
             parts.append(text if c > 0 else f"-{text}")
@@ -675,12 +688,12 @@ class TokenStream:
             kind, denominator, pos = self.peek()
             if kind == "num":
                 self.pos += 1
-                numerator, denominator = int(text), int(denominator)
+                numerator, denominator = (_digit_limited(int, t) for t in (text, denominator))
                 if not denominator:
                     raise ParseError(f"division by zero at position {pos}")
                 return exact(Fraction(numerator, denominator))
             self.pos = save
-        return int(text)
+        return _digit_limited(int, text)
 
     def expect_end(self):
         kind, text, pos = self.peek()

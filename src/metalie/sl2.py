@@ -38,7 +38,7 @@ from operator import add
 from . import linalg
 from .metabelian import (LieContext, WreathElement, _compositions, _wrap, require_variables,
                          words_of_multidegree)
-from .poly import W, Poly, encode, fields, slot, slot_key, slot_name
+from .poly import W, Poly, UsageError, encode, fields, slot, slot_key, slot_name
 from .record import Record
 
 
@@ -54,9 +54,9 @@ class ModuleSpec(Record):
 
     def __init__(self, blocks: tuple[int, ...]):
         if not blocks:
-            raise ValueError("module specification must list at least one block")
+            raise UsageError("module specification must list at least one block")
         if any(k < 0 for k in blocks):
-            raise ValueError("block degrees are nonnegative")
+            raise UsageError("block degrees are nonnegative")
         self.blocks = blocks
 
     @classmethod
@@ -64,7 +64,7 @@ class ModuleSpec(Record):
         try:
             blocks = tuple(int(piece) for piece in text.split(","))
         except ValueError:
-            raise ValueError(f"bad module specification {text!r}") from None
+            raise UsageError(f"bad module specification {text!r}") from None
         return cls(blocks)
 
     def __str__(self) -> str:

@@ -14,10 +14,13 @@ import pytest
 
 from metalie import cli, invariants, sl2
 from metalie.cli import MAX_RANK, MAX_WITNESS_COUNT, main
+from metalie.invariants import NoKnownWitness, NonHomogeneousInput, SpanBudgetExceeded
 from metalie.linalg import LinearSolveError
-from metalie.metabelian import LieContext, parse_lie_expr
-from metalie.poly import MAX_EXPONENT, MAX_MINORS, MAX_TERM_PAIRS, Poly
+from metalie.metabelian import ContextMismatch, LieContext, NotInCommutatorIdeal, parse_lie_expr
+from metalie.poly import (MAX_EXPONENT, MAX_MINORS, MAX_TERM_PAIRS, ExponentOverflow, ParseError,
+                          Poly, UsageError)
 from metalie.series import NotACharacter, TruncationMismatch
+from metalie.sl2 import NotUnipotent
 
 
 def run(capsys, *argv):
@@ -89,12 +92,14 @@ class TestHilbert:
         assert code == 2
         assert "64" in err
 
-    def test_metabelian_targets_need_two_generators(self, capsys):
-        for target in ("metabelian", "invariant-module"):
-            code, out, err = run(capsys, "hilbert", "0", target)
-            assert code == 2
-            assert out == ""
-            assert "need at least two generators" in err
+    def test_metabelian_targets_need_two_generators(self, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("the series pipeline was reached")
+
+        # refused up front, before the series pipeline and its own guard
+        monkeypatch.setattr(cli, "invariant_dimension_series", fail)
+        for argv in (("0", "invariant-module", "-N", "4"), ("0", "metabelian")):
+            assert run(capsys, "hilbert", *argv) == (2, "", "error: need at least two generators\n")
 
     def test_metabelian_at_truncation_zero(self, capsys):
         code, out, _ = run(capsys, "hilbert", "1", "metabelian", "-N", "0", "--json")
@@ -615,6 +620,7 @@ class TestInternalErrors:
         LinearSolveError("inconsistent linear system"),
         AssertionError("unreachable"),
         RuntimeError("first line\nsecond line"),
+        ValueError("y-part is not linear"),
     ])
     def test_exit_three_with_one_line(self, capsys, monkeypatch, error):
         def fail(*args, **kwargs):
@@ -628,6 +634,59 @@ class TestInternalErrors:
         assert err.count("\n") == 1
         assert type(error).__name__ in err
         assert "Traceback" not in err
+
+
+class TestRefusalTypes:
+    """The type of an exception decides the exit code, not where it is raised:
+    every refusal is a `UsageError` (exit 2), anything else an internal error."""
+
+    def test_refusal_raised_in_a_kernel_exits_two(self, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise ParseError("refused deep inside")
+
+        monkeypatch.setattr(invariants, "decompose_slice", fail)
+        code, out, err = run(capsys, "catalog", "verify", "--case", "i", "--degree", "4")
+        assert (code, out, err) == (2, "", "error: refused deep inside\n")
+
+    @pytest.mark.parametrize("error", [ParseError, ExponentOverflow, ContextMismatch,
+                                       NotInCommutatorIdeal, NonHomogeneousInput,
+                                       SpanBudgetExceeded, NoKnownWitness])
+    def test_refusals_derive_from_one_base(self, error):
+        assert issubclass(error, UsageError)
+        assert issubclass(error, ValueError)    # callers catching ValueError still catch it
+
+    def test_no_known_witness_stays_a_lookup_error(self):
+        assert issubclass(NoKnownWitness, LookupError)
+
+    @pytest.mark.parametrize("error", [NotACharacter, TruncationMismatch, LinearSolveError,
+                                       NotUnipotent])
+    def test_internal_types_are_not_refusals(self, error):
+        assert not issubclass(error, UsageError)
+
+    def test_cli_reexports_the_refusal_base(self):
+        assert cli.UsageError is UsageError
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="no limit on the digits of an int")
+    @pytest.mark.parametrize("argv", [
+        ("normalize", "1" * 5000 + "*x1"),      # a number read past the limit
+        ("normalize", "1/" + "1" * 5000),
+        ("normalize", "x" + "1" * 5000),         # a variable index past the limit
+        ("normalize", "99^3000"),                # a coefficient printed past the limit
+        ("normalize", "[x2,x1].(99^3000)"),
+        ("pi", "2", "--", "99^3000*x1", "x2"),
+    ])
+    def test_numbers_past_the_digit_limit_are_refused(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: Exceeds the limit") and err.count("\n") == 1
+
+    def test_undecodable_file_is_refused(self, capsys, tmp_path):
+        path = tmp_path / "expr.txt"
+        path.write_bytes(b"x1 + \xff")
+        code, out, err = run(capsys, "check", "1", str(path))
+        assert (code, out) == (2, "")    # a decode error, or an unexpected character
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 # (argv, stdin): every subcommand, help, usage errors (2), a failed check (1),

@@ -2,8 +2,12 @@
 
 Hypothesis drives `cli.main` in-process with grammar-shaped expressions for
 `normalize`, `check` and `pi`, and with malformed specifications and flags
-for `hilbert`, `witness` and `decide`.  Every input must exit 0, 1 or 2
-(exit 3 is an internal error) within the deadline of one example.
+for `hilbert`, `witness` and `decide`.  Further draws sit at the edges of the
+budgets: module actions and `pi` pairs built from powers of one linear form
+near `MAX_TERM_PAIRS`, and single-generator specifications on every `hilbert`
+target.  Every input must exit 0, 1 or 2 within the deadline of one example:
+exit 3 is an internal error, any exception other than a `UsageError` or an
+`OSError`.
 """
 
 import contextlib
@@ -91,3 +95,33 @@ def test_hilbert(spec, target, extra):
 @given(st.sampled_from(["witness", "decide"]), specs, flags)
 def test_witness_and_decide(command, spec, extra):
     assert_handled([command, spec, *extra])
+
+
+# S = x1 + ... + x6; S^a * S^b needs C(a+5, 5) * C(b+5, 5) term pairs, and the
+# product of the partials of S^a and S^b C(a+4, 5) * C(b+4, 5), so the draws
+# straddle MAX_TERM_PAIRS: S^7 * S^7 is formed, S^7 * S^8 refused
+S = "(x1+x2+x3+x4+x5+x6)"
+powers = st.integers(0, 14).map(lambda n: f"{S}^{n}")
+
+
+@settings(fuzz, max_examples=20)
+@given(st.booleans(), powers, powers)
+def test_module_action_chains(by_check, p1, p2):
+    text = f"[x2,x1].{p1}*{p2}"
+    if by_check:
+        assert_handled(["check", "5", "-"], text)
+    else:
+        assert_handled(["normalize", text])
+
+
+@settings(fuzz, max_examples=8)
+@given(st.integers(4, 12), st.integers(4, 12))
+def test_pi_powers(a, b):
+    assert_handled(["pi", "5", "--", f"{S}^{a}", f"{S}^{b}"])
+
+
+@fuzz
+@given(st.sampled_from(["0", "0,", "-0"]), targets, st.sampled_from(["0", "1", "2", "4", "64"]),
+       st.booleans())
+def test_single_generator_hilbert(spec, target, n, json_flag):
+    assert_handled(["hilbert", spec, target, "-N", n] + ["--json"] * json_flag)
