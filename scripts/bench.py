@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Layer microbenchmarks and end-to-end timings, written to BENCH_23.json.
+"""Layer microbenchmarks and end-to-end timings, written to BENCH_24.json.
 
     python3 scripts/bench.py [--src DIR] [--column NAME[=DIR] ...] [--out FILE] [--tiny]
 
@@ -251,6 +251,67 @@ def catalog_entries(tiny: bool):
             "truncation": truncation})
 
 
+def text_entries(tiny: bool):
+    """(name, what, thunk, sizes) for the text boundary of the invariance workload:
+    its texts parsed and evaluated as the commands do, and its witness and `pi`
+    answers expanded in the word basis and printed."""
+    from itertools import islice
+
+    from metalie.cli import _parse_expression
+    from metalie.invariants import infinite_family_witness, pi
+    from metalie.metabelian import (LieContext, format_commutator_expansion,
+                                    to_commutator_basis)
+    from metalie.poly import Poly, tokenize
+    from metalie.sl2 import ModuleSpec
+
+    sys.path.insert(0, str(ROOT / "bench"))
+    from workloads import make_pass
+
+    seeds = (1,) if tiny else (1, 2, 3)
+    jobs = [job for seed in seeds for job in make_pass("invariance", seed)]
+    texts = {"check": [], "pi": [], "normalize": []}
+    answers = {"witness": [], "pi": []}
+    for job in jobs:
+        command, argv = job.argv[0], job.argv[1:]
+        if command == "check":
+            texts["check"].append((job.stdin, ModuleSpec.parse(argv[0]).context()))
+        elif command == "normalize":
+            texts["normalize"].append((argv[0], None))
+        elif command == "pi":
+            texts["pi"] += [(argv[1], None), (argv[2], None)]
+            answers["pi"].append(pi(Poly.parse(argv[1]), Poly.parse(argv[2]),
+                                    ModuleSpec.parse(argv[0]).context()))
+        elif command == "witness":
+            answers["witness"] += islice(infinite_family_witness(ModuleSpec.parse(argv[0])),
+                                         int(argv[2]))
+
+    def parse_all(family):
+        values = []
+        for text, ctx in texts[family]:
+            expr = _parse_expression(text)
+            values.append(expr if isinstance(expr, Poly) else
+                          expr.evaluate(ctx or LieContext(expr.rank)).poly)
+        return values
+
+    for family, pairs in texts.items():
+        values = parse_all(family)
+        yield (f"text.parse {family}", f"the {family} texts of the invariance passes of seeds "
+                                       f"{', '.join(map(str, seeds))}, parsed and evaluated",
+               lambda family=family: parse_all(family),
+               {"texts": len(pairs), "tokens": sum(len(tokenize(text)) for text, _ in pairs),
+                "terms_out": sum(len(v.terms) for v in values)})
+
+    def expand_all(family):
+        return [format_commutator_expansion(to_commutator_basis(u)) for u in answers[family]]
+
+    for family, values in answers.items():
+        yield (f"text.expand {family}", f"the {family} answers of the same passes expanded in "
+                                        "the word basis and printed",
+               lambda family=family: expand_all(family),
+               {"answers": len(values), "terms_in": sum(len(u.poly.terms) for u in values),
+                "words_out": sum(len(to_commutator_basis(u)) for u in values)})
+
+
 def cli_entries(tiny: bool):
     """(name, what, thunk, sizes) for whole `metalie` commands."""
     import metalie
@@ -399,7 +460,8 @@ print({"run": seconds, "peak": tracemalloc.get_traced_memory()[1],
        "modules": len(set(sys.modules) - before)}[mode])
 """
 
-GROUPS = ((layer_entries, 7), (catalog_entries, 7), (cli_entries, 7))
+GROUPS = ((layer_entries, 7), (catalog_entries, 7), (text_entries, 7),
+          (cli_entries, 7))
 
 
 class Timed(float):
@@ -521,7 +583,7 @@ def main() -> int:
                         help="directory holding the metalie package of a bare column name")
     parser.add_argument("--column", action="append",
                         help="NAME or NAME=DIR; repeat to alternate columns (default change)")
-    parser.add_argument("--out", default=str(ROOT / "BENCH_23.json"))
+    parser.add_argument("--out", default=str(ROOT / "BENCH_24.json"))
     parser.add_argument("--tiny", action="store_true", help="small sizes, for a smoke test")
     parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args()

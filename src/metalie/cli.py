@@ -128,13 +128,13 @@ def cmd_hilbert(args) -> int:
 
 def cmd_check(args) -> int:
     spec = _parse_spec(args.spec)
-    try:
+    try:    # stdin's undecodable bytes, kept by surrogateescape, fail here as a file's do
         if args.file == "-":
-            text = sys.stdin.read()
+            text = sys.stdin.read().encode("utf-8", "surrogateescape").decode("utf-8")
         else:
             with open(args.file) as fh:
                 text = fh.read()
-    except UnicodeDecodeError as exc:
+    except UnicodeError as exc:
         raise UsageError(str(exc)) from None
     expr = _parse_expression(text)
     value = expr.evaluate(spec.context()) if not isinstance(expr, Poly) else expr

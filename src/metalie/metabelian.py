@@ -28,27 +28,9 @@ from collections.abc import Callable, Iterable, Mapping, Sequence
 from fractions import Fraction
 from functools import reduce
 
-from .poly import (
-    Monomial,
-    ParseError,
-    Poly,
-    TokenStream,
-    UsageError,
-    _PolyParser,
-    _check_term_pairs,
-    decode,
-    describe_token,
-    encode,
-    exact,
-    fields,
-    letter_mask,
-    mono_degree,
-    signed_sum,
-    slot_key,
-    slot_name,
-    tokenize,
-    var_key,
-)
+from .poly import (W, _FIELD, Monomial, ParseError, Poly, UsageError, _accumulate, _PolyParser,
+                   _check_term_pairs, _terms, decode, encode, exact, fields, letter_mask,
+                   mono_degree, signed_sum, slot_key, slot_name, tokenize, var_key)
 from .record import Record
 
 
@@ -332,7 +314,7 @@ class CommutatorWord(Record):
         return (len(self.indices), self.indices)
 
     def __str__(self) -> str:
-        return "[" + ",".join(f"x{j}" for j in self.indices) + "]"
+        return "[x" + ",x".join(map(str, self.indices)) + "]"
 
 
 def words_of_multidegree(multidegree: Sequence[int]) -> list[CommutatorWord]:
@@ -371,9 +353,7 @@ def from_commutator_basis(ctx: LieContext,
     `CommutatorWord.to_wreath`, summed into one term dict."""
     acc: dict[Monomial, int | Fraction] = {}
     for coeff, word in terms:
-        coeff = exact(coeff)
-        for m, c in word.to_wreath(ctx).poly.terms.items():
-            acc[m] = acc.get(m, 0) + c * coeff
+        _accumulate(acc, word.to_wreath(ctx).poly.terms, exact(coeff))
     return _wrap(ctx, Poly(acc), in_ideal=True)
 
 
@@ -381,17 +361,27 @@ def to_commutator_basis(u: WreathElement) -> list[tuple[int | Fraction, Commutat
     """Unique expansion of a commutator-ideal element in the left-normed basis.
 
     Read off the envelope: the coefficient of [x_i, x_q1, ..., x_qm]
-    (q1 <= ... <= qm, i > q1) is the coefficient of a_i * y_q1 ... y_qm.
+    (q1 <= ... <= qm, i > q1) is the coefficient of a_i * y_q1 ... y_qm; i and q
+    are read straight off the fields of the packed monomial.
     """
     if not u.is_in_commutator_ideal():
         raise NotInCommutatorIdeal("element is not in the commutator ideal")
-    expansion: list[tuple[int | Fraction, CommutatorWord]] = []
-    for i, f in u.split()[1].items():
-        for m, c in f.terms.items():
-            q = sorted(slot_key(s)[1] for s, e in fields(m) for _ in range(e))
-            if i > q[0]:
-                expansion.append((c, CommutatorWord((i, *q))))
-    expansion.sort(key=lambda item: item[1].sort_key())
+    a_mask, rows, expansion = letter_mask("a"), [], []
+    index = {W * s: slot_key(s)[1] for s, _ in fields(u.poly.support())}
+    for m, c in u.poly.terms.items():
+        a = m & a_mask
+        q, y = [], m - a
+        while y:    # the fields of the y-part, as in `fields`
+            shift = (y & -y).bit_length() - 1 & -W
+            e = (y >> shift) & _FIELD
+            q += [index[shift]] * e
+            y ^= e << shift
+        q.sort()
+        if (i := index[a.bit_length() - 1]) > q[0]:
+            rows.append((len(q), (i, *q), c))
+    for _, indices, c in sorted(rows):    # words known to be valid: no checks of __init__
+        expansion.append((c, word := CommutatorWord.__new__(CommutatorWord)))
+        word.indices = indices
     return expansion
 
 
@@ -469,69 +459,73 @@ def _act(node: _Node, multiplier: Poly, pos: int) -> _Node:
     return act
 
 
-def _scale(coeff: int | Fraction, node: _Node) -> _Node:
-    arg = _builder(node)
-    return lambda ctx: coeff * arg(ctx)
-
-
 def parse_lie_expr(text: str) -> LieExpr:
     """Parse `2*[x3,x1] - [x2,x1].(x3^2)` style text; evaluation waits for
     `LieExpr.evaluate`."""
     tokens = tokenize(text)
-    stream = TokenStream(tokens)
-    node = _parse_lie_sum(stream)
-    stream.expect_end()
+    parser = _PolyParser(tokens)
+    node = _parse_lie_sum(parser)
+    parser.expect_end()
     keys = [var_key(tok) for kind, tok, _ in tokens if kind == "name"]
     return LieExpr(_builder(node), max(index for letter, index in keys if letter == "x"))
 
 
-def _parse_lie_sum(stream: TokenStream) -> _Node:
-    sign = -1 if stream.accept_op("-") else 1
-    terms = [_parse_lie_term(stream, sign)]
-    while op := stream.accept_op("+", "-"):
-        terms.append(_parse_lie_term(stream, 1 if op == "+" else -1))
-    if len(terms) == 1:
-        return terms[0]
-    builders = [_builder(term) for term in terms]
-    return lambda ctx: sum((build(ctx) for build in builders), ctx.zero())
+def _parse_lie_sum(parser: _PolyParser) -> _Node:
+    """A sum of scaled terms: a lone unscaled term is its own node, any other sum
+    builds its element in one term dict."""
+    terms = [_parse_lie_term(parser, -1 if parser.accept_op("-") else 1)]
+    while op := parser.accept_op("+", "-"):
+        terms.append(_parse_lie_term(parser, 1 if op == "+" else -1))
+    if len(terms) == 1 and terms[0][0] == 1:
+        return terms[0][1]
+    builders = [(coeff, _builder(node)) for coeff, node in terms]
+
+    def build(ctx: LieContext) -> WreathElement:    # in the ideal when every term is
+        acc: dict[Monomial, int | Fraction] = {}
+        parts = [(coeff, arg(ctx)) for coeff, arg in builders]
+        for coeff, u in parts:
+            _accumulate(acc, u.poly.terms, coeff)
+        return _wrap(ctx, Poly(acc), all(u._in_ideal for _, u in parts) or None)
+    return build
 
 
-def _parse_lie_term(stream: TokenStream, sign: int) -> _Node:
-    scalar = stream.accept_scalar()
+def _parse_lie_term(parser: _PolyParser, sign: int) -> tuple[int | Fraction, _Node]:
+    """(coefficient, node) of `[scalar[*]] factor` and its module action by the
+    factors after each `.` or `*`, multiplied as the polynomial parser does."""
+    scalar = parser.accept_scalar()
     if scalar is not None:
-        stream.accept_op("*")
-    node = _parse_lie_factor(stream)
-    multiplier, start = None, stream.peek()[2]
-    while stream.accept_op(".", "*"):
-        pos = stream.peek()[2]
-        factor = _PolyParser(stream).parse_factor()
-        multiplier = factor if multiplier is None else _PolyParser.product(multiplier, factor, pos)
+        parser.accept_op("*")
+    node = _parse_lie_factor(parser)
+    multiplier, start = None, parser.tokens[parser.pos][2]
+    while parser.accept_op(".", "*"):
+        pos = parser.tokens[parser.pos][2]
+        factor = parser.factor()
+        multiplier = factor if multiplier is None else parser.product(multiplier, factor, pos)
     if multiplier is not None:
-        node = _act(node, multiplier, start)
-    coeff = sign if scalar is None else sign * scalar
-    return node if coeff == 1 else _scale(coeff, node)
+        node = _act(node, Poly(_terms(multiplier)), start)
+    return sign if scalar is None else sign * scalar, node
 
 
-def _parse_lie_factor(stream: TokenStream) -> _Node:
-    kind, tok, pos = stream.peek()
-    if kind == "op" and tok == "[":
-        stream.next()
-        items = [_parse_lie_sum(stream)]
-        while stream.accept_op(","):
-            items.append(_parse_lie_sum(stream))
-        stream.expect_op("]")
+def _parse_lie_factor(parser: _PolyParser) -> _Node:
+    kind, tok, pos = parser.tokens[parser.pos]
+    if tok == "[":
+        parser.pos += 1
+        items = [_parse_lie_sum(parser)]
+        while parser.accept_op(","):
+            items.append(_parse_lie_sum(parser))
+        parser.expect_op("]")
         if len(items) < 2:
             raise ParseError(f"bracket at position {pos} needs at least two entries")
         return _bracket(items)
-    if kind == "op" and tok == "(":
-        stream.next()
-        inner = _parse_lie_sum(stream)
-        stream.expect_op(")")
+    if tok == "(":
+        parser.pos += 1
+        inner = _parse_lie_sum(parser)
+        parser.expect_op(")")
         return inner
     if kind == "name":
         letter, index = var_key(tok)
         if letter != "x" or index < 1:
             raise ParseError(f"expected a generator x<k> at position {pos}, found {tok!r}")
-        stream.next()
+        parser.pos += 1
         return index
-    raise ParseError(f"unexpected {describe_token(kind, tok)} at position {pos}")
+    raise parser.unexpected()

@@ -234,6 +234,18 @@ def exact(c) -> int | Fraction:
     raise TypeError(f"not an exact scalar: {c!r}")
 
 
+def _accumulate(acc: dict, terms: Mapping, scale: int | Fraction = 1) -> dict:
+    """acc += scale * terms, in place: a zero sum leaves acc, a Fraction sum with
+    denominator 1 enters it as an int."""
+    get = acc.get
+    for m, c in terms.items():
+        if s := get(m, 0) + (c if scale == 1 else scale * c):
+            acc[m] = s if type(s) is int else exact(s)
+        else:
+            acc.pop(m, None)
+    return acc
+
+
 def _canonical(terms: dict) -> dict:
     """Turn the Fraction values with denominator 1 of `terms` into ints, in
     place; the other values are left as they are."""
@@ -302,21 +314,17 @@ class Poly:
 
     __hash__ = None  # mutable dict inside; not hashable
 
-    def __add__(self, other) -> "Poly":
+    def _plus(self, other, sign: int) -> "Poly":
         if isinstance(other, (int, Fraction)):
             other = Poly.const(other)
         if not isinstance(other, Poly):
             return NotImplemented
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            s = terms.get(m, 0) + c
-            if s:
-                terms[m] = s if type(s) is int else exact(s)
-            else:
-                terms.pop(m, None)
         out = Poly.__new__(Poly)
-        out.terms = terms
+        out.terms = _accumulate(dict(self.terms), other.terms, sign)
         return out
+
+    def __add__(self, other) -> "Poly":
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
@@ -326,11 +334,7 @@ class Poly:
         return out
 
     def __sub__(self, other) -> "Poly":
-        if isinstance(other, (int, Fraction)):
-            other = Poly.const(other)
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __rsub__(self, other) -> "Poly":
         return (-self) + other
@@ -462,13 +466,8 @@ class Poly:
             for rest, terms in groups.items():
                 if e := (rest >> shift) & _FIELD:
                     terms, rest = _mul_terms(terms, power(e)), rest - (e << shift)
-                target = merged.setdefault(rest, terms)
-                if target is not terms:
-                    for m, c in terms.items():
-                        if s := target.get(m, 0) + c:
-                            target[m] = s
-                        else:
-                            del target[m]
+                if (target := merged.setdefault(rest, terms)) is not terms:
+                    _accumulate(target, terms)
             groups = merged
         return Poly(groups.get(0))
 
@@ -530,9 +529,9 @@ class Poly:
 
     @classmethod
     def parse(cls, text: str) -> "Poly":
-        stream = TokenStream(tokenize(text))
-        poly = _PolyParser(stream).parse_expression()
-        stream.expect_end()
+        parser = _PolyParser(tokenize(text))
+        poly = Poly(_terms(parser.sum()))
+        parser.expect_end()
         return poly
 
 
@@ -577,7 +576,10 @@ def is_pairwise_jacobian_zero(f1: Poly, f2: Poly, variables: Iterable[str] | Non
 
 # -- tokenizer and parser ----------------------------------------------------
 
-_TOKEN_RE = re.compile(r"(\d+)|([A-Za-z]+\d*)|(\*\*|[-+*/^()\[\],.])|(\S)")
+# num, name, op; then a name whose index has a leading zero, and any other character
+_TOKEN_RE = re.compile(r"(\d+)|([A-Za-z]+(?![A-Za-z])(?:[1-9]\d*|0)?(?!\d))"
+                       r"|(\*\*|[-+*/^()\[\],.])|([A-Za-z]+\d*)|(\S)")
+_KINDS = (None, "num", "name", "op")
 
 # Deepest "(" / "[" nesting the recursive-descent parsers accept; they use a
 # few stack frames per level, so this keeps them far below the recursion limit.
@@ -591,40 +593,32 @@ MAX_TERM_PAIRS = 1_000_000
 # Budget on the minors of `jacobian_minors`: 19 900 minors of two linear forms in
 # 200 variables take about 0.6 s, and 79 800 in 400 variables 4.4 - 6 s.
 MAX_MINORS = 20_000
+# 2^1920 < 10^640, the lowest limit on digits the interpreter allows
+_SAFE_BITS = 1920
 
 
 def tokenize(text: str) -> list[tuple[str, str, int]]:
-    """Split into (kind, text, position) tokens; kinds: num, name, op, and a
-    last token ("end", "end of input", len(text))."""
+    """Split into (kind, text, position) tokens in one scan; kinds: num, name, op, and a
+    last token ("end", "end of input", len(text)), which no parser reads past."""
     tokens = []
-    depth = 0
+    deep, depth = text.count("(") + text.count("[") > MAX_NESTING, 0
     for m in _TOKEN_RE.finditer(text):
-        if m.group(4):
-            raise ParseError(f"unexpected character {m.group(4)!r} at position {m.start()}")
-        if m.group(1):
-            tokens.append(("num", m.group(1), m.start()))
-        elif m.group(2):
-            if not _VAR_RE.match(m.group(2)):
-                raise ParseError(f"variable {m.group(2)!r} at position {m.start()}: "
-                                 "an index takes no leading zero")
-            tokens.append(("name", m.group(2), m.start()))
-        else:
-            op = "^" if m.group(3) == "**" else m.group(3)
-            if op in ("(", "["):
-                depth += 1
+        k, tok = m.lastindex, m[m.lastindex]
+        if k == 3:
+            if tok == "**":
+                tok = "^"
+            elif deep and tok in "([])":
+                depth += 1 if tok in "([" else -1
                 if depth > MAX_NESTING:
                     raise ParseError(f"nesting deeper than {MAX_NESTING} levels "
                                      f"at position {m.start()}")
-            elif op in (")", "]"):
-                depth -= 1
-            tokens.append(("op", op, m.start()))
+        elif k > 3:
+            raise ParseError(f"unexpected character {tok!r} at position {m.start()}" if k == 5
+                             else f"variable {tok!r} at position {m.start()}: "
+                                  "an index takes no leading zero")
+        tokens.append((_KINDS[k], tok, m.start()))
     tokens.append(("end", "end of input", len(text)))
     return tokens
-
-
-def describe_token(kind: str, text: str) -> str:
-    """How an error message names a token: "token 'x1'" or "end of input"."""
-    return text if kind == "end" else f"token {text!r}"
 
 
 def _check_term_pairs(pairs: int, what: str) -> None:
@@ -633,42 +627,67 @@ def _check_term_pairs(pairs: int, what: str) -> None:
                          f"over the budget of {MAX_TERM_PAIRS}")
 
 
-class TokenStream:
-    """Cursor over the tokens of `tokenize`; it stays on the end token."""
+def _check_digits(values, n: int = 1) -> None:
+    """Refuse, with the message printing would give, values whose largest numerator
+    or denominator, to the n, is past the interpreter's limit on digits; for n > 1 a
+    power of 2 at most that power is printed instead, so that none is formed first."""
+    top = max((abs(part) for c in values
+               for part in ((c,) if type(c) is int else (c.numerator, c.denominator))), default=0)
+    if (bits := top.bit_length()) * n > _SAFE_BITS:
+        _digit_limited(str, top if n == 1 else 1 << min((bits - 1) * n, 1 << 22))
 
-    def __init__(self, tokens):
-        self.tokens = tokens
-        self.pos = 0
 
-    def peek(self):
-        return self.tokens[min(self.pos, len(self.tokens) - 1)]
+def _terms(v) -> dict:
+    """The term dict of a parsed value: a `Poly`, or one term (m, c), zero when c is."""
+    return v.terms if type(v) is Poly else {v[0]: v[1]} if v[1] else {}
 
-    def next(self):
-        tok = self.peek()
-        self.pos += 1
-        return tok
+
+class _PolyParser:
+    """Recursive descent over the tokens of `tokenize`, read by index: `tokens[pos]`
+    is the next one, and the end token, which nothing consumes, stops every loop.  The
+    Lie and series parsers read through it too.  A parsed value is one term (m, c),
+    a packed monomial and a coefficient, while its factors are variables, their powers
+    and scalars; a `Poly` only for a sum, a parenthesised factor or another power.
+    Products and powers are held to `MAX_TERM_PAIRS` and to the limit on digits as
+    they are formed."""
+
+    __slots__ = ("tokens", "pos")
+
+    def __init__(self, tokens: list[tuple[str, str, int]]):
+        self.tokens, self.pos = tokens, 0
 
     def accept_op(self, *ops: str) -> str | None:
-        kind, text, _ = self.peek()
-        if kind == "op" and text in ops:
+        text = self.tokens[self.pos][1]
+        if text in ops:    # no num, name or end token has the text of an op
             self.pos += 1
             return text
         return None
 
-    def expect_op(self, op: str):
-        if not self.accept_op(op):
-            kind, text, pos = self.peek()
-            raise ParseError(f"expected {op!r}, found {describe_token(kind, text)} "
-                             f"at position {pos}")
+    def expect_op(self, op: str) -> None:
+        if self.accept_op(op) is None:
+            raise self.unexpected(op)
+
+    def expect_end(self) -> None:
+        if (token := self.tokens[self.pos])[0] != "end":
+            raise ParseError(f"trailing input {token[1]!r} at position {token[2]}")
+
+    def unexpected(self, expected: str | None = None) -> ParseError:
+        """The refusal of the next token, "token 'x1'" or "end of input", where it
+        is not `expected`."""
+        kind, text, pos = self.tokens[self.pos]
+        found = text if kind == "end" else f"token {text!r}"
+        return ParseError(f"unexpected {found} at position {pos}" if expected is None
+                          else f"expected {expected!r}, found {found} at position {pos}")
 
     def accept_exponent(self) -> tuple[int, int] | None:
         """(n, position of n) of a `^ n` suffix, n within `MAX_EXPONENT`;
         None when no `^` follows.  The rule of every parser in the package."""
-        if not self.accept_op("^"):
+        if self.tokens[self.pos][1] != "^":
             return None
-        kind, text, pos = self.next()
+        kind, text, pos = self.tokens[self.pos + 1]
         if kind != "num":
             raise ParseError(f"expected integer exponent at position {pos}")
+        self.pos += 2
         n = int(text) if len(text) <= len(str(MAX_EXPONENT)) else MAX_EXPONENT + 1
         if n > MAX_EXPONENT:
             raise ParseError(f"exponent {text} at position {pos} over the budget "
@@ -676,89 +695,85 @@ class TokenStream:
         return n, pos
 
     def accept_scalar(self) -> int | Fraction | None:
-        """The scalar of a leading `a` or `a/b`, None when no number comes
-        next; a `/` not followed by a number stays in the stream, and a zero
-        denominator is a parse error."""
-        kind, text, _ = self.peek()
+        """The scalar of a leading `a` or `a/b`, None when no number comes next; a
+        `/` not followed by a number is left unread; a zero denominator is refused."""
+        kind, text, _ = self.tokens[self.pos]
         if kind != "num":
             return None
         self.pos += 1
-        save = self.pos
-        if self.accept_op("/"):
-            kind, denominator, pos = self.peek()
-            if kind == "num":
-                self.pos += 1
-                numerator, denominator = (_digit_limited(int, t) for t in (text, denominator))
-                if not denominator:
-                    raise ParseError(f"division by zero at position {pos}")
-                return exact(Fraction(numerator, denominator))
-            self.pos = save
+        if self.tokens[self.pos][1] == "/" and self.tokens[self.pos + 1][0] == "num":
+            denominator, pos = self.tokens[self.pos + 1][1:]
+            self.pos += 2
+            numerator, denominator = (_digit_limited(int, t) for t in (text, denominator))
+            if not denominator:
+                raise ParseError(f"division by zero at position {pos}")
+            return exact(Fraction(numerator, denominator))
         return _digit_limited(int, text)
 
-    def expect_end(self):
-        kind, text, pos = self.peek()
-        if kind != "end":
-            raise ParseError(f"trailing input {text!r} at position {pos}")
+    def sum(self):
+        """A signed sum of terms: the one term itself, or the Poly of one dict."""
+        sign = self.accept_op("-", "+")
+        v = self.term()
+        if self.tokens[self.pos][1] not in ("+", "-"):
+            return v if sign != "-" else -v if type(v) is Poly else (v[0], -v[1])
+        acc = _accumulate({}, _terms(v), -1 if sign == "-" else 1)
+        while op := self.accept_op("+", "-"):
+            _accumulate(acc, _terms(self.term()), 1 if op == "+" else -1)
+        return Poly(acc)
 
-
-class _PolyParser:
-    """Recursive-descent parser for `3/2*x1^2*x3 - x2^2` style expressions."""
-
-    def __init__(self, stream: TokenStream):
-        self.stream = stream
-
-    def parse_expression(self) -> Poly:
-        sign = -1 if self.stream.accept_op("-") else 1
-        if sign == 1:
-            self.stream.accept_op("+")
-        acc = self.parse_term() * sign
+    def term(self):
+        """A product of factors, joined by `*` or juxtaposed."""
+        v = self.factor()
         while True:
-            op = self.stream.accept_op("+", "-")
-            if op is None:
-                return acc
-            term = self.parse_term()
-            acc = acc + term if op == "+" else acc - term
-
-    def parse_term(self) -> Poly:
-        acc = self.parse_factor()
-        while True:
-            if not self.stream.accept_op("*"):
-                kind, text, _ = self.stream.peek()
-                if not (kind in ("num", "name") or (kind == "op" and text == "(")):
-                    return acc
-            pos = self.stream.peek()[2]
-            acc = self.product(acc, self.parse_factor(), pos)
+            kind, text, pos = self.tokens[self.pos]
+            if text == "*":
+                self.pos += 1
+                pos = self.tokens[self.pos][2]
+            elif kind != "name" and kind != "num" and text != "(":
+                return v
+            v = self.product(v, self.factor(), pos)
 
     @staticmethod
-    def product(acc: Poly, factor: Poly, pos: int) -> Poly:
-        """acc * factor, refused before it is formed past `MAX_TERM_PAIRS` term pairs."""
-        _check_term_pairs(len(acc.terms) * len(factor.terms), f"product at position {pos}")
-        return acc * factor
+    def product(v, f, pos: int):
+        """v * f; two terms multiply as one sum of monomials, checked against the guard."""
+        if type(v) is tuple and type(f) is tuple:
+            (m, c), (fm, fc) = v, f
+            if fc != 1:
+                c = exact(c * fc)
+                _check_digits((c,))
+            if (m := m + fm) & _guard and c:
+                raise ExponentOverflow()
+            return m, c
+        a, b = _terms(v), _terms(f)
+        _check_term_pairs(len(a) * len(b), f"product at position {pos}")
+        out = Poly(_mul_terms(a, b))
+        _check_digits(out.terms.values())
+        return out
 
-    def parse_factor(self) -> Poly:
-        base = self.parse_atom()
-        power = self.stream.accept_exponent()
-        if power is None:
-            return base
+    def factor(self):
+        """A variable, a scalar or a parenthesised sum, and its `^ n`."""
+        kind, text, pos = self.tokens[self.pos]
+        if kind == "name":
+            self.pos += 1
+            unit = 1 << W * slot(text)
+            return unit * (n[0] if (n := self.accept_exponent()) else 1), 1
+        if (v := self.accept_scalar()) is not None:
+            v = 0, v
+        elif self.accept_op("("):
+            v = self.sum()
+            self.expect_op(")")
+        else:
+            raise self.unexpected()
+        if (power := self.accept_exponent()) is None:
+            return v
         n, pos = power
-        t = len(base.terms)
-        if t > 1:
+        v = Poly(_terms(v))
+        if (t := len(v.terms)) > 1:
             h = n // 2
             _check_term_pairs(comb(h + t - 1, min(h, t - 1))
                               * comb(n - h + t - 1, min(n - h, t - 1)), f"power at position {pos}")
-        return base ** n
-
-    def parse_atom(self) -> Poly:
-        scalar = self.stream.accept_scalar()
-        if scalar is not None:
-            return Poly.const(scalar)
-        kind, text, pos = self.stream.peek()
-        if kind == "name":
-            self.stream.next()
-            return Poly.variable(text)
-        if kind == "op" and text == "(":
-            self.stream.next()
-            inner = self.parse_expression()
-            self.stream.expect_op(")")
-            return inner
-        raise ParseError(f"unexpected {describe_token(kind, text)} at position {pos}")
+        if t:    # the coefficient of the largest monomial, to the n, is one of the power's
+            _check_digits((v.terms[max(v.terms)],), n)
+        v = v ** n
+        _check_digits(v.terms.values())
+        return v

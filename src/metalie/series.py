@@ -42,8 +42,7 @@ from fractions import Fraction
 from operator import add, neg, sub
 
 from .metabelian import _compositions
-from .poly import (ParseError, Poly, TokenStream, _PolyParser, describe_token, exact,
-                   mono_degree, signed_sum, tokenize)
+from .poly import ParseError, Poly, _PolyParser, _terms, exact, mono_degree, signed_sum, tokenize
 from .record import Record
 from .sl2 import ModuleSpec
 
@@ -468,31 +467,23 @@ def expand_rational(numerator: Poly, denominator_factors: Sequence[Poly],
 
 def parse_rational_function(text: str) -> tuple[Poly, list[Poly]]:
     """Parse `z^2 / (1-z^2)(1-z^3)^2` style input into numerator and factors."""
-    stream = TokenStream(tokenize(text))
-    numerator = _PolyParser(stream).parse_expression()
-    factors: list[Poly] = []
-    if stream.accept_op("/"):
-        while True:
-            kind, tok, pos = stream.peek()
-            if kind == "op" and tok == "(":
-                stream.next()
-                factor = _PolyParser(stream).parse_expression()
-                stream.expect_op(")")
-                power = stream.accept_exponent()
-                factors.extend([factor] * (power[0] if power else 1))
-            elif kind == "op" and tok == "*":
-                stream.next()
-                continue
-            elif kind == "end":
-                if not factors:
-                    raise ParseError("missing denominator after '/'")
+    parser = _PolyParser(tokenize(text))
+    numerator, factors = Poly(_terms(parser.sum())), []
+    if not parser.accept_op("/"):
+        parser.expect_end()
+        return numerator, factors
+    while True:
+        at_end = parser.tokens[parser.pos][0] == "end"
+        if parser.accept_op("("):
+            factor = Poly(_terms(parser.sum()))
+            parser.expect_op(")")
+            power = parser.accept_exponent()
+            factors.extend([factor] * (power[0] if power else 1))
+            if parser.tokens[parser.pos][0] == "end":
                 break
-            else:
-                raise ParseError(f"unexpected {describe_token(kind, tok)} at position {pos}")
-            kind, tok, _ = stream.peek()
-            if kind == "end":
-                break
-    else:
-        stream.expect_end()
+        elif at_end and factors:
+            break
+        elif not parser.accept_op("*"):
+            raise ParseError("missing denominator after '/'") if at_end else parser.unexpected()
     return numerator, factors
 

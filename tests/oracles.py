@@ -21,13 +21,27 @@ and divide by t1 - t2, where `decompose_slice` differences neighbours on a
 line and `symmetrizes_to` multiplies back.  `derivation_by_partials` applies
 a derivation as the sum of image times partial derivative, one variable at a
 time, the route `Derivation.act` took before the one-pass `Poly.derive`.
+`stream_tokenize`, `TokenStream`, `StreamPolyParser`, `stream_parse_poly`,
+`stream_parse_lie_expr`, `stream_parse_rational_function` and
+`split_to_commutator_basis` are the text boundary
+before it read tokens by index: a tokenizer that checks each name against
+`var_key`'s pattern, a cursor whose every peek clamps to the end token, a
+parser that forms a `Poly` for every atom and product, a Lie parser that sums
+`WreathElement`s, and the word-basis read-off through `WreathElement.split` and
+one validated `CommutatorWord` per word.
 """
 
+import re
 from fractions import Fraction
+from functools import reduce
+from math import comb
 
 from metalie import linalg
-from metalie.metabelian import _compositions, words_of_multidegree
-from metalie.poly import Poly, decode, encode, exact, mono_degree, var_key
+from metalie.metabelian import (CommutatorWord, ContextMismatch, LieExpr, NotInCommutatorIdeal,
+                                WreathElement, _compositions, words_of_multidegree)
+from metalie.poly import (_VAR_RE, MAX_EXPONENT, MAX_NESTING, ParseError, Poly, _check_term_pairs,
+                          _digit_limited, decode, encode, exact, fields, mono_degree, slot_key,
+                          var_key)
 from metalie.series import NotACharacter, TruncatedSeries
 from metalie.sl2 import (Derivation, LinearAction, NotUnipotent, bidegree_components,
                          derivations)
@@ -318,3 +332,317 @@ def leibniz_by_partials(p, images):
 def derivation_by_partials(delta, obj):
     """`delta.act(obj)` for a `Poly` or `WreathElement`, by `leibniz_by_partials`."""
     return delta._map(obj, leibniz_by_partials, delta._images)
+
+
+# -- the text boundary before tokens were read by index --------------------------
+
+_STREAM_TOKEN_RE = re.compile(r"(\d+)|([A-Za-z]+\d*)|(\*\*|[-+*/^()\[\],.])|(\S)")
+
+
+def stream_tokenize(text):
+    """`metalie.poly.tokenize` before its one-pass scan."""
+    tokens = []
+    depth = 0
+    for m in _STREAM_TOKEN_RE.finditer(text):
+        if m.group(4):
+            raise ParseError(f"unexpected character {m.group(4)!r} at position {m.start()}")
+        if m.group(1):
+            tokens.append(("num", m.group(1), m.start()))
+        elif m.group(2):
+            if not _VAR_RE.match(m.group(2)):
+                raise ParseError(f"variable {m.group(2)!r} at position {m.start()}: "
+                                 "an index takes no leading zero")
+            tokens.append(("name", m.group(2), m.start()))
+        else:
+            op = "^" if m.group(3) == "**" else m.group(3)
+            if op in ("(", "["):
+                depth += 1
+                if depth > MAX_NESTING:
+                    raise ParseError(f"nesting deeper than {MAX_NESTING} levels "
+                                     f"at position {m.start()}")
+            elif op in (")", "]"):
+                depth -= 1
+            tokens.append(("op", op, m.start()))
+    tokens.append(("end", "end of input", len(text)))
+    return tokens
+
+
+def describe_token(kind, text):
+    return text if kind == "end" else f"token {text!r}"
+
+
+class TokenStream:
+    """Cursor over the tokens of `stream_tokenize`; it stays on the end token."""
+
+    def __init__(self, tokens):
+        self.tokens = tokens
+        self.pos = 0
+
+    def peek(self):
+        return self.tokens[min(self.pos, len(self.tokens) - 1)]
+
+    def next(self):
+        tok = self.peek()
+        self.pos += 1
+        return tok
+
+    def accept_op(self, *ops):
+        kind, text, _ = self.peek()
+        if kind == "op" and text in ops:
+            self.pos += 1
+            return text
+        return None
+
+    def expect_op(self, op):
+        if not self.accept_op(op):
+            kind, text, pos = self.peek()
+            raise ParseError(f"expected {op!r}, found {describe_token(kind, text)} "
+                             f"at position {pos}")
+
+    def accept_exponent(self):
+        if not self.accept_op("^"):
+            return None
+        kind, text, pos = self.next()
+        if kind != "num":
+            raise ParseError(f"expected integer exponent at position {pos}")
+        n = int(text) if len(text) <= len(str(MAX_EXPONENT)) else MAX_EXPONENT + 1
+        if n > MAX_EXPONENT:
+            raise ParseError(f"exponent {text} at position {pos} over the budget "
+                             f"of {MAX_EXPONENT}")
+        return n, pos
+
+    def accept_scalar(self):
+        kind, text, _ = self.peek()
+        if kind != "num":
+            return None
+        self.pos += 1
+        save = self.pos
+        if self.accept_op("/"):
+            kind, denominator, pos = self.peek()
+            if kind == "num":
+                self.pos += 1
+                numerator, denominator = (_digit_limited(int, t) for t in (text, denominator))
+                if not denominator:
+                    raise ParseError(f"division by zero at position {pos}")
+                return exact(Fraction(numerator, denominator))
+            self.pos = save
+        return _digit_limited(int, text)
+
+    def expect_end(self):
+        kind, text, pos = self.peek()
+        if kind != "end":
+            raise ParseError(f"trailing input {text!r} at position {pos}")
+
+
+class StreamPolyParser:
+    """The polynomial parser over a `TokenStream`: every atom and product a `Poly`."""
+
+    def __init__(self, stream):
+        self.stream = stream
+
+    def parse_expression(self):
+        sign = -1 if self.stream.accept_op("-") else 1
+        if sign == 1:
+            self.stream.accept_op("+")
+        acc = self.parse_term() * sign
+        while True:
+            op = self.stream.accept_op("+", "-")
+            if op is None:
+                return acc
+            term = self.parse_term()
+            acc = acc + term if op == "+" else acc - term
+
+    def parse_term(self):
+        acc = self.parse_factor()
+        while True:
+            if not self.stream.accept_op("*"):
+                kind, text, _ = self.stream.peek()
+                if not (kind in ("num", "name") or (kind == "op" and text == "(")):
+                    return acc
+            pos = self.stream.peek()[2]
+            acc = self.product(acc, self.parse_factor(), pos)
+
+    @staticmethod
+    def product(acc, factor, pos):
+        _check_term_pairs(len(acc.terms) * len(factor.terms), f"product at position {pos}")
+        return acc * factor
+
+    def parse_factor(self):
+        base = self.parse_atom()
+        power = self.stream.accept_exponent()
+        if power is None:
+            return base
+        n, pos = power
+        t = len(base.terms)
+        if t > 1:
+            h = n // 2
+            _check_term_pairs(comb(h + t - 1, min(h, t - 1))
+                              * comb(n - h + t - 1, min(n - h, t - 1)), f"power at position {pos}")
+        return base ** n
+
+    def parse_atom(self):
+        scalar = self.stream.accept_scalar()
+        if scalar is not None:
+            return Poly.const(scalar)
+        kind, text, pos = self.stream.peek()
+        if kind == "name":
+            self.stream.next()
+            return Poly.variable(text)
+        if kind == "op" and text == "(":
+            self.stream.next()
+            inner = self.parse_expression()
+            self.stream.expect_op(")")
+            return inner
+        raise ParseError(f"unexpected {describe_token(kind, text)} at position {pos}")
+
+
+def stream_parse_poly(text):
+    """`Poly.parse` over a `TokenStream`."""
+    stream = TokenStream(stream_tokenize(text))
+    poly = StreamPolyParser(stream).parse_expression()
+    stream.expect_end()
+    return poly
+
+
+def stream_parse_rational_function(text):
+    """`series.parse_rational_function` over a `TokenStream`."""
+    stream = TokenStream(stream_tokenize(text))
+    numerator = StreamPolyParser(stream).parse_expression()
+    factors = []
+    if stream.accept_op("/"):
+        while True:
+            kind, tok, pos = stream.peek()
+            if kind == "op" and tok == "(":
+                stream.next()
+                factor = StreamPolyParser(stream).parse_expression()
+                stream.expect_op(")")
+                power = stream.accept_exponent()
+                factors.extend([factor] * (power[0] if power else 1))
+            elif kind == "op" and tok == "*":
+                stream.next()
+                continue
+            elif kind == "end":
+                if not factors:
+                    raise ParseError("missing denominator after '/'")
+                break
+            else:
+                raise ParseError(f"unexpected {describe_token(kind, tok)} at position {pos}")
+            kind, tok, _ = stream.peek()
+            if kind == "end":
+                break
+    else:
+        stream.expect_end()
+    return numerator, factors
+
+
+def _stream_bound(j, ctx):
+    if j > ctx.dim:
+        raise ContextMismatch(f"generator x{j} unbound in rank {ctx.dim}")
+    return j
+
+
+def _stream_builder(node):
+    if type(node) is int:
+        return lambda ctx: ctx.generator(_stream_bound(node, ctx))
+    return node
+
+
+def _stream_bracket(items):
+    if all(type(item) is int for item in items):
+        return lambda ctx: CommutatorWord(tuple(_stream_bound(j, ctx)
+                                                for j in items)).to_wreath(ctx)
+    builders = [_stream_builder(item) for item in items]
+    return lambda ctx: reduce(WreathElement.bracket, (build(ctx) for build in builders))
+
+
+def _stream_act(node, multiplier, pos):
+    arg = _stream_builder(node)
+
+    def act(ctx):
+        u = arg(ctx)
+        _check_term_pairs(len(u.poly.terms) * len(multiplier.terms),
+                          f"module action at position {pos}")
+        return u.ad_action(multiplier)
+    return act
+
+
+def _stream_scale(coeff, node):
+    arg = _stream_builder(node)
+    return lambda ctx: coeff * arg(ctx)
+
+
+def stream_parse_lie_expr(text):
+    """`parse_lie_expr` over a `TokenStream`, each sum built by `WreathElement` additions."""
+    tokens = stream_tokenize(text)
+    stream = TokenStream(tokens)
+    node = _stream_lie_sum(stream)
+    stream.expect_end()
+    keys = [var_key(tok) for kind, tok, _ in tokens if kind == "name"]
+    return LieExpr(_stream_builder(node), max(index for letter, index in keys if letter == "x"))
+
+
+def _stream_lie_sum(stream):
+    sign = -1 if stream.accept_op("-") else 1
+    terms = [_stream_lie_term(stream, sign)]
+    while op := stream.accept_op("+", "-"):
+        terms.append(_stream_lie_term(stream, 1 if op == "+" else -1))
+    if len(terms) == 1:
+        return terms[0]
+    builders = [_stream_builder(term) for term in terms]
+    return lambda ctx: sum((build(ctx) for build in builders), ctx.zero())
+
+
+def _stream_lie_term(stream, sign):
+    scalar = stream.accept_scalar()
+    if scalar is not None:
+        stream.accept_op("*")
+    node = _stream_lie_factor(stream)
+    multiplier, start = None, stream.peek()[2]
+    while stream.accept_op(".", "*"):
+        pos = stream.peek()[2]
+        factor = StreamPolyParser(stream).parse_factor()
+        multiplier = factor if multiplier is None else StreamPolyParser.product(multiplier,
+                                                                               factor, pos)
+    if multiplier is not None:
+        node = _stream_act(node, multiplier, start)
+    coeff = sign if scalar is None else sign * scalar
+    return node if coeff == 1 else _stream_scale(coeff, node)
+
+
+def _stream_lie_factor(stream):
+    kind, tok, pos = stream.peek()
+    if kind == "op" and tok == "[":
+        stream.next()
+        items = [_stream_lie_sum(stream)]
+        while stream.accept_op(","):
+            items.append(_stream_lie_sum(stream))
+        stream.expect_op("]")
+        if len(items) < 2:
+            raise ParseError(f"bracket at position {pos} needs at least two entries")
+        return _stream_bracket(items)
+    if kind == "op" and tok == "(":
+        stream.next()
+        inner = _stream_lie_sum(stream)
+        stream.expect_op(")")
+        return inner
+    if kind == "name":
+        letter, index = var_key(tok)
+        if letter != "x" or index < 1:
+            raise ParseError(f"expected a generator x<k> at position {pos}, found {tok!r}")
+        stream.next()
+        return index
+    raise ParseError(f"unexpected {describe_token(kind, tok)} at position {pos}")
+
+
+def split_to_commutator_basis(u):
+    """`to_commutator_basis` through `WreathElement.split`: one validated word per kept term."""
+    if not u.is_in_commutator_ideal():
+        raise NotInCommutatorIdeal("element is not in the commutator ideal")
+    expansion = []
+    for i, f in u.split()[1].items():
+        for m, c in f.terms.items():
+            q = sorted(slot_key(s)[1] for s, e in fields(m) for _ in range(e))
+            if i > q[0]:
+                expansion.append((c, CommutatorWord((i, *q))))
+    expansion.sort(key=lambda item: item[1].sort_key())
+    return expansion

@@ -16,11 +16,13 @@ from metalie import cli, invariants, sl2
 from metalie.cli import MAX_RANK, MAX_WITNESS_COUNT, main
 from metalie.invariants import NoKnownWitness, NonHomogeneousInput, SpanBudgetExceeded
 from metalie.linalg import LinearSolveError
-from metalie.metabelian import ContextMismatch, LieContext, NotInCommutatorIdeal, parse_lie_expr
+from metalie.metabelian import (ContextMismatch, LieContext, NotInCommutatorIdeal, WreathElement,
+                                parse_lie_expr)
 from metalie.poly import (MAX_EXPONENT, MAX_MINORS, MAX_TERM_PAIRS, ExponentOverflow, ParseError,
                           Poly, UsageError)
 from metalie.series import NotACharacter, TruncationMismatch
 from metalie.sl2 import NotUnipotent
+from oracles import stream_parse_poly
 
 
 def run(capsys, *argv):
@@ -680,6 +682,57 @@ class TestRefusalTypes:
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
         assert err.startswith("error: Exceeds the limit") and err.count("\n") == 1
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="no limit on the digits of an int")
+    @pytest.mark.parametrize("argv", [
+        ("pi", "2", "--", "99^3000*x1", "x2"),
+        ("pi", "2", "--", "x1 + 99^1500*99^1500*x2", "x2"),
+        ("pi", "2", "--", "(1/99)^3000*x1", "x2"),     # a denominator past the limit
+        ("pi", "2", "--", "(x1 + 99^3*x2)^1000", "x2"),
+        ("normalize", "[x2,x1].(99^3000)"),
+        ("normalize", "[x2,x1].(99^1500*x1).(99^1500)"),
+        ("normalize", "0*99^3000"),    # refused when it is formed, although 0 prints
+    ])
+    def test_digit_limit_is_met_as_coefficients_are_formed(self, capsys, monkeypatch, argv):
+        def reached(*args):
+            raise AssertionError("a minor or a module action was formed")
+
+        monkeypatch.setattr(invariants, "jacobian_minors", reached)
+        monkeypatch.setattr(WreathElement, "ad_action", reached)
+        with pytest.raises(ValueError) as printing:    # the message printing would give
+            str(99 ** 3000)
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {printing.value}\n")
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="no limit on the digits of an int")
+    def test_power_past_the_digit_limit_is_refused_before_it_is_formed(self, capsys):
+        start = perf_counter()    # forming (10^4000 - 1)^32767 would take minutes
+        code, out, err = run(capsys, "normalize", "9" * 4000 + "^32767*x1")
+        assert perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err.startswith("error: Exceeds the limit") and err.count("\n") == 1
+
+    def test_coefficients_under_the_digit_limit_are_kept(self, capsys):
+        for text in ("99^2000*x1", "(1/99)^2000*x1 + 99^1000*99^1000*x2", "(x1 + 99^40*x2)^50"):
+            code, out, _ = run(capsys, "normalize", text)
+            assert (code, out) == (0, f"{stream_parse_poly(text)}\n")
+
+    @pytest.mark.parametrize("locale", ["C", "C.UTF-8"])
+    def test_undecodable_stdin_is_refused_as_a_file_is(self, tmp_path, locale):
+        path = tmp_path / "expr.txt"
+        path.write_bytes(b"\xff\xfe")
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        env = {**{k: v for k, v in os.environ.items() if not k.startswith(("PYTHONIO", "LC_"))},
+               "PYTHONPATH": src, "LC_ALL": locale}
+        piped, filed = (subprocess.run([sys.executable, "-m", "metalie.cli", "check", "2", name],
+                                       input=b"\xff\xfe", env=env, capture_output=True,
+                                       timeout=60) for name in ("-", str(path)))
+        expected = (b"error: 'utf-8' codec can't decode byte 0xff in position 0: "
+                    b"invalid start byte\n")
+        assert (piped.returncode, piped.stdout, piped.stderr) == (2, b"", expected)
+        assert (filed.returncode, filed.stdout, filed.stderr) == (2, b"", expected)
 
     def test_undecodable_file_is_refused(self, capsys, tmp_path):
         path = tmp_path / "expr.txt"

@@ -63,7 +63,9 @@ def test_bench_at_a_tiny_size(tmp_path):
         assert result.returncode == 0, result.stdout + result.stderr
     entries = json.loads(out.read_text())["entries"]
     assert {"poly.mul", "poly.substitute", "poly.partial", "metabelian.bracket",
-            "sl2.derivation_act", "linalg.rank", "linalg.rank.full"} <= set(entries)
+            "sl2.derivation_act", "linalg.rank", "linalg.rank.full", "text.parse check",
+            "text.parse pi", "text.parse normalize", "text.expand witness",
+            "text.expand pi"} <= set(entries)
     # the rows `catalog verify` ranks are the restriction of the full rows
     sliced, full = (entries[name]["after"]["sizes"]
                     for name in ("linalg.rank", "linalg.rank.full"))
