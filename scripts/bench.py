@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Layer microbenchmarks and end-to-end timings, written to BENCH_24.json.
+"""Layer microbenchmarks and end-to-end timings, written to BENCH_25.json.
 
     python3 scripts/bench.py [--src DIR] [--column NAME[=DIR] ...] [--out FILE] [--tiny]
 
@@ -240,6 +240,36 @@ def catalog_entries(tiny: bool):
         yield (name, f"rank of the degree-{n} module span rows of case vii, {what}",
                lambda table=table: rank(table),
                {"rows": len(table), "columns": len(set().union(*table)), "rank": rank(table)})
+
+    # both span checks of cases vi and vii, timed by the report itself (the
+    # seconds of the two `*-span` checks); sizes: the rows the checks count,
+    # the rows formed and handed to `linalg.rank`, and the rows it took from
+    # them before it returned (all of them where it takes no bound)
+    spans = [invariants.load_catalog()[case_id] for case_id in ("vi", "vii")]
+
+    def span_seconds():
+        return Timed(sum(check.elapsed for case in spans for check in
+                         invariants.verify_catalog(case, n).checks if check.name.endswith("-span")))
+
+    counted, real_rank = {"rows_formed": 0, "rows_ranked": 0}, invariants.linalg.rank
+
+    def counting_rank(rows, *bound):
+        def read():
+            for row in rows:
+                counted["rows_ranked"] += 1
+                yield row
+        counted["rows_formed"] += len(rows)
+        return real_rank(read(), *bound)
+
+    invariants.linalg.rank = counting_rank
+    try:
+        checked = sum(check.size for case in spans for check in
+                      invariants.verify_catalog(case, n).checks if check.name.endswith("-span"))
+    finally:
+        invariants.linalg.rank = real_rank
+    yield ("catalog.span_checks", f"the ring and module span checks of cases vi and vii at "
+                                  f"degree {n}, as `catalog verify` runs them",
+           span_seconds, {"rows": checked, **counted})
 
     truncation = 16 if tiny else 64
     stated = [parse_rational_function(text) for c in invariants.load_catalog().values()
@@ -583,7 +613,7 @@ def main() -> int:
                         help="directory holding the metalie package of a bare column name")
     parser.add_argument("--column", action="append",
                         help="NAME or NAME=DIR; repeat to alternate columns (default change)")
-    parser.add_argument("--out", default=str(ROOT / "BENCH_24.json"))
+    parser.add_argument("--out", default=str(ROOT / "BENCH_25.json"))
     parser.add_argument("--tiny", action="store_true", help="small sizes, for a smoke test")
     parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args()

@@ -2,8 +2,12 @@
 
 Entries are `int`, or `Fraction` where a division happens (`solve_unique`).
 `rank` is fraction-free: it clears denominators and eliminates over the
-integers.  `mat_mul`, a dense product, has no caller here; the matrix
-exponential of the test oracles and the benchmark's tracer name it.
+integers by top reduction, each echelon row keyed by its largest key, so the
+keys of one call must be totally ordered (ints, or tuples of ints).  Given a
+`bound` it stops once the rank reaches it: a caller that knows the rank is at
+most d learns whether it is d without reading the rows past the d-th pivot.
+`mat_mul`, a dense product, has no caller here; the matrix exponential of the
+test oracles and the benchmark's tracer name it.
 """
 
 from __future__ import annotations
@@ -38,16 +42,21 @@ def _primitive(row: dict) -> dict:
     return {k: v // g for k, v in row.items()} if g > 1 else row
 
 
-def rank(rows) -> int:
-    """Rank of a family of sparse vectors given as dicts key -> int or Fraction.
+def rank(rows, bound: int | None = None) -> int:
+    """Rank of a family of sparse vectors given as dicts key -> int or Fraction,
+    or `bound` as soon as the rank reaches it: min(rank, bound) for bound >= 0.
 
-    Keys may be arbitrary hashables; zero entries need not be stored.  Each
-    row is scaled to a primitive integer vector and reduced against the
-    earlier pivot rows by cross-multiplication, p * row - c * pivot_row with
-    the gcd of the pivot entries p, c divided out; no fraction is formed.
+    Keys must be totally ordered; zero entries need not be stored.  Each row is
+    scaled to a primitive integer vector and top-reduced: while its largest key
+    is the largest key of an echelon row, that key is cancelled by
+    cross-multiplication, p * row - c * pivot_row with the gcd of the pivot
+    entries p, c divided out; no fraction is formed.  A row whose largest key
+    is new is independent of the echelon rows and joins them unreduced.
     """
-    basis: list[tuple[object, int, dict]] = []
+    pivots: dict[object, tuple[int, dict]] = {}
     for row in rows:
+        if len(pivots) == bound:
+            break
         row = {k: v for k, v in row.items() if v}
         if not row:
             continue
@@ -55,27 +64,23 @@ def rank(rows) -> int:
             den = lcm(*(v.denominator for v in row.values()))
             row = {k: v.numerator * (den // v.denominator) for k, v in row.items()}
         row = _primitive(row)
-        for pivot, p, vec in basis:
-            c = row.get(pivot)
-            if not c:
-                continue
-            g = gcd(p, c)
-            p_, c_ = p // g, c // g
+        while (top := max(row)) in pivots:
+            p, vec = pivots[top]
+            g = gcd(p, row[top])
+            p_, c_ = p // g, row[top] // g
             if p_ != 1:
                 row = {k: p_ * v for k, v in row.items()}
             for k, v in vec.items():
-                s = row.get(k, 0) - c_ * v
-                if s:
+                if s := row.get(k, 0) - c_ * v:
                     row[k] = s
                 else:
                     del row[k]
             if not row:
                 break
             row = _primitive(row)
-        if row:
-            pivot = next(iter(row))
-            basis.append((pivot, row[pivot], row))
-    return len(basis)
+        else:
+            pivots[top] = (row[top], row)
+    return len(pivots)
 
 
 def solve_unique(columns, target):

@@ -100,7 +100,7 @@ class WreathElement:
     Stored as a single polynomial in the a- and x-variables, x_j standing for
     y_j, whose a-degree is at most one.  The wreath product proper consists of
     the elements whose y-part is linear; membership in the embedded Lie algebra
-    and in its commutator ideal is decided by `is_lie_element` and
+    and in its commutator ideal is decided by `lie_parts` and
     `is_in_commutator_ideal`.
     Elements are immutable, so ideal membership is decided at most once per
     element and kept; `ad_action` results are members from the start, since
@@ -136,17 +136,6 @@ class WreathElement:
             else:
                 y_terms[m] = c
         return Poly(y_terms), {_index(a): Poly(t) for a, t in a_parts.items()}
-
-    @property
-    def y_linear(self) -> list[int | Fraction]:
-        """Coefficient vector of y_1..y_d; raises if the y-part is not linear."""
-        y_part, _ = self.split()
-        coeffs = [0] * self.ctx.dim
-        for m, c in y_part.terms.items():
-            if mono_degree(m) != 1:
-                raise ValueError("y-part is not linear")
-            coeffs[_index(m) - 1] = c
-        return coeffs
 
     # -- algebra -------------------------------------------------------------
 
@@ -225,24 +214,19 @@ class WreathElement:
         once per element."""
         if self._in_ideal is None:
             y_part, a_parts = self.split()
-            self._in_ideal = y_part.is_zero() and sum(
-                (Poly.variable(f"x{i}") * f for i, f in a_parts.items()), Poly.zero()).is_zero()
+            self._in_ideal = y_part.is_zero() and _y_sum(a_parts).is_zero()
         return self._in_ideal
 
-    def is_lie_element(self) -> bool:
-        """True when the element lies in the embedded free metabelian algebra."""
-        y_part, _ = self.split()
-        if any(mono_degree(m) != 1 for m in y_part.terms):
-            return False
-        return (self - self._linear_part()[1]).is_in_commutator_ideal()
-
-    def _linear_part(self) -> tuple[dict[int, int | Fraction], "WreathElement"]:
-        """({j: c_j}, sum c_j x_j) for the y-part sum c_j y_j; raises if not linear."""
-        linear = {j: c for j, c in enumerate(self.y_linear, start=1) if c}
-        shift = self.ctx.zero()
-        for j, beta in linear.items():
-            shift = shift + beta * self.ctx.generator(j)
-        return linear, shift
+    def lie_parts(self) -> tuple[dict[int, int | Fraction], "WreathElement"] | None:
+        """({j: c_j}, u - sum c_j x_j) for an element u of the embedded algebra whose
+        y-part is sum c_j y_j, the second in the commutator ideal; None for any other
+        u.  One split decides it: sum_i y_i f_i = sum c_j y_j for the a-coefficients f_i."""
+        y_part, a_parts = self.split()
+        if any(mono_degree(m) != 1 for m in y_part.terms) or _y_sum(a_parts) != y_part:
+            return None
+        linear = {_index(m): c for m, c in y_part.terms.items()}
+        shift = sum((c * self.ctx.generator(j).poly for j, c in linear.items()), Poly.zero())
+        return linear, _wrap(self.ctx, self.poly - shift, in_ideal=True)
 
     # -- grading ---------------------------------------------------------------
 
@@ -265,6 +249,11 @@ def _wrap(ctx: LieContext, poly: Poly, in_ideal: bool | None = None) -> WreathEl
     out = WreathElement.__new__(WreathElement)
     out.ctx, out.poly, out._in_ideal = ctx, poly, in_ideal
     return out
+
+
+def _y_sum(a_parts: Mapping[int, Poly]) -> Poly:
+    """sum_i y_i * f_i(Y) for the coefficients {i: f_i} of the a_i."""
+    return sum((Poly.variable(f"x{i}") * f for i, f in a_parts.items()), Poly.zero())
 
 
 def _index(m: Monomial) -> int:
@@ -394,10 +383,9 @@ def format_commutator_expansion(terms: Sequence[tuple[int | Fraction, Commutator
 
 def lie_normal_form(u: WreathElement) -> str:
     """Canonical printed form of an element of the embedded Lie algebra."""
-    if not u.is_lie_element():
+    if (parts := u.lie_parts()) is None:
         raise NotInCommutatorIdeal("element is not in the embedded Lie algebra")
-    linear, shift = u._linear_part()
-    return format_commutator_expansion(to_commutator_basis(u - shift), linear)
+    return format_commutator_expansion(to_commutator_basis(parts[1]), parts[0])
 
 
 # -- Lie expressions -----------------------------------------------------------

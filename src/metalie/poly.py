@@ -451,9 +451,10 @@ class Poly:
 
         A Horner-style split: the terms are grouped by the exponents of the
         replaced variables; then, one variable at a time, each group is
-        multiplied once by a cached power of that variable's image and merged
-        into the group of its other exponents.  Fewest image terms go first
-        (then `var_key`, name; never slot), so terms expand as late as possible.
+        multiplied once by a power of that variable's image and merged into the
+        group of its other exponents; the powers are kept in a list grown by one
+        product at a time.  Fewest image terms go first (then `var_key`, name;
+        never slot), so terms expand as late as possible.
         """
         order = sorted(images, key=lambda v: (len(images[v].terms), var_key(v), v))
         replaced = field_mask(order)
@@ -461,11 +462,12 @@ class Poly:
         for m, c in self.terms.items():
             groups.setdefault(m & replaced, {})[m & ~replaced] = c
         for v in order:
-            shift, merged = W * slot(v), {}
-            power = lru_cache(maxsize=None)(lambda e, image=images[v]: (image ** e).terms)
+            shift, merged, powers = W * slot(v), {}, [None, images[v].terms]
             for rest, terms in groups.items():
                 if e := (rest >> shift) & _FIELD:
-                    terms, rest = _mul_terms(terms, power(e)), rest - (e << shift)
+                    while len(powers) <= e:
+                        powers.append(_mul_terms(powers[-1], powers[1]))
+                    terms, rest = _mul_terms(terms, powers[e]), rest - (e << shift)
                 if (target := merged.setdefault(rest, terms)) is not terms:
                     _accumulate(target, terms)
             groups = merged

@@ -13,7 +13,7 @@ from metalie import invariants, linalg, sl2
 from metalie.invariants import _ring_monomial_table, load_catalog, verify_catalog
 from metalie.metabelian import (CommutatorWord, ContextMismatch, LieContext, NotInCommutatorIdeal,
                                 parse_lie_expr)
-from metalie.poly import Poly
+from metalie.poly import Poly, field_mask
 from metalie.series import (NotACharacter, decompose_slice, invariant_dimension_series,
                             symmetrizes_to, weight_character, weight_slices)
 from metalie.sl2 import ModuleSpec, derivations, g1_matrix, g2_matrix
@@ -235,13 +235,13 @@ class TestHalfTableAgainstFullTable:
 
 
 def record_ranks(monkeypatch):
-    """The row lists handed to `linalg.rank`, in call order."""
+    """The (rows, bound) pairs handed to `linalg.rank`, in call order."""
     calls = []
     real_rank = linalg.rank
 
-    def rank(rows):
-        calls.append(rows)
-        return real_rank(rows)
+    def rank(rows, bound=None):
+        calls.append((rows, bound))
+        return real_rank(rows, bound)
 
     monkeypatch.setattr(linalg, "rank", rank)
     return calls
@@ -268,23 +268,45 @@ def masked(report):
     return out
 
 
+def leading_count(polys):
+    """Distinct leading monomials of the formed rows: the largest packed int
+    of each, read off the product itself."""
+    return len({max(p.terms) for p in polys})
+
+
+def left_by_the_certificate(case, degree):
+    """(space, n, full rows, dimension) of each degree whose distinct leading
+    monomials fall short of the invariant dimension, in the order checked."""
+    products, module = full_rows(case, degree)
+    left = []
+    for space, families, low in (("polyring", products, 0), ("module", module, 2)):
+        dims = invariant_dimension_series(case.spec, degree, space)
+        for n, rows in enumerate(families, start=low):
+            if leading_count(rows) != dims.coefficient((n,)):
+                left.append((space, n, rows, dims.coefficient((n,))))
+    return left
+
+
 class TestSpanRows:
     @pytest.mark.parametrize("case_id", sorted(CATALOG))
     def test_rows_equal_the_module_action_rows(self, case_id, monkeypatch):
-        # the rows ranked are rho of the full ring and module products, rho
-        # setting the section's variables to 0; no degree falls back
+        # a degree is ranked exactly when its distinct leading monomials fall
+        # short; its rows are rho of the full ring and module products, rho
+        # setting the section's variables to 0, bounded by the dimension
         calls = record_ranks(monkeypatch)
         case = CATALOG[case_id]
         assert verify_catalog(case, 12).passed
         zero = dict.fromkeys(invariants._section(case.spec), Poly.zero())
         assert zero
-        products, module = full_rows(case, 12)
-        assert len(calls) == 13 + 11
-        assert all(type(rows) is list for rows in calls)
-        for n, rows in enumerate(calls[:13]):
-            assert rows == terms(products[n], zero), n
-        for n, rows in enumerate(calls[13:], start=2):
-            assert rows == terms(module[n - 2], zero), n
+        left = left_by_the_certificate(case, 12)
+        assert all(type(rows) is list for rows, _ in calls)
+        assert calls == [(terms(rows, zero), dim) for _, _, rows, dim in left]
+
+    def test_the_certificate_leaves_module_degrees_of_three_cases(self):
+        left = {case_id: [(space, n) for space, n, _, _ in left_by_the_certificate(case, 12)]
+                for case_id, case in CATALOG.items()}
+        assert {case_id for case_id, degrees in left.items() if degrees} == {"v", "vi", "vii"}
+        assert left["vii"] == [("module", n) for n in (4, 6, 8, 10, 12)]
 
     @pytest.mark.parametrize("case_id", sorted(CATALOG))
     def test_sliced_rank_equals_the_full_rank_to_degree_16(self, case_id):
@@ -298,12 +320,32 @@ class TestSpanRows:
                 assert linalg.rank(terms(rows, zero)) == full == dims.coefficient((n,)), \
                     (space, n)
 
+    @pytest.mark.parametrize("case_id", sorted(CATALOG))
+    def test_the_certificate_is_sound_to_degree_20(self, case_id):
+        # distinct leading monomials never outnumber the exact full rank, and
+        # a degree they prove has full rank equal to the invariant dimension
+        case = CATALOG[case_id]
+        products, module = full_rows(case, 20)
+        proved = 0
+        for space, families, low in (("polyring", products, 0), ("module", module, 2)):
+            dims = invariant_dimension_series(case.spec, 20, space)
+            for n, rows in enumerate(families, start=low):
+                count, full = leading_count(rows), linalg.rank(terms(rows))
+                assert count <= full, (space, n)
+                if count == dims.coefficient((n,)):
+                    assert full == count, (space, n)
+                    proved += 1
+        assert proved >= 21
+
     def test_no_section_falls_short_to_degree_24(self, monkeypatch):
+        # every degree ranked is ranked once, on rows free of the section
         calls = record_ranks(monkeypatch)
         for case_id, case in CATALOG.items():
             calls.clear()
             assert verify_catalog(case, 24).passed, case_id
-            assert len(calls) == 25 + 23, case_id
+            mask = field_mask(invariants._section(case.spec))
+            assert all(not m & mask for rows, _ in calls for row in rows for m in row), case_id
+            assert len(calls) == {"v": 19, "vi": 11, "vii": 11}.get(case_id, 0), case_id
 
     @pytest.mark.parametrize("text, zeros", [
         ("2", ("x1", "x3")), ("1,1", ("x1", "x4")), ("2,2", ("x1", "x6")),
@@ -317,25 +359,36 @@ class TestSpanRows:
 
 class TestSpanFallback:
     def test_non_invariant_generator_ranks_the_full_rows_only(self, monkeypatch):
+        # no certificate and no bound: every degree ranks its full rows exactly
         texts = ("[x4,x1]",) + CATALOG["iii"].module_generator_texts[1:]
         case = replace_case(CATALOG["iii"], module_generator_texts=texts)
         calls = record_ranks(monkeypatch)
         report = verify_catalog(case, 12)
         assert [c.name for c in report.failures()] == ["module-generators-invariant"]
         products, module = full_rows(case, 12)
-        assert calls == [terms(row) for row in products] + [terms(rows) for rows in module]
+        assert calls == [(terms(row), None) for row in products] + \
+            [(terms(rows), None) for rows in module]
 
     def test_a_section_that_loses_rank_ranks_the_full_rows(self, monkeypatch):
-        case = CATALOG["iii"]
+        # two coordinates of the first V_2 of 2,2: the sliced rank falls short
+        # in every module degree the certificate leaves (4, 6, ..., 12)
+        case = CATALOG["vii"]
         expected = masked(verify_catalog(case, 12))
-        # both coordinates of the first V_1 of 1,1: the rank falls short
         monkeypatch.setattr(invariants, "_section", lambda spec: ("x1", "x2"))
         calls = record_ranks(monkeypatch)
         assert masked(verify_catalog(case, 12)) == expected
-        products, module = full_rows(case, 12)
-        assert len(calls) > 13 + 11
-        for rows in [terms(row) for row in products] + [terms(rows) for rows in module]:
-            assert rows in calls
+        _, module = full_rows(case, 12)
+        dims = invariant_dimension_series(case.spec, 12, "module")
+        full = [(terms(module[n - 2]), dims.coefficient((n,))) for n in (4, 6, 8, 10, 12)]
+        assert calls[1::2] == full and len(calls) == 2 * len(full)
+
+    def test_a_repeated_leading_monomial_counts_once(self):
+        # iii has three module generators of degree 2 and three invariants
+        # there; listing the first twice leaves three rows of rank two
+        gens = CATALOG["iii"].module_generator_texts
+        case = replace_case(CATALOG["iii"], module_generator_texts=(gens[0], gens[0], gens[2]))
+        assert failures(case) == {"module-generators-span"}
+        assert verify_catalog(case, 8).checks[-1].detail == "rank defect in degree(s) 2, 4, 6, 8"
 
 
 # -- brackets of generators and the sl2 operators -----------------------------------

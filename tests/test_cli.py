@@ -405,6 +405,18 @@ class TestNormalize:
         code, second, _ = run(capsys, "normalize", first.strip())
         assert first == second
 
+    @pytest.mark.parametrize("text, expected", [
+        ("3/2*[x4,x2,x1,x4].(x1^2) + [x3,x1]",
+         "[x3,x1] - 3/2[x2,x1,x1,x1,x4,x4] + 3/2[x4,x1,x1,x1,x2,x4]"),
+        ("x3 + [x2,x1,x1] - 2*[x2,x1]", "x3 - 2[x2,x1] + [x2,x1,x1]")])
+    def test_the_element_is_split_once(self, text, expected, capsys, monkeypatch):
+        # the linear part and the ideal mark are carried to the word expansion
+        splits, real_split = [], WreathElement.split
+        monkeypatch.setattr(WreathElement, "split",
+                            lambda self: splits.append(self) or real_split(self))
+        code, out, _ = run(capsys, "normalize", text)
+        assert (code, out.strip(), len(splits)) == (0, expected, 1)
+
     def test_parse_error(self, capsys):
         code, _, err = run(capsys, "normalize", "[x1,")
         assert code == 2

@@ -247,3 +247,50 @@ class TestRankAgainstFractions:
         rows = [p.terms for p in products]
         assert linalg.rank(rows) == rank_over_fractions(rows)
         assert linalg.rank([{0: 0}, {}, {1: Fraction(0)}]) == 0
+
+
+@st.composite
+def rational_families(draw, keys):
+    """Sparse rational rows over `keys`, some of them combinations of earlier
+    rows, so that top reduction cancels a pivot and may reach zero."""
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        if rows and draw(st.booleans()):
+            row = {}
+            for earlier in draw(st.lists(st.sampled_from(rows), min_size=1, max_size=3)):
+                c = draw(rationals)
+                for k, v in earlier.items():
+                    row[k] = row.get(k, 0) + c * v
+        else:
+            row = draw(st.dictionaries(st.sampled_from(keys), rationals, max_size=len(keys)))
+        rows.append(row)
+    return rows
+
+
+int_keys = st.lists(st.integers(0, 1 << 80), min_size=1, max_size=6, unique=True)
+tuple_keys = st.lists(st.tuples(st.sampled_from("ax"), st.integers(0, 3), st.integers(0, 3)),
+                      min_size=1, max_size=6, unique=True)
+
+
+class TestTopReduction:
+    """`rank` keys each echelon row by its largest key and stops at a bound."""
+
+    @given(st.one_of(int_keys, tuple_keys).flatmap(rational_families),
+           st.none() | st.integers(0, 9))
+    def test_against_fractions(self, rows, bound):
+        expected = rank_over_fractions(rows)
+        assert linalg.rank(rows, bound) == (expected if bound is None else min(expected, bound))
+
+    @given(st.one_of(int_keys, tuple_keys).flatmap(rational_families))
+    def test_order_of_rows_and_keys_does_not_matter(self, rows):
+        reordered = [dict(reversed(row.items())) for row in reversed(rows)]
+        assert linalg.rank(reordered) == linalg.rank(rows) == rank_over_fractions(rows)
+
+    def test_nothing_past_the_bound_is_read(self):
+        class Unread(dict):
+            def items(self):
+                raise AssertionError("a row past the bound was read")
+
+        rows = [{3: 1, 1: 2}, {3: 2, 1: 4}, {2: Fraction(1, 2)}, Unread()]
+        assert linalg.rank(rows, 2) == 2
+        assert linalg.rank(rows[:3]) == 2 and linalg.rank(rows, 0) == 0

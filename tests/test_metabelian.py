@@ -248,7 +248,7 @@ class TestMembership:
         ctx = LieContext(2)
         u = WreathElement(ctx, Poly.parse("a1"))
         assert not u.is_in_commutator_ideal()
-        assert not u.is_lie_element()
+        assert u.lie_parts() is None
 
     def test_zero_is_in_ideal(self):
         assert LieContext(2).zero().is_in_commutator_ideal()
@@ -256,7 +256,7 @@ class TestMembership:
     def test_generator_is_lie_but_not_in_ideal(self):
         ctx = LieContext(2)
         x1 = ctx.generator(1)
-        assert x1.is_lie_element()
+        assert x1.lie_parts() is not None
         assert not x1.is_in_commutator_ideal()
 
 
@@ -492,12 +492,14 @@ class TestLieExpressions:
         with pytest.raises(NotInCommutatorIdeal):
             lie_normal_form(WreathElement(ctx, Poly.parse("x1^2")))
 
-    def test_y_linear_view(self):
+    def test_linear_part_view(self):
+        # x_j = a_j + y_j: the linear part comes off with its a_j
         ctx = LieContext(3)
-        u = ctx.generator(2) - 3 * ctx.generator(3)
-        assert u.y_linear == [0, 1, -3]
-        with pytest.raises(ValueError):
-            WreathElement(ctx, Poly.parse("x1*x2")).y_linear
+        word = wreath(ctx, "[x2,x1]")
+        linear, rest = (ctx.generator(2) - 3 * ctx.generator(3) + word).lie_parts()
+        assert linear == {2: 1, 3: -3} and rest == word and rest._in_ideal
+        assert WreathElement(ctx, Poly.parse("x1*x2")).lie_parts() is None
+        assert WreathElement(ctx, Poly.parse("x1")).lie_parts() is None
 
 
 class TestGrading:

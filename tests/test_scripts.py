@@ -65,12 +65,15 @@ def test_bench_at_a_tiny_size(tmp_path):
     assert {"poly.mul", "poly.substitute", "poly.partial", "metabelian.bracket",
             "sl2.derivation_act", "linalg.rank", "linalg.rank.full", "text.parse check",
             "text.parse pi", "text.parse normalize", "text.expand witness",
-            "text.expand pi"} <= set(entries)
+            "text.expand pi", "catalog.span_checks"} <= set(entries)
     # the rows `catalog verify` ranks are the restriction of the full rows
     sliced, full = (entries[name]["after"]["sizes"]
                     for name in ("linalg.rank", "linalg.rank.full"))
     assert sliced["rows"] == full["rows"] and sliced["rank"] == full["rank"]
     assert sliced["columns"] < full["columns"]
+    # the span checks form rows only in the degrees the leading monomials leave
+    spans = entries["catalog.span_checks"]["after"]["sizes"]
+    assert 0 < spans["rows_ranked"] <= spans["rows_formed"] < spans["rows"]
     for entry in entries.values():
         assert entry["before"]["sizes"] == entry["after"]["sizes"]
         assert entry["after"]["seconds"] >= 0 and entry["after"]["peak_kb"] > 0
