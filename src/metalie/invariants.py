@@ -548,12 +548,13 @@ def verify_catalog(case: CatalogCase, truncation: int = 12,
     first of three exact tiers that reaches d decides n.  (1) Packed monomials
     compare as ints, lex with the highest slot first, and a product adds them,
     so LM(v * p) = LM(v) + LM(p) comes from the generators with no product
-    formed, and d distinct leading monomials are d independent rows.  (2) The
-    rows rho R, rho setting the variables of `_section` to 0, are formed and
-    ranked up to the bound d; rho is linear, so rank(rho R) <= rank(R).  (3) R
-    itself is ranked up to d.  When (a) failed, R is ranked exactly, with no
-    bound.  The ring product tables are built only when a degree needs rows;
-    y_j is stored as x_j, so a module row is one envelope product v * p.
+    formed, and d distinct leading monomials are d independent rows; more
+    than d are a rank above d, a defect.  (2) The rows rho R, rho setting the
+    variables of `_section` to 0, are formed and ranked; rho is linear, so
+    rank(rho R) <= rank(R).  (3) R itself is ranked when rank(rho R) < d.  When
+    (a) failed, R alone is ranked.  Every rank is exact, so a rank above d
+    fails too.  The ring product tables are built only when a degree needs
+    rows; y_j is stored as x_j, so a module row is one envelope product v * p.
 
     Each check records the seconds spent on it and its size: the generators
     checked for (a), the relations evaluated for (b), the character cells
@@ -591,12 +592,14 @@ def verify_catalog(case: CatalogCase, truncation: int = 12,
         found = [decompose_slice(row, n) for n, row in enumerate(slices)]
         # invariants: the S_(l, l), in the middle of the even lines
         dims[label] = [sum(f[t // 2] for t, f in row.items() if not t % 2) for row in found]
-        computed, expected = {(n,): c for n, c in enumerate(dims[label]) if c}, stated(truncation)
-        same = expected.variables == ("z",) and expected.coefficients == computed
+        computed = TruncatedSeries(("z",), truncation,
+                                   {(n,): c for n, c in enumerate(dims[label])})
+        expected = stated(truncation)
+        same = computed == expected
         symmetrized += zip(found, slices)
         checks.append(CheckResult(
-            f"{label}-series-matches", same, "" if same else
-            f"stated {expected} != computed {TruncatedSeries(('z',), truncation, computed)}",
+            f"{label}-series-matches", same,
+            "" if same else f"stated {expected} != computed {computed}",
             lap(), sum(len(line) - line.count(0) for row in slices for line in row.values())))
 
     checks.append(CheckResult(
@@ -623,12 +626,11 @@ def verify_catalog(case: CatalogCase, truncation: int = 12,
                      for t in tops[n - dg]})
 
     def spans(dim: int, leading: set, rows, full_rows) -> bool:
-        if gated and len(leading) == dim:
-            return True
-        bound = dim if gated else None
-        found = linalg.rank(rows(), bound)
+        if gated and len(leading) >= dim:  # rank(R) >= len(leading)
+            return len(leading) == dim
+        found = linalg.rank(rows())
         if mask and found < dim:
-            found = linalg.rank(full_rows(), bound)
+            found = linalg.rank(full_rows())
         return found == dim
 
     ring_rows = span_rows(ring_degrees, (), rank_degree)

@@ -3,9 +3,7 @@
 Entries are `int`, or `Fraction` where a division happens (`solve_unique`).
 `rank` is fraction-free: it clears denominators and eliminates over the
 integers by top reduction, each echelon row keyed by its largest key, so the
-keys of one call must be totally ordered (ints, or tuples of ints).  Given a
-`bound` it stops once the rank reaches it: a caller that knows the rank is at
-most d learns whether it is d without reading the rows past the d-th pivot.
+keys of one call must be totally ordered (ints, or tuples of ints).
 `mat_mul`, a dense product, has no caller here; the matrix exponential of the
 test oracles and the benchmark's tracer name it.
 """
@@ -42,9 +40,8 @@ def _primitive(row: dict) -> dict:
     return {k: v // g for k, v in row.items()} if g > 1 else row
 
 
-def rank(rows, bound: int | None = None) -> int:
-    """Rank of a family of sparse vectors given as dicts key -> int or Fraction,
-    or `bound` as soon as the rank reaches it: min(rank, bound) for bound >= 0.
+def rank(rows) -> int:
+    """Rank of a family of sparse vectors given as dicts key -> int or Fraction.
 
     Keys must be totally ordered; zero entries need not be stored.  Each row is
     scaled to a primitive integer vector and top-reduced: while its largest key
@@ -55,8 +52,6 @@ def rank(rows, bound: int | None = None) -> int:
     """
     pivots: dict[object, tuple[int, dict]] = {}
     for row in rows:
-        if len(pivots) == bound:
-            break
         row = {k: v for k, v in row.items() if v}
         if not row:
             continue

@@ -235,13 +235,13 @@ class TestHalfTableAgainstFullTable:
 
 
 def record_ranks(monkeypatch):
-    """The (rows, bound) pairs handed to `linalg.rank`, in call order."""
+    """The row lists handed to `linalg.rank`, in call order."""
     calls = []
     real_rank = linalg.rank
 
-    def rank(rows, bound=None):
-        calls.append((rows, bound))
-        return real_rank(rows, bound)
+    def rank(rows):
+        calls.append(rows)
+        return real_rank(rows)
 
     monkeypatch.setattr(linalg, "rank", rank)
     return calls
@@ -292,15 +292,15 @@ class TestSpanRows:
     def test_rows_equal_the_module_action_rows(self, case_id, monkeypatch):
         # a degree is ranked exactly when its distinct leading monomials fall
         # short; its rows are rho of the full ring and module products, rho
-        # setting the section's variables to 0, bounded by the dimension
+        # setting the section's variables to 0
         calls = record_ranks(monkeypatch)
         case = CATALOG[case_id]
         assert verify_catalog(case, 12).passed
         zero = dict.fromkeys(invariants._section(case.spec), Poly.zero())
         assert zero
         left = left_by_the_certificate(case, 12)
-        assert all(type(rows) is list for rows, _ in calls)
-        assert calls == [(terms(rows, zero), dim) for _, _, rows, dim in left]
+        assert all(type(rows) is list for rows in calls)
+        assert calls == [terms(rows, zero) for _, _, rows, _ in left]
 
     def test_the_certificate_leaves_module_degrees_of_three_cases(self):
         left = {case_id: [(space, n) for space, n, _, _ in left_by_the_certificate(case, 12)]
@@ -344,7 +344,7 @@ class TestSpanRows:
             calls.clear()
             assert verify_catalog(case, 24).passed, case_id
             mask = field_mask(invariants._section(case.spec))
-            assert all(not m & mask for rows, _ in calls for row in rows for m in row), case_id
+            assert all(not m & mask for rows in calls for row in rows for m in row), case_id
             assert len(calls) == {"v": 19, "vi": 11, "vii": 11}.get(case_id, 0), case_id
 
     @pytest.mark.parametrize("text, zeros", [
@@ -359,15 +359,14 @@ class TestSpanRows:
 
 class TestSpanFallback:
     def test_non_invariant_generator_ranks_the_full_rows_only(self, monkeypatch):
-        # no certificate and no bound: every degree ranks its full rows exactly
+        # no certificate: every degree ranks its full rows
         texts = ("[x4,x1]",) + CATALOG["iii"].module_generator_texts[1:]
         case = replace_case(CATALOG["iii"], module_generator_texts=texts)
         calls = record_ranks(monkeypatch)
         report = verify_catalog(case, 12)
         assert [c.name for c in report.failures()] == ["module-generators-invariant"]
         products, module = full_rows(case, 12)
-        assert calls == [(terms(row), None) for row in products] + \
-            [(terms(rows), None) for rows in module]
+        assert calls == [terms(row) for row in products] + [terms(rows) for rows in module]
 
     def test_a_section_that_loses_rank_ranks_the_full_rows(self, monkeypatch):
         # two coordinates of the first V_2 of 2,2: the sliced rank falls short
@@ -378,8 +377,7 @@ class TestSpanFallback:
         calls = record_ranks(monkeypatch)
         assert masked(verify_catalog(case, 12)) == expected
         _, module = full_rows(case, 12)
-        dims = invariant_dimension_series(case.spec, 12, "module")
-        full = [(terms(module[n - 2]), dims.coefficient((n,))) for n in (4, 6, 8, 10, 12)]
+        full = [terms(module[n - 2]) for n in (4, 6, 8, 10, 12)]
         assert calls[1::2] == full and len(calls) == 2 * len(full)
 
     def test_a_repeated_leading_monomial_counts_once(self):
@@ -388,6 +386,20 @@ class TestSpanFallback:
         gens = CATALOG["iii"].module_generator_texts
         case = replace_case(CATALOG["iii"], module_generator_texts=(gens[0], gens[0], gens[2]))
         assert failures(case) == {"module-generators-span"}
+        assert verify_catalog(case, 8).checks[-1].detail == "rank defect in degree(s) 2, 4, 6, 8"
+
+    def test_a_rank_above_the_dimension_fails(self, monkeypatch):
+        # a non-invariant fourth module generator of iii: its rows exceed the
+        # invariant dimension in every even degree, a defect and not a proof,
+        # by the exact full rank and, let through the invariance gate, by the
+        # count of distinct leading monomials
+        gens = CATALOG["iii"].module_generator_texts + ("[x3,x1]",)
+        case = replace_case(CATALOG["iii"], module_generator_texts=gens)
+        span = "module-generators-span"
+        assert failures(case) == {"module-generators-invariant", span}
+        assert verify_catalog(case, 8).checks[-1].detail == "rank defect in degree(s) 2, 4, 6, 8"
+        monkeypatch.setattr(invariants, "is_invariant_by_derivations", lambda g, spec: True)
+        assert failures(case) == {span}
         assert verify_catalog(case, 8).checks[-1].detail == "rank defect in degree(s) 2, 4, 6, 8"
 
 

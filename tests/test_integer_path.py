@@ -273,24 +273,13 @@ tuple_keys = st.lists(st.tuples(st.sampled_from("ax"), st.integers(0, 3), st.int
 
 
 class TestTopReduction:
-    """`rank` keys each echelon row by its largest key and stops at a bound."""
+    """`rank` keys each echelon row by its largest key."""
 
-    @given(st.one_of(int_keys, tuple_keys).flatmap(rational_families),
-           st.none() | st.integers(0, 9))
-    def test_against_fractions(self, rows, bound):
-        expected = rank_over_fractions(rows)
-        assert linalg.rank(rows, bound) == (expected if bound is None else min(expected, bound))
+    @given(st.one_of(int_keys, tuple_keys).flatmap(rational_families))
+    def test_against_fractions(self, rows):
+        assert linalg.rank(rows) == rank_over_fractions(rows)
 
     @given(st.one_of(int_keys, tuple_keys).flatmap(rational_families))
     def test_order_of_rows_and_keys_does_not_matter(self, rows):
         reordered = [dict(reversed(row.items())) for row in reversed(rows)]
         assert linalg.rank(reordered) == linalg.rank(rows) == rank_over_fractions(rows)
-
-    def test_nothing_past_the_bound_is_read(self):
-        class Unread(dict):
-            def items(self):
-                raise AssertionError("a row past the bound was read")
-
-        rows = [{3: 1, 1: 2}, {3: 2, 1: 4}, {2: Fraction(1, 2)}, Unread()]
-        assert linalg.rank(rows, 2) == 2
-        assert linalg.rank(rows[:3]) == 2 and linalg.rank(rows, 0) == 0
