@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Layer microbenchmarks and end-to-end timings, written to BENCH_25.json.
+"""Layer microbenchmarks and end-to-end timings, written to BENCH_26.json.
 
     python3 scripts/bench.py [--src DIR] [--column NAME[=DIR] ...] [--out FILE] [--tiny]
 
@@ -337,6 +337,36 @@ def text_entries(tiny: bool):
                 "words_out": sum(len(to_commutator_basis(u)) for u in values)})
 
 
+def pi_entries(tiny: bool):
+    """(name, what, thunk, sizes) for `invariants.pi` alone: the `pi` answers of the
+    invariance passes and one nonzero pair of powers of two linear forms."""
+    from metalie.invariants import pi
+    from metalie.poly import Poly
+    from metalie.sl2 import ModuleSpec
+
+    sys.path.insert(0, str(ROOT / "bench"))
+    from workloads import make_pass
+
+    seeds = (1,) if tiny else (1, 2, 3)
+    argvs = [job.argv[1:4] for seed in seeds for job in make_pass("invariance", seed)
+             if job.argv[0] == "pi"]
+    n = 3 if tiny else 11
+    argvs.append(("3", f"(x1+x2+x3+x4)^{n}", f"(x1+2*x2+3*x3+4*x4)^{n}"))
+    jobs = [(Poly.parse(f1), Poly.parse(f2), ModuleSpec.parse(spec).context())
+            for spec, f1, f2 in argvs]
+    # the term pairs of pi's two products per variable, f2 * df1/dv and f1 * df2/dv
+    names = [set(f1.variables()) | set(f2.variables()) for f1, f2, _ in jobs]
+    pairs = sum(len(f2.terms) * len(f1.partial(v).terms)
+                + len(f1.terms) * len(f2.partial(v).terms)
+                for (f1, f2, _), vs in zip(jobs, names) for v in vs)
+    yield ("invariants.pi", f"pi on the {len(jobs) - 1} pi jobs of the invariance passes of "
+                            f"seeds {', '.join(map(str, seeds))} and on (x1+x2+x3+x4)^{n}, "
+                            f"(x1+2*x2+3*x3+4*x4)^{n} in rank 4",
+           lambda: [pi(*job) for job in jobs],
+           {"jobs": len(jobs), "variables": sum(map(len, names)), "term_pairs": pairs,
+            "terms_out": sum(len(pi(*job).poly.terms) for job in jobs)})
+
+
 def cli_entries(tiny: bool):
     """(name, what, thunk, sizes) for whole `metalie` commands."""
     import metalie
@@ -485,7 +515,7 @@ print({"run": seconds, "peak": tracemalloc.get_traced_memory()[1],
        "modules": len(set(sys.modules) - before)}[mode])
 """
 
-GROUPS = ((layer_entries, 7), (catalog_entries, 7), (text_entries, 7),
+GROUPS = ((layer_entries, 7), (catalog_entries, 7), (text_entries, 7), (pi_entries, 7),
           (cli_entries, 7))
 
 
@@ -608,7 +638,7 @@ def main() -> int:
                         help="directory holding the metalie package of a bare column name")
     parser.add_argument("--column", action="append",
                         help="NAME or NAME=DIR; repeat to alternate columns (default change)")
-    parser.add_argument("--out", default=str(ROOT / "BENCH_25.json"))
+    parser.add_argument("--out", default=str(ROOT / "BENCH_26.json"))
     parser.add_argument("--tiny", action="store_true", help="small sizes, for a smoke test")
     parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args()

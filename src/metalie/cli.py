@@ -156,9 +156,7 @@ def cmd_check(args) -> int:
 
 def cmd_pi(args) -> int:
     spec = _parse_spec(args.spec)
-    f1 = Poly.parse(args.f1)
-    f2 = Poly.parse(args.f2)
-    value = pi(f1, f2, spec.context())
+    value = pi(Poly.parse(args.f1), Poly.parse(args.f2), spec.context())
     expansion = to_commutator_basis(value)
     text = format_commutator_expansion(expansion)
     if args.json:

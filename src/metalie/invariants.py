@@ -6,10 +6,10 @@ For algebraically independent homogeneous polynomials f1, f2 the element
     pi(f1, f2) = sum_{i<j} (a_i y_j - a_j y_i) * J_ij(f1, f2)(Y)
 
 is a nonzero element of the commutator ideal, equal to the Poisson bracket of
-the images of f1, f2 under x_j -> a_j + y_j.  The envelope stores y_j as x_j,
-so J_ij(f1, f2)(Y) is the minor of f1, f2 in x_i, x_j as it stands.  Applied
-to invariant inputs it produces invariants, which is how the witness families
-for the non finitely generated cases are built.
+the images of f1, f2 under x_j -> a_j + y_j (the envelope stores y_j as x_j).
+By Euler's identity its a_i-part is n2 f2 df1/dy_i - n1 f1 df2/dy_i for f1, f2
+of degrees n1, n2.  Applied to invariant inputs it produces invariants, which
+is how the witness families for the non finitely generated cases are built.
 """
 
 from __future__ import annotations
@@ -31,8 +31,8 @@ from .metabelian import (
     parse_lie_expr,
     require_variables,
 )
-from .poly import (Poly, UsageError, encode, field_mask, fields, jacobian_minors, mono_exponent,
-                   mono_mul, mono_str, signed_sum, slot, slot_key, slot_name, var_key)
+from .poly import (Poly, UsageError, _check_term_pairs, encode, field_mask, fields, mono_exponent,
+                   mono_str, partial_term_counts, signed_sum, slot, slot_key, slot_name, var_key)
 from .record import Record
 from .series import (
     TruncatedSeries,
@@ -67,31 +67,30 @@ MAX_SPAN_ROWS = 3000
 # -- the pi operator -----------------------------------------------------------
 
 
-def _require_x_poly(f: Poly, ctx: LieContext) -> None:
-    require_variables(f, "x", ctx.dim)
-    if not f.is_homogeneous():
-        raise NonHomogeneousInput(f"not homogeneous: {f}")
+def _require_x_polys(ctx: LieContext, *polys: Poly) -> None:
+    for f in polys:
+        require_variables(f, "x", ctx.dim)
+        if not f.is_homogeneous():
+            raise NonHomogeneousInput(f"not homogeneous: {f}")
 
 
 def pi(f1: Poly, f2: Poly, ctx: LieContext) -> WreathElement:
-    """The bracket of the embedded polynomials, so in the commutator ideal, in closed
-    form: each term m of d(f1,f2)/d(x_i,x_j), i < j, adds at m a_i x_j and -m a_j x_i."""
-    _require_x_poly(f1, ctx)
-    _require_x_poly(f2, ctx)
-    terms: dict = {}
-    for v, w, minor in jacobian_minors(f1, f2):
-        for unit, sign in ((encode([("a" + v[1:], 1), (w, 1)]), 1),
-                           (encode([("a" + w[1:], 1), (v, 1)]), -1)):
-            for m, c in minor.terms.items():
-                key = mono_mul(m, unit)
-                terms[key] = terms.get(key, 0) + sign * c
+    """The bracket of the embedded polynomials, sum_i a_i (n2 f2 df1/dx_i - n1 f1 df2/dx_i),
+    so in the commutator ideal; its 2v products are held to `MAX_TERM_PAIRS` before the first."""
+    _require_x_polys(ctx, f1, f2)
+    names, t1, t2 = partial_term_counts(f1, f2)
+    g1, g2, terms = f1.total_degree() * f1, f2.total_degree() * f2, {}
+    _check_term_pairs(len(g2.terms) * sum(t1) + len(g1.terms) * sum(t2), "pi")
+    for v in names:
+        coefficient = f1.partial(v) * g2 - f2.partial(v) * g1    # a zero partial costs nothing
+        a = encode([("a" + v[1:], 1)])    # no term of the coefficient holds it
+        terms.update((m + a, c) for m, c in coefficient.terms.items())
     return _wrap(ctx, Poly(terms), in_ideal=True)
 
 
 def pi_via_bracket(f1: Poly, f2: Poly, ctx: LieContext) -> WreathElement:
     """Independent route: embed both polynomials and bracket in the envelope."""
-    _require_x_poly(f1, ctx)
-    _require_x_poly(f2, ctx)
+    _require_x_polys(ctx, f1, f2)
     return ctx.embed_poly(f1).bracket(ctx.embed_poly(f2))
 
 
@@ -264,7 +263,7 @@ def extend_by_trivial_variable(lie_basis: Sequence[WreathElement],
             from_lie.append(base.ad_action(xd ** n))
     from_ring = []
     for u in ring_basis:
-        _require_x_poly(u, ctx)
+        _require_x_polys(ctx, u)
         if u.constant_term():
             raise ValueError("ring basis elements must have zero constant term")
         base = pi(xd, u, ctx)

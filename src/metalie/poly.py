@@ -547,18 +547,21 @@ def jacobian_minor(f1: Poly, f2: Poly, v1: str, v2: str) -> Poly:
     return f1.partial(v1) * f2.partial(v2) - f1.partial(v2) * f2.partial(v1)
 
 
-def jacobian_minors(f1: Poly, f2: Poly, variables: Iterable[str] | None = None
-                    ) -> Iterator[tuple[str, str, Poly]]:
-    """(v, w, d(f1,f2)/d(v,w)) for each pair v before w of `variables` (default: those of
-    f1 and f2, the only ones with nonzero minors), each partial taken once, the minors held
-    to `MAX_MINORS` and each product of two partials to `MAX_TERM_PAIRS` before any is formed."""
+def partial_term_counts(f1: Poly, f2: Poly, variables: Iterable[str] | None = None) -> tuple:
+    """`variables` (default f1's and f2's) held to `MAX_MINORS`, and their partials' term counts."""
     names = sorted(set(f1.variables()) | set(f2.variables()), key=var_key) \
         if variables is None else list(variables)
     if (minors := len(names) * (len(names) - 1) // 2) > MAX_MINORS:
         raise ParseError(f"{minors} Jacobian minors, over the budget of {MAX_MINORS}")
-    # d f/d v has one term for each term of f that v divides
     masks = [_FIELD << W * slot(v) for v in names]
-    n1, n2 = ([sum(1 for m in f.terms if m & mask) for mask in masks] for f in (f1, f2))
+    return names, *([sum(1 for m in f.terms if m & mask) for mask in masks] for f in (f1, f2))
+
+
+def jacobian_minors(f1: Poly, f2: Poly, variables: Iterable[str] | None = None
+                    ) -> Iterator[tuple[str, str, Poly]]:
+    """(v, w, d(f1,f2)/d(v,w)) for each pair v before w of `variables` (`partial_term_counts`),
+    each partial taken once, each product of two held to `MAX_TERM_PAIRS` before any is formed."""
+    names, n1, n2 = partial_term_counts(f1, f2, variables)
     _check_term_pairs(max((s * t for a, s in enumerate(n1) for b, t in enumerate(n2) if a != b),
                           default=0), "a Jacobian minor product")
     d1, d2 = ([f.partial(v) for v in names] for f in (f1, f2))
@@ -592,8 +595,8 @@ MAX_NESTING = 100
 # C(h+t-1, t-1) * C(n-h+t-1, t-1) pairs per step (h = n // 2), a bound above
 # its C(n+t-1, t-1) terms.  The slowest accepted powers take about 2 s.
 MAX_TERM_PAIRS = 1_000_000
-# Budget on the minors of `jacobian_minors`: 19 900 minors of two linear forms in
-# 200 variables take about 0.6 s, and 79 800 in 400 variables 4.4 - 6 s.
+# Budget on the v(v - 1)/2 minors of `jacobian_minors` and `pi`, their one bound on the width
+# of a monomial: `pi` on two linear forms in 200 variables (19 900 minors) takes about 0.3 s.
 MAX_MINORS = 20_000
 # 2^1920 < 10^640, the lowest limit on digits the interpreter allows
 _SAFE_BITS = 1920

@@ -21,6 +21,8 @@ and divide by t1 - t2, where `decompose_slice` differences neighbours on a
 line and `symmetrizes_to` multiplies back.  `derivation_by_partials` applies
 a derivation as the sum of image times partial derivative, one variable at a
 time, the route `Derivation.act` took before the one-pass `Poly.derive`.
+`pi_via_minors` is `invariants.pi` before Euler's identity: the Jacobian minor of
+every pair of variables added at m a_i x_j and, negated, at m a_j x_i.
 `stream_tokenize`, `TokenStream`, `StreamPolyParser`, `stream_parse_poly`,
 `stream_parse_lie_expr`, `stream_parse_rational_function` and
 `split_to_commutator_basis` are the text boundary
@@ -37,11 +39,12 @@ from functools import reduce
 from math import comb
 
 from metalie import linalg
+from metalie.invariants import _require_x_polys
 from metalie.metabelian import (CommutatorWord, ContextMismatch, LieExpr, NotInCommutatorIdeal,
-                                WreathElement, _compositions, words_of_multidegree)
+                                WreathElement, _compositions, _wrap, words_of_multidegree)
 from metalie.poly import (_VAR_RE, MAX_EXPONENT, MAX_NESTING, ParseError, Poly, _check_term_pairs,
-                          _digit_limited, decode, encode, exact, fields, mono_degree, slot_key,
-                          var_key)
+                          _digit_limited, decode, encode, exact, fields, jacobian_minors,
+                          mono_degree, mono_mul, slot_key, var_key)
 from metalie.series import NotACharacter, TruncatedSeries
 from metalie.sl2 import (Derivation, LinearAction, NotUnipotent, bidegree_components,
                          derivations)
@@ -332,6 +335,19 @@ def leibniz_by_partials(p, images):
 def derivation_by_partials(delta, obj):
     """`delta.act(obj)` for a `Poly` or `WreathElement`, by `leibniz_by_partials`."""
     return delta._map(obj, leibniz_by_partials, delta._images)
+
+
+def pi_via_minors(f1, f2, ctx):
+    """pi(f1, f2) as sum_{i<j} (a_i x_j - a_j x_i) d(f1,f2)/d(x_i,x_j): v(v - 1) products."""
+    _require_x_polys(ctx, f1, f2)
+    terms = {}
+    for v, w, minor in jacobian_minors(f1, f2):
+        for unit, sign in ((encode([("a" + v[1:], 1), (w, 1)]), 1),
+                           (encode([("a" + w[1:], 1), (v, 1)]), -1)):
+            for m, c in minor.terms.items():
+                key = mono_mul(m, unit)
+                terms[key] = terms.get(key, 0) + sign * c
+    return _wrap(ctx, Poly(terms), in_ideal=True)
 
 
 # -- the text boundary before tokens were read by index --------------------------

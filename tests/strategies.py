@@ -45,6 +45,20 @@ def homogeneous_polys(draw, variables=("x1", "x2", "x3"), degree=2, max_terms=4)
 
 
 @st.composite
+def homogeneous_pairs(draw, max_dim=8, max_degree=3):
+    """(f1, f2, ctx): homogeneous polynomials of degrees 0 to `max_degree` (constants
+    and zero included) in a rank of 1 to `max_dim`, each in a drawn subset of its
+    variables, so the two may share all, some or none of them."""
+    dim = draw(st.integers(1, max_dim))
+    names = [f"x{j}" for j in range(1, dim + 1)]
+
+    def one():
+        variables = draw(st.lists(st.sampled_from(names), min_size=1, unique=True))
+        return draw(homogeneous_polys(tuple(variables), degree=draw(st.integers(0, max_degree))))
+    return one(), one(), LieContext(dim)
+
+
+@st.composite
 def envelope_basis_elements(draw, dim=3, max_y_degree=3):
     """Monomial basis element of the Poisson envelope: Y^q or a_i * Y^q."""
     ctx = LieContext(dim)

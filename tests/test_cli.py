@@ -577,20 +577,28 @@ class TestExpressionBudget:
         assert (code, out) == (2, "")
         assert err == f"error: 79800 Jacobian minors, over the budget of {MAX_MINORS}\n"
 
-    def test_pi_minor_product_over_the_budget_is_refused(self, capsys):
+    def test_pi_products_over_the_budget_are_refused(self, capsys):
+        # all 12 products together: 2 * 6 variables * 6188 terms * 4368 in a partial
         reading = seconds_to_read_two_factors()
         start = perf_counter()
         code, out, err = run(capsys, "pi", "5", "--", SEXTIC_12, SEXTIC_12)
         assert perf_counter() - start < reading + 0.1
         assert (code, out) == (2, "")
-        assert err == ("error: a Jacobian minor product needs up to 19079424 term pairs, "
+        assert err == ("error: pi needs up to 324350208 term pairs, "
                        f"over the budget of {MAX_TERM_PAIRS}\n")
 
-    def test_pi_minor_products_within_the_budget_are_formed(self, capsys):
-        code, out, _ = run(capsys, "pi", "3", "--json", "--", "(x1+x2+x3+x4)^14",
-                           "(x1+x2+x3+x4)^14")
+    def test_pi_products_within_the_budget_are_formed(self, capsys):
+        # 2 * 4 variables * 364 terms * 286 in a partial = 832 832 pairs
+        code, out, _ = run(capsys, "pi", "3", "--json", "--", "(x1+x2+x3+x4)^11",
+                           "(x1+x2+x3+x4)^11")
         assert code == 0
         assert json.loads(out)["zero"] is True
+        # 2 * 4 * 680 * 560 = 3 046 400 pairs, accepted while only each minor was held
+        code, out, err = run(capsys, "pi", "3", "--json", "--", "(x1+x2+x3+x4)^14",
+                             "(x1+x2+x3+x4)^14")
+        assert (code, out) == (2, "")
+        assert err == ("error: pi needs up to 3046400 term pairs, "
+                       f"over the budget of {MAX_TERM_PAIRS}\n")
 
     def test_exponent_over_the_field_is_refused(self, capsys):
         code, out, err = run(capsys, "normalize", "x1^123456789012")
@@ -708,9 +716,9 @@ class TestRefusalTypes:
     ])
     def test_digit_limit_is_met_as_coefficients_are_formed(self, capsys, monkeypatch, argv):
         def reached(*args):
-            raise AssertionError("a minor or a module action was formed")
+            raise AssertionError("a partial of pi or a module action was formed")
 
-        monkeypatch.setattr(invariants, "jacobian_minors", reached)
+        monkeypatch.setattr(Poly, "partial", reached)    # pi takes them before any product
         monkeypatch.setattr(WreathElement, "ad_action", reached)
         with pytest.raises(ValueError) as printing:    # the message printing would give
             str(99 ** 3000)

@@ -1,16 +1,20 @@
 """The pi operator, invariant families, decisions, extensions, catalog."""
 
+import contextlib
 import random
+import re
 import sys
 import threading
 from itertools import islice
 from math import comb
+from time import perf_counter
+from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 
 import strategies as strat
-from metalie import invariants
+from metalie import invariants, poly
 from metalie.invariants import (
     MAX_SPAN_ROWS,
     ExtensionBasis,
@@ -33,11 +37,12 @@ from metalie.invariants import (
 )
 from metalie.linalg import rank
 from metalie.metabelian import LieContext, WreathElement, parse_lie_expr
-from metalie.poly import (MAX_EXPONENT, ExponentOverflow, Poly, encode,
-                          is_pairwise_jacobian_zero)
+from metalie.poly import (MAX_EXPONENT, MAX_TERM_PAIRS, ExponentOverflow, ParseError, Poly,
+                          encode, is_pairwise_jacobian_zero)
 from metalie.series import invariant_dimension_series
 from metalie.sl2 import ModuleSpec, is_invariant, is_invariant_by_derivations
 from helpers import replace_case
+from oracles import pi_via_minors
 
 
 def wreath(ctx, text):
@@ -89,6 +94,64 @@ class TestPi:
         ctx = LieContext(3)
         if not is_pairwise_jacobian_zero(f1, f2, [f"x{j}" for j in range(1, 4)]):
             assert not pi(f1, f2, ctx).is_zero()
+
+
+def _pair(f1, f2, dim):
+    return Poly.parse(f1), Poly.parse(f2), LieContext(dim)
+
+
+@contextlib.contextmanager
+def counted_products():
+    """The term pairs of every `poly._mul_terms` call made inside the block."""
+    pairs, real = [], poly._mul_terms
+
+    def counted(a, b):
+        pairs.append(len(a) * len(b))
+        return real(a, b)
+    with mock.patch.object(poly, "_mul_terms", counted):
+        yield pairs
+
+
+class TestPiByEuler:
+    """pi takes the a_i-coefficient n2 f2 df1/dx_i - n1 f1 df2/dx_i of Euler's
+    identity; the minors and the envelope bracket are its two independent routes."""
+
+    @given(pair=strat.homogeneous_pairs())
+    @example(pair=_pair("7", "x1*x2", 2))                      # constants
+    @example(pair=_pair("x1^2 - 3*x2^2", "5", 3))
+    @example(pair=_pair("x1*x2", "x3^2 + x3*x4", 4))          # disjoint variables
+    @example(pair=_pair("x1^3", "x1^2", 1))                    # one variable
+    @example(pair=_pair("x1*x8 - x4^2", "x2*x3*x7 + x5^3", 8))
+    def test_three_routes_agree(self, pair):
+        f1, f2, ctx = pair
+        value = pi(f1, f2, ctx)
+        assert value == pi_via_minors(f1, f2, ctx) == pi_via_bracket(f1, f2, ctx)
+
+    @given(pair=strat.homogeneous_pairs())
+    @example(pair=_pair("5", "x1*x2 + x3^2", 3))
+    @example(pair=_pair("(x1+x2+x3+x4+x5)^3", "(x1+2*x2+3*x3+4*x4+5*x5)^2", 5))
+    def test_the_stated_total_is_the_pairs_the_products_take(self, pair):
+        f1, f2, ctx = pair
+        with mock.patch.object(poly, "MAX_TERM_PAIRS", -1):    # refuse, stating the total
+            with pytest.raises(ParseError) as refusal:
+                pi(f1, f2, ctx)
+        stated = int(re.fullmatch(r"pi needs up to (\d+) term pairs, over the budget of -1",
+                                  str(refusal.value))[1])
+        with counted_products() as pairs:
+            pi(f1, f2, ctx)
+        assert sum(pairs) == stated
+        assert len(pairs) == 2 * len(set(f1.variables()) | set(f2.variables()))
+
+    def test_over_the_total_is_refused_before_any_product(self):
+        f = Poly.parse("(x1+x2+x3+x4+x5+x6)^12")    # 6188 terms, 4368 in each partial
+        with counted_products() as pairs:
+            start = perf_counter()
+            with pytest.raises(ParseError) as refusal:
+                pi(f, f, LieContext(6))
+            assert perf_counter() - start < 0.1
+        assert pairs == []
+        assert str(refusal.value) == (f"pi needs up to {2 * 6 * 6188 * 4368} term pairs, "
+                                      f"over the budget of {MAX_TERM_PAIRS}")
 
 
 class TestQuadraticFamilies:
