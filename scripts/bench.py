@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Layer microbenchmarks and end-to-end timings, written to BENCH_26.json.
+"""Layer microbenchmarks and end-to-end timings, written to BENCH_27.json.
 
     python3 scripts/bench.py [--src DIR] [--column NAME[=DIR] ...] [--out FILE] [--tiny]
 
@@ -42,11 +42,10 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def max_exponent(p) -> int:
-    """Largest exponent of p, whether monomials are packed ints or tuples."""
-    from metalie import poly
+    """Largest exponent of p."""
+    from metalie.poly import fields
 
-    decode = getattr(poly, "decode", lambda m: m)
-    return max((e for m in p.terms for _, e in decode(m)), default=0)
+    return max((e for m in p.terms for _, e in fields(m)), default=0)
 
 
 def child_env() -> dict:
@@ -175,7 +174,7 @@ def layer_entries(tiny: bool):
 
 def catalog_entries(tiny: bool):
     """(name, what, thunk, sizes) for the series and rank layers of `catalog verify`."""
-    from metalie import invariants, series
+    from metalie import invariants
     from metalie.linalg import rank
     from metalie.poly import Poly, field_mask
     from metalie.series import (decompose_slice, expand_rational, parse_rational_function,
@@ -190,17 +189,12 @@ def catalog_entries(tiny: bool):
            lambda: character * character,
            {"terms_a": len(character.coefficients), "terms_out": len(square.coefficients)})
 
-    # the series checks of `catalog verify` on the slices of both spaces: dicts
-    # {p * base + q: c} where the package has `weight_packing`, else lines
-    # {t: [c(0, t), ..., c(t, 0)]}; sizes count the nonzero cells of either
-    if hasattr(series, "weight_packing"):
-        base, weights = series.weight_packing(case.spec, n)
-        extra, nonzero = (base,), len
-    else:
-        weights, extra = case.spec.weights(), ()
+    # the series checks of `catalog verify` on the slices of both spaces, lines
+    # {t: [c(0, t), ..., c(t, 0)]}; sizes count their nonzero cells
+    weights = case.spec.weights()
 
-        def nonzero(row):
-            return sum(len(line) - line.count(0) for line in row.values())
+    def nonzero(row):
+        return sum(len(line) - line.count(0) for line in row.values())
     spaces = ("module", "polyring")
     slices = [row for space in spaces for row in weight_slices(weights, n, space)]
     cells = sum(map(nonzero, slices))
@@ -209,14 +203,14 @@ def catalog_entries(tiny: bool):
            lambda: [weight_slices(weights, n, space) for space in spaces],
            {"slices": len(slices), "cells": cells})
 
-    found = [decompose_slice(row, *extra) for row in slices]
+    found = [decompose_slice(row) for row in slices]
     multiplicities = sum(map(nonzero, found))
     yield ("series.decompose_slice", "decomposition of each of those slices",
-           lambda: [decompose_slice(row, *extra) for row in slices],
+           lambda: [decompose_slice(row) for row in slices],
            {"slices": len(slices), "cells": cells, "multiplicities": multiplicities})
 
     yield ("series.symmetrizes_to", "each of those slices rebuilt from its multiplicities",
-           lambda: all(symmetrizes_to(f, row, *extra) for f, row in zip(found, slices)),
+           lambda: all(symmetrizes_to(f, row) for f, row in zip(found, slices)),
            {"slices": len(slices), "multiplicities": multiplicities})
 
     gens = [invariants.parse_lie_expr(text).evaluate(case.spec.context())
@@ -424,11 +418,13 @@ def cli_entries(tiny: bool):
         yield (f"check {k} - {text}", f"invariance of {text} on the single block V{k}", run,
                {"rank": k + 1, "image_terms": len(Poly.parse(image).terms)})
 
-    for spec in ("3", "4"):
-        witness = ("witness", spec, "--count", "2" if tiny else "6", "--json")
+    # the pair (u, f) decided by the derivations and u by substitution, then
+    # every member expanded; 2,1 is the catalog-backed family at the count cap
+    for spec, count, small in (("3", 6, 2), ("4", 6, 2), ("2,1", 64, 8)):
+        witness = ("witness", spec, "--count", str(small if tiny else count), "--json")
         rows = json.loads(command(*witness)())
-        yield (" ".join(witness[:4]), f"witness family of V{spec}, each member decided by "
-                                      "the derivations, the first also by substitution",
+        yield (" ".join(witness[:4]), f"witness family of spec {spec}, its pair (u, f) decided "
+                                      "once and every member expanded",
                command(*witness), {"elements": len(rows), "max_degree": rows[-1]["degree"]})
 
     heavy = ("--case", "v", "--degree", "8" if tiny else "12")
@@ -638,7 +634,7 @@ def main() -> int:
                         help="directory holding the metalie package of a bare column name")
     parser.add_argument("--column", action="append",
                         help="NAME or NAME=DIR; repeat to alternate columns (default change)")
-    parser.add_argument("--out", default=str(ROOT / "BENCH_26.json"))
+    parser.add_argument("--out", default=str(ROOT / "BENCH_27.json"))
     parser.add_argument("--tiny", action="store_true", help="small sizes, for a smoke test")
     parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args()

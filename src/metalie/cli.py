@@ -53,8 +53,8 @@ MAX_WITNESS_COUNT = 64
 # n) * terms(f), or where that is over the budget, the smaller of it and the
 # count of weight-0 monomials a_i * y^q of its degree (V5's member 4: 184 434
 # and 18 302, against 12 786 terms).  The slowest accepted input is still
-# `witness 3 --count 27`, about 3 s in-process (Python 3.11, a shared 2-CPU
-# host); every catalog-backed specification takes at most 0.5 s for 64 members.
+# `witness 3 --count 27`, 1.0 s as a fresh process (median of 3, Python 3.11, a
+# shared 2-CPU host); every catalog-backed specification takes at most 0.5 s for 64 members.
 MAX_WITNESS_TERMS = 58_000
 
 
@@ -172,7 +172,7 @@ def cmd_pi(args) -> int:
 
 def _witness_family(spec: ModuleSpec, count: int) -> list:
     """The first `count` members, each built only while the family stays
-    within MAX_WITNESS_TERMS summed terms."""
+    within MAX_WITNESS_TERMS summed terms; then the pair (u, f) is decided."""
     # substituting g1, g2 into V6's first member (2634 terms) takes about 3 s and
     # discriminant(8) alone 7.8 s (Python 3.11, 2 CPUs); V5, V7 take under 1 s
     if len(spec.blocks) == 1 and (spec.blocks[0] == 6 or spec.blocks[0] >= 8):
@@ -182,8 +182,7 @@ def _witness_family(spec: ModuleSpec, count: int) -> list:
         return []
     u, f = witness_pair(spec)
     members = infinite_family_witness(spec, (u, f))
-    family = [next(members)]
-    built = len(u.poly.terms)
+    family, built = [next(members)], len(u.poly.terms)
     while len(family) < count:
         bound = len(family[-1].poly.terms) * len(f.terms)
         if built + bound > MAX_WITNESS_TERMS:    # the a_i * y^q of weight 0 and degree n + 1
@@ -196,6 +195,9 @@ def _witness_family(spec: ModuleSpec, count: int) -> list:
                              f"{MAX_WITNESS_TERMS} terms")
         family.append(next(members))
         built += len(family[-1].poly.terms)
+    # by the Leibniz rule delta1, delta2 kill every u * f^m once they kill u and f
+    if not (all(is_invariant_by_derivations(p, spec) for p in (u, f)) and is_invariant(u, spec)):
+        raise AssertionError(f"the witness pair of {spec} is not invariant")
     return family
 
 
@@ -203,12 +205,9 @@ def cmd_witness(args) -> int:
     spec = _parse_spec(args.spec)
     if not 0 <= args.count <= MAX_WITNESS_COUNT:
         raise UsageError(f"--count must be between 0 and {MAX_WITNESS_COUNT}")
-    family = _witness_family(spec, args.count)
-    # delta1, delta2 decide every member; substitution by g1, g2 must agree on the first
-    rows = [{"degree": u.total_degree(),
-             "invariant": is_invariant_by_derivations(u, spec) & (n > 0 or is_invariant(u, spec)),
+    rows = [{"degree": u.total_degree(), "invariant": True,    # `_witness_family` decided it
              "element": format_commutator_expansion(to_commutator_basis(u))}
-            for n, u in enumerate(family)]
+            for u in _witness_family(spec, args.count)]
     if args.json:
         print(json.dumps(rows))
     else:

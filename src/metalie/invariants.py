@@ -76,15 +76,15 @@ def _require_x_polys(ctx: LieContext, *polys: Poly) -> None:
 
 def pi(f1: Poly, f2: Poly, ctx: LieContext) -> WreathElement:
     """The bracket of the embedded polynomials, sum_i a_i (n2 f2 df1/dx_i - n1 f1 df2/dx_i),
-    so in the commutator ideal; its 2v products are held to `MAX_TERM_PAIRS` before the first."""
+    so in the commutator ideal; it forms only nonzero products, all held to `MAX_TERM_PAIRS` first."""
     _require_x_polys(ctx, f1, f2)
     names, t1, t2 = partial_term_counts(f1, f2)
-    g1, g2, terms = f1.total_degree() * f1, f2.total_degree() * f2, {}
+    g1, g2, terms = -f1.total_degree() * f1, f2.total_degree() * f2, {}
     _check_term_pairs(len(g2.terms) * sum(t1) + len(g1.terms) * sum(t2), "pi")
-    for v in names:
-        coefficient = f1.partial(v) * g2 - f2.partial(v) * g1    # a zero partial costs nothing
+    for v, s, t in zip(names, t1, t2):    # df/dv is nonzero when f has a term in v
+        parts = [f.partial(v) * g for f, g, n in ((f1, g2, s), (f2, g1, t)) if n and g]
         a = encode([("a" + v[1:], 1)])    # no term of the coefficient holds it
-        terms.update((m + a, c) for m, c in coefficient.terms.items())
+        terms.update((m + a, c) for m, c in sum(parts, Poly.zero()).terms.items())
     return _wrap(ctx, Poly(terms), in_ideal=True)
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import re
 import threading
+from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping
 from fractions import Fraction
 from functools import lru_cache, reduce
@@ -553,8 +554,8 @@ def partial_term_counts(f1: Poly, f2: Poly, variables: Iterable[str] | None = No
         if variables is None else list(variables)
     if (minors := len(names) * (len(names) - 1) // 2) > MAX_MINORS:
         raise ParseError(f"{minors} Jacobian minors, over the budget of {MAX_MINORS}")
-    masks = [_FIELD << W * slot(v) for v in names]
-    return names, *([sum(1 for m in f.terms if m & mask) for mask in masks] for f in (f1, f2))
+    counts = [Counter(s for m in f.terms for s, _ in fields(m)) for f in (f1, f2)]    # one pass
+    return names, *([count[slot(v)] for v in names] for count in counts)
 
 
 def jacobian_minors(f1: Poly, f2: Poly, variables: Iterable[str] | None = None

@@ -21,12 +21,12 @@ helper, so delta1 and delta2 hold at most one entry per column.  `check`,
 (`derivations`) in one pass over the packed terms (`Poly.derive`), read from
 a move table per slot: on the first sight of the slot s of v, after
 `require_variables`, it gets (W*s, [(unit(t) - unit(v), c), ...]) for the
-image sum c * t of v, so an act forms no variable name.
+image sum c * t of v, so an act forms no variable name; `witness` applies
+them to u and f alone, which by the Leibniz rule settles every u f^m.
 `invariant_dimension` counts the invariants of one degree with delta1 alone:
-they are the weight-(p, p) vectors that delta1 kills.  Substitution by g1 and
-g2 (`is_invariant`) and the exact matrix logarithm (`log_unipotent`) remain as
-independent checks of that path: `witness` substitutes into the first member
-of a family, and the tests check every catalog generator both ways.
+the weight-(p, p) vectors it kills.  Substitution by g1 and g2 (`is_invariant`)
+and the exact matrix logarithm (`log_unipotent`) remain as independent checks:
+`witness` substitutes into u; the tests check every catalog generator both ways.
 """
 
 from __future__ import annotations

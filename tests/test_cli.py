@@ -275,24 +275,37 @@ WITNESS_SPECS = [("2,0", 6), ("3", 6), ("1,1", 6), ("4", 6), ("2,1", 6), ("1,1,1
 
 
 class TestWitnessDecision:
+    """The CLI decides the pair (u, f) once: delta1 and delta2 must kill u and f, so
+    by the Leibniz rule every member u f^m, and g1 and g2 must fix u.  A pair that
+    fails is a fault of the program (exit 3), never a row reading false."""
+
     @pytest.mark.parametrize("spec, count", WITNESS_SPECS)
     def test_first_member_substituted_every_member_derived(self, capsys, monkeypatch,
                                                              spec, count):
-        calls = []
-        monkeypatch.setattr(cli, "is_invariant", counted(cli.is_invariant, calls))
-        monkeypatch.setattr(cli, "is_invariant_by_derivations",
-                            counted(cli.is_invariant_by_derivations, calls))
-        code, out, _ = run(capsys, "witness", spec, "--count", str(count), "--json")
-        assert code == 0
-        assert all(row["invariant"] for row in json.loads(out))
-        assert calls.count("is_invariant") == 1
-        assert calls.count("is_invariant_by_derivations") == count
+        for n in (0, 1, count):
+            calls = []
+            monkeypatch.setattr(cli, "is_invariant", counted(sl2.is_invariant, calls))
+            monkeypatch.setattr(cli, "is_invariant_by_derivations",
+                                counted(sl2.is_invariant_by_derivations, calls))
+            code, out, _ = run(capsys, "witness", spec, "--count", str(n), "--json")
+            assert code == 0
+            rows = json.loads(out)
+            assert len(rows) == n and all(row["invariant"] is True for row in rows)
+            # u and f by the derivations, u by substitution, whatever the count
+            assert calls == (["is_invariant_by_derivations"] * 2 + ["is_invariant"]
+                             if n else [])
+
+    @staticmethod
+    def assert_fault(capsys, spec="2,1"):
+        for flags in ((), ("--json",)):
+            code, out, err = run(capsys, "witness", spec, "--count", "6", *flags)
+            assert (code, out) == (3, "")
+            assert err == (f"internal error: AssertionError: the witness pair of {spec} "
+                           "is not invariant\n")
 
     def test_substitution_decides_the_first_row_only(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "is_invariant", lambda u, spec: False)
-        code, out, _ = run(capsys, "witness", "2,1", "--count", "6", "--json")
-        assert code == 0
-        assert [row["invariant"] for row in json.loads(out)] == [False] + [True] * 5
+        self.assert_fault(capsys)
 
     # the substitution oracle, outside the CLI: g1 and g2 fix the first member
     # of every family the CLI builds, and not that member plus x1
@@ -305,9 +318,16 @@ class TestWitnessDecision:
 
     def test_derivations_decide_every_row(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "is_invariant_by_derivations", lambda u, spec: False)
-        code, out, _ = run(capsys, "witness", "2,1", "--count", "6", "--json")
-        assert code == 0
-        assert [row["invariant"] for row in json.loads(out)] == [False] * 6
+        self.assert_fault(capsys)
+
+    # x1 is moved by delta2 on 2,1, so u * x1 and f * x1 are not invariant
+    @pytest.mark.parametrize("side", ["f", "u"])
+    def test_a_pair_that_is_not_invariant_is_a_fault(self, capsys, monkeypatch, side):
+        u, f = invariants.witness_pair(sl2.ModuleSpec.parse("2,1"))
+        x1 = Poly.variable("x1")
+        pair = (u, f * x1) if side == "f" else (u.ad_action(x1), f)
+        monkeypatch.setattr(cli, "witness_pair", lambda spec: pair)
+        self.assert_fault(capsys)
 
 
 class TestWitnessBudget:

@@ -140,7 +140,17 @@ class TestPiByEuler:
         with counted_products() as pairs:
             pi(f1, f2, ctx)
         assert sum(pairs) == stated
-        assert len(pairs) == 2 * len(set(f1.variables()) | set(f2.variables()))
+        # a product is formed only of a nonzero partial and a nonconstant factor
+        formed = [v for f, g in ((f1, f2), (f2, f1)) if g.total_degree() > 0
+                  for v in f.variables()]
+        assert 0 not in pairs and len(pairs) == len(formed)
+
+    def test_a_constant_factor_takes_no_partial(self):
+        linear = " + ".join(f"x{i}" for i in range(1, 201))
+        f = Poly.parse(f"({linear})^2")
+        with mock.patch.object(Poly, "partial", side_effect=AssertionError("a partial")):
+            value = pi(Poly.parse("1"), f, LieContext(200))
+        assert value.is_zero()
 
     def test_over_the_total_is_refused_before_any_product(self):
         f = Poly.parse("(x1+x2+x3+x4+x5+x6)^12")    # 6188 terms, 4368 in each partial
