@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Layer microbenchmarks and end-to-end timings, written to BENCH_27.json.
+"""Layer microbenchmarks and end-to-end timings, written to BENCH_28.json.
 
     python3 scripts/bench.py [--src DIR] [--column NAME[=DIR] ...] [--out FILE] [--tiny]
 
@@ -364,7 +364,7 @@ def pi_entries(tiny: bool):
 def cli_entries(tiny: bool):
     """(name, what, thunk, sizes) for whole `metalie` commands."""
     import metalie
-    from metalie.cli import main
+    from metalie.cli import build_parser, main
     from metalie.poly import Poly
 
     def command(*argv, stdin="", exit_code=0):
@@ -393,6 +393,18 @@ def cli_entries(tiny: bool):
         return Timed((perf_counter() - start) / calls)
     yield ("cli.main.per_call", f"main(['normalize', 'x1']) in-process, seconds per call over "
                                 f"{calls} calls", per_call, {"calls": calls})
+
+    # the part of that cost which builds the parser, every command and argument of it
+    def per_build():
+        start = perf_counter()
+        for _ in range(calls):
+            build_parser()
+        return Timed((perf_counter() - start) / calls)
+    parser = build_parser()
+    parsers = [parser, *next(a for a in parser._actions if a.dest == "command").choices.values()]
+    yield ("cli.build_parser", f"build_parser() in-process, seconds per build over {calls} builds",
+           per_build, {"calls": calls, "parsers": len(parsers),
+                       "arguments": sum(len(p._actions) for p in parsers)})
 
     # hilbert on several specifications and truncations, the last near the
     # budget of slice cells (27 blocks V8 at -N 64: 7 978 176 cells)
@@ -634,7 +646,7 @@ def main() -> int:
                         help="directory holding the metalie package of a bare column name")
     parser.add_argument("--column", action="append",
                         help="NAME or NAME=DIR; repeat to alternate columns (default change)")
-    parser.add_argument("--out", default=str(ROOT / "BENCH_27.json"))
+    parser.add_argument("--out", default=str(ROOT / "BENCH_28.json"))
     parser.add_argument("--tiny", action="store_true", help="small sizes, for a smoke test")
     parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args()

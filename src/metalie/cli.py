@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 from math import comb
 
 from .invariants import (
@@ -282,55 +283,56 @@ def cmd_normalize(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # argparse's default width, read once: argparse would read it in every formatter it makes
+    import shutil
+    formatter = partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
     parser = argparse.ArgumentParser(
-        prog="metalie",
+        prog="metalie", formatter_class=formatter,
         description="Exact SL2-invariant theory of free metabelian Lie algebras.")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, prog="metalie")
 
-    p = sub.add_parser("decide", help="decide finite generation of the invariant algebra")
+    def command(name, func, **kwargs):
+        p = sub.add_parser(name, formatter_class=formatter, **kwargs)
+        p.set_defaults(func=func)
+        return p
+
+    p = command("decide", cmd_decide, help="decide finite generation of the invariant algebra")
     p.add_argument("spec", help="module specification, e.g. 2,1")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_decide)
 
-    p = sub.add_parser("hilbert", help="dimension series of a graded algebra")
+    p = command("hilbert", cmd_hilbert, help="dimension series of a graded algebra")
     p.add_argument("spec")
     p.add_argument("target", choices=["polyring", "metabelian", "invariant-ring",
                                       "invariant-module"])
     p.add_argument("-N", dest="truncation", type=int, default=12)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_hilbert)
 
-    p = sub.add_parser("check", help="test an expression for invariance")
+    p = command("check", cmd_check, help="test an expression for invariance")
     p.add_argument("spec")
     p.add_argument("file", help="file with a polynomial or Lie expression; - for stdin")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("pi", help="bracket of two embedded polynomials, in the word basis")
+    p = command("pi", cmd_pi, help="bracket of two embedded polynomials, in the word basis")
     p.add_argument("spec")
     p.add_argument("f1", help="polynomial; put -- before it if it begins with -")
     p.add_argument("f2", help="polynomial; put -- before it if it begins with -")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_pi)
 
-    p = sub.add_parser("witness", help="invariants of strictly increasing degree")
+    p = command("witness", cmd_witness, help="invariants of strictly increasing degree")
     p.add_argument("spec")
     p.add_argument("--count", type=int, default=5)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_witness)
 
-    p = sub.add_parser("catalog", help="inspect or verify the generator catalog")
+    p = command("catalog", cmd_catalog, help="inspect or verify the generator catalog")
     p.add_argument("action", choices=["verify", "show"])
     p.add_argument("--case", help="i..vii; default all")
     p.add_argument("--degree", type=int, default=12)
     p.add_argument("--rank-degree", type=int, default=None,
                    help="bound for the span rank checks (default: --degree)")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_catalog)
 
-    p = sub.add_parser("normalize", help="parse, canonicalize and reprint an expression")
+    p = command("normalize", cmd_normalize, help="parse, canonicalize and reprint an expression")
     p.add_argument("expression", help="put -- before it if it begins with -")
-    p.set_defaults(func=cmd_normalize)
 
     return parser
 

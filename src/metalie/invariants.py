@@ -31,8 +31,9 @@ from .metabelian import (
     parse_lie_expr,
     require_variables,
 )
-from .poly import (Poly, UsageError, _check_term_pairs, encode, field_mask, fields, mono_exponent,
-                   mono_str, partial_term_counts, signed_sum, slot, slot_key, slot_name, var_key)
+from .poly import (W, Poly, UsageError, _check_term_pairs, encode, field_mask, fields, mono_degree,
+                   mono_exponent, mono_str, partial_term_counts, signed_sum, slot, slot_key,
+                   slot_name, var_key)
 from .record import Record
 from .series import (
     TruncatedSeries,
@@ -67,22 +68,29 @@ MAX_SPAN_ROWS = 3000
 # -- the pi operator -----------------------------------------------------------
 
 
-def _require_x_polys(ctx: LieContext, *polys: Poly) -> None:
-    for f in polys:
+def _require_x_polys(ctx: LieContext, *polys: Poly) -> list[int]:
+    found = [{mono_degree(m) for m in f.terms} for f in polys]
+    for f, degrees in zip(polys, found):
         require_variables(f, "x", ctx.dim)
-        if not f.is_homogeneous():
+        if len(degrees) > 1:
             raise NonHomogeneousInput(f"not homogeneous: {f}")
+    return [max(degrees, default=0) for degrees in found]    # each one's degree, 0 for zero
 
 
 def pi(f1: Poly, f2: Poly, ctx: LieContext) -> WreathElement:
     """The bracket of the embedded polynomials, sum_i a_i (n2 f2 df1/dx_i - n1 f1 df2/dx_i),
     so in the commutator ideal; it forms only nonzero products, all held to `MAX_TERM_PAIRS` first."""
-    _require_x_polys(ctx, f1, f2)
+    n1, n2 = _require_x_polys(ctx, f1, f2)
     names, t1, t2 = partial_term_counts(f1, f2)
-    g1, g2, terms = -f1.total_degree() * f1, f2.total_degree() * f2, {}
+    g1, g2, terms = -n1 * f1, n2 * f2, {}
     _check_term_pairs(len(g2.terms) * sum(t1) + len(g1.terms) * sum(t2), "pi")
-    for v, s, t in zip(names, t1, t2):    # df/dv is nonzero when f has a term in v
-        parts = [f.partial(v) * g for f, g, n in ((f1, g2, s), (f2, g1, t)) if n and g]
+    sides = [({}, f, g) for f, g in ((f1, g2), (f2, g1)) if g]
+    for d, f, _ in sides:    # the nonzero partials of f by slot, in one pass over its terms
+        for m, c in f.terms.items():
+            for s, e in fields(m):    # no other term of f meets m in m - unit(s)
+                d.setdefault(s, {})[m - (1 << W * s)] = c * e
+    for v in names:
+        parts = [Poly(d[s]) * g for d, _, g in sides if (s := slot(v)) in d]
         a = encode([("a" + v[1:], 1)])    # no term of the coefficient holds it
         terms.update((m + a, c) for m, c in sum(parts, Poly.zero()).terms.items())
     return _wrap(ctx, Poly(terms), in_ideal=True)

@@ -152,6 +152,22 @@ class TestPiByEuler:
             value = pi(Poly.parse("1"), f, LieContext(200))
         assert value.is_zero()
 
+    def test_each_factor_is_walked_once_for_its_degree_and_once_for_its_partials(self):
+        linear = " + ".join(f"x{i}" for i in range(1, 41))
+        f1, f2, ctx = Poly.parse("x1"), Poly.parse(f"({linear})^2"), LieContext(40)
+        expected = pi_via_bracket(f1, f2, ctx)
+        degrees, walks = [], []
+
+        def counted(calls, real):
+            return lambda m: calls.append(m) or real(m)
+        with mock.patch.object(Poly, "total_degree", side_effect=AssertionError("a degree")), \
+                mock.patch.object(Poly, "is_homogeneous", side_effect=AssertionError("a check")), \
+                mock.patch.object(Poly, "partial", side_effect=AssertionError("a partial")), \
+                mock.patch.object(invariants, "mono_degree", counted(degrees, poly.mono_degree)), \
+                mock.patch.object(invariants, "fields", counted(walks, poly.fields)):
+            assert pi(f1, f2, ctx) == expected
+        assert sorted(degrees) == sorted(walks) == sorted([*f1.terms, *f2.terms])
+
     def test_over_the_total_is_refused_before_any_product(self):
         f = Poly.parse("(x1+x2+x3+x4+x5+x6)^12")    # 6188 terms, 4368 in each partial
         with counted_products() as pairs:

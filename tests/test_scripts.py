@@ -65,7 +65,11 @@ def test_bench_at_a_tiny_size(tmp_path):
     assert {"poly.mul", "poly.substitute", "poly.partial", "metabelian.bracket",
             "sl2.derivation_act", "linalg.rank", "linalg.rank.full", "text.parse check",
             "text.parse pi", "text.parse normalize", "text.expand witness",
-            "text.expand pi", "invariants.pi", "catalog.span_checks"} <= set(entries)
+            "text.expand pi", "invariants.pi", "catalog.span_checks", "cli.main.per_call",
+            "cli.build_parser"} <= set(entries)
+    # the top parser and its seven commands, with every argument of each
+    assert entries["cli.build_parser"]["after"]["sizes"] == {"calls": 20, "parsers": 8,
+                                                              "arguments": 31}
     # the rows `catalog verify` ranks are the restriction of the full rows
     sliced, full = (entries[name]["after"]["sizes"]
                     for name in ("linalg.rank", "linalg.rank.full"))
