@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Layer microbenchmarks and end-to-end timings, written to BENCH_28.json.
+"""Layer microbenchmarks and end-to-end timings, written to BENCH_29.json.
 
     python3 scripts/bench.py [--src DIR] [--column NAME[=DIR] ...] [--out FILE] [--tiny]
 
@@ -128,6 +128,20 @@ def layer_entries(tiny: bool):
            lambda: f1.bracket(f2),
            {"terms_a": len(f1.poly.terms), "terms_b": len(f2.poly.terms),
             "terms_out": len(bracket.poly.terms), "max_exponent": max_exponent(bracket.poly)})
+
+    # a module element bracketed with a wide linear form, near the budget on term pairs:
+    # the y-part of the form times each a-coefficient of the element, a term each
+    a, w = (3, 10) if tiny else (11, 81)
+    wide = LieContext(w)
+    element = parse_lie_expr(f"[x2,x1].(x1+x2+x3+x4+x5+x6)^{a}").evaluate(wide)
+    form = "+".join(f"x{j}" for j in range(1, w + 1))
+    nested = parse_lie_expr(f"[[x2,x1].(x1+x2+x3+x4+x5+x6)^{a}, {form}]")
+    yield ("metabelian.bracket.nested", f"[[x2,x1].(x1+...+x6)^{a}, x1+...+x{w}] evaluated in "
+                                        f"rank {w}, its module action and its bracket",
+           lambda: nested.evaluate(wide),
+           {"terms_a": len(element.poly.terms), "terms_b": w,
+            "term_pairs": w * len(element.poly.terms),
+            "terms_out": len(nested.evaluate(wide).poly.terms)})
 
     cases = [(text, case.spec.context()) for case in load_catalog().values()
              for text in case.module_generator_texts]
@@ -646,7 +660,7 @@ def main() -> int:
                         help="directory holding the metalie package of a bare column name")
     parser.add_argument("--column", action="append",
                         help="NAME or NAME=DIR; repeat to alternate columns (default change)")
-    parser.add_argument("--out", default=str(ROOT / "BENCH_28.json"))
+    parser.add_argument("--out", default=str(ROOT / "BENCH_29.json"))
     parser.add_argument("--tiny", action="store_true", help="small sizes, for a smoke test")
     parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args()

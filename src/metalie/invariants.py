@@ -7,9 +7,9 @@ For algebraically independent homogeneous polynomials f1, f2 the element
 
 is a nonzero element of the commutator ideal, equal to the Poisson bracket of
 the images of f1, f2 under x_j -> a_j + y_j (the envelope stores y_j as x_j).
-By Euler's identity its a_i-part is n2 f2 df1/dy_i - n1 f1 df2/dy_i for f1, f2
-of degrees n1, n2.  Applied to invariant inputs it produces invariants, which
-is how the witness families for the non finitely generated cases are built.
+That image is f + sum_i a_i df/dy_i, whose y-part has Euler image n f (f of degree n), so
+`pi` is the envelope's bracket kernel on (n f, {i: df/dy_i}).  On invariant inputs it gives
+invariants: the witness families of the non finitely generated cases are built so.
 """
 
 from __future__ import annotations
@@ -27,13 +27,14 @@ from .metabelian import (
     LieExpr,
     NotInCommutatorIdeal,
     WreathElement,
+    _poisson,
     _wrap,
     parse_lie_expr,
     require_variables,
 )
-from .poly import (W, Poly, UsageError, _check_term_pairs, encode, field_mask, fields, mono_degree,
-                   mono_exponent, mono_str, partial_term_counts, signed_sum, slot, slot_key,
-                   slot_name, var_key)
+from .poly import (W, Poly, UsageError, encode, field_mask, fields, jacobian_variables,
+                   mono_degree, mono_exponent, mono_str, signed_sum, slot, slot_key, slot_name,
+                   var_key)
 from .record import Record
 from .series import (
     TruncatedSeries,
@@ -78,26 +79,21 @@ def _require_x_polys(ctx: LieContext, *polys: Poly) -> list[int]:
 
 
 def pi(f1: Poly, f2: Poly, ctx: LieContext) -> WreathElement:
-    """The bracket of the embedded polynomials, sum_i a_i (n2 f2 df1/dx_i - n1 f1 df2/dx_i),
-    so in the commutator ideal; it forms only nonzero products, all held to `MAX_TERM_PAIRS` first."""
+    """The bracket sum_i a_i (n2 f2 df1/dx_i - n1 f1 df2/dx_i) of the embedded polynomials, in
+    the commutator ideal: past `MAX_MINORS`, the envelope's kernel on (n f, {i: df/dx_i})."""
     n1, n2 = _require_x_polys(ctx, f1, f2)
-    names, t1, t2 = partial_term_counts(f1, f2)
-    g1, g2, terms = -n1 * f1, n2 * f2, {}
-    _check_term_pairs(len(g2.terms) * sum(t1) + len(g1.terms) * sum(t2), "pi")
-    sides = [({}, f, g) for f, g in ((f1, g2), (f2, g1)) if g]
-    for d, f, _ in sides:    # the nonzero partials of f by slot, in one pass over its terms
-        for m, c in f.terms.items():
-            for s, e in fields(m):    # no other term of f meets m in m - unit(s)
+    jacobian_variables(f1, f2)
+    parts = ({}, {})    # a factor is split into its partials only if they are used
+    for d, f, n in zip(parts, (f1, f2), (n2, n1)):    # one pass: c m with x_i^e in m gives
+        for m, c in f.terms.items() if n else ():    # e c at m / x_i, where no other term lands
+            for s, e in fields(m):
                 d.setdefault(s, {})[m - (1 << W * s)] = c * e
-    for v in names:
-        parts = [Poly(d[s]) * g for d, _, g in sides if (s := slot(v)) in d]
-        a = encode([("a" + v[1:], 1)])    # no term of the coefficient holds it
-        terms.update((m + a, c) for m, c in sum(parts, Poly.zero()).terms.items())
-    return _wrap(ctx, Poly(terms), in_ideal=True)
+    d1, d2 = ({slot_key(s)[1]: Poly(t) for s, t in d.items()} for d in parts)
+    return _wrap(ctx, _poisson((n1 * f1, d1), (n2 * f2, d2), "pi"), in_ideal=True)
 
 
 def pi_via_bracket(f1: Poly, f2: Poly, ctx: LieContext) -> WreathElement:
-    """Independent route: embed both polynomials and bracket in the envelope."""
+    """pi by arithmetic in the envelope: both polynomials embedded, then bracketed."""
     _require_x_polys(ctx, f1, f2)
     return ctx.embed_poly(f1).bracket(ctx.embed_poly(f2))
 

@@ -30,7 +30,7 @@ from functools import reduce
 
 from .poly import (W, _FIELD, Monomial, ParseError, Poly, UsageError, _accumulate, _PolyParser,
                    _check_term_pairs, _terms, decode, encode, exact, fields, letter_mask,
-                   mono_degree, signed_sum, slot_key, slot_name, tokenize, var_key)
+                   mono_degree, signed_sum, slot, slot_key, slot_name, tokenize, var_key)
 from .record import Record
 
 
@@ -181,23 +181,12 @@ class WreathElement:
             result = result * self
         return result
 
-    def bracket(self, other: "WreathElement") -> "WreathElement":
-        """Poisson bracket; restricted to the Lie subalgebra it is the bracket
-        of the free metabelian algebra."""
+    def bracket(self, other: "WreathElement", what: str = "bracket") -> "WreathElement":
+        """Poisson bracket, held to `MAX_TERM_PAIRS` under the label `what`; restricted
+        to the Lie subalgebra it is the bracket of the free metabelian algebra."""
         self._check(other)
-        u0, u_parts = self.split()
-        v0, v_parts = other.split()
-        eu, ev = _euler(u0), _euler(v0)
-        acc = Poly.zero()
-        for i, ui in u_parts.items():
-            contrib = ui * ev
-            if contrib:
-                acc = acc + Poly.variable(f"a{i}") * contrib
-        for j, vj in v_parts.items():
-            contrib = vj * eu
-            if contrib:
-                acc = acc - Poly.variable(f"a{j}") * contrib
-        return WreathElement(self.ctx, acc)
+        (u0, u_parts), (v0, v_parts) = self.split(), other.split()
+        return _wrap(self.ctx, _poisson((_euler(u0), u_parts), (_euler(v0), v_parts), what))
 
     def ad_action(self, p: Poly) -> "WreathElement":
         """Right module action u * p(x1,...,xd) = u p(ad x1, ..., ad xd),
@@ -249,6 +238,22 @@ def _wrap(ctx: LieContext, poly: Poly, in_ideal: bool | None = None) -> WreathEl
     out = WreathElement.__new__(WreathElement)
     out.ctx, out.poly, out._in_ideal = ctx, poly, in_ideal
     return out
+
+
+def _poisson(u: tuple[Poly, Mapping[int, Poly]], v: tuple[Poly, Mapping[int, Poly]],
+             what: str) -> Poly:
+    """The bracket sum_i a_i (u_i e_v - v_i e_u) of operands (e, {i: a_i-coefficient}), e the
+    Euler image of the y-part: only nonzero products, held to `MAX_TERM_PAIRS` under `what`
+    before the first, each formed at a_i into one dict, as distinct a_i never meet."""
+    sides = [(parts, e, sign) for (_, parts), (e, _), sign in ((u, v, 1), (v, u, -1)) if e]
+    _check_term_pairs(sum(len(e.terms) * sum(len(f.terms) for f in parts.values())
+                          for parts, e, _ in sides), what)
+    terms: dict[Monomial, int | Fraction] = {}
+    for parts, e, sign in sides:
+        for i, f in parts.items():
+            a = 1 << W * slot(f"a{i}")
+            _accumulate(terms, (Poly({m + a: c for m, c in f.terms.items()}) * e).terms, sign)
+    return Poly(terms)
 
 
 def _y_sum(a_parts: Mapping[int, Poly]) -> Poly:
@@ -428,12 +433,12 @@ def _builder(node: _Node) -> Callable[[LieContext], WreathElement]:
     return node
 
 
-def _bracket(items: list[_Node]) -> _Node:
-    """The left-normed bracket of the items, evaluated left to right."""
+def _bracket(items: list[_Node], pos: int) -> _Node:
+    """The left-normed bracket of the items at `pos`, evaluated left to right."""
     if all(type(item) is int for item in items):
         return lambda ctx: CommutatorWord(tuple(_bound(j, ctx) for j in items)).to_wreath(ctx)
-    builders = [_builder(item) for item in items]
-    return lambda ctx: reduce(WreathElement.bracket, (build(ctx) for build in builders))
+    builders, what = [_builder(item) for item in items], f"bracket at position {pos}"
+    return lambda ctx: reduce(lambda u, v: u.bracket(v, what), (build(ctx) for build in builders))
 
 
 def _act(node: _Node, multiplier: Poly, pos: int) -> _Node:
@@ -504,7 +509,7 @@ def _parse_lie_factor(parser: _PolyParser) -> _Node:
         parser.expect_op("]")
         if len(items) < 2:
             raise ParseError(f"bracket at position {pos} needs at least two entries")
-        return _bracket(items)
+        return _bracket(items, pos)
     if tok == "(":
         parser.pos += 1
         inner = _parse_lie_sum(parser)

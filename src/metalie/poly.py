@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import re
 import threading
-from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping
 from fractions import Fraction
 from functools import lru_cache, reduce
@@ -548,24 +547,23 @@ def jacobian_minor(f1: Poly, f2: Poly, v1: str, v2: str) -> Poly:
     return f1.partial(v1) * f2.partial(v2) - f1.partial(v2) * f2.partial(v1)
 
 
-def partial_term_counts(f1: Poly, f2: Poly, variables: Iterable[str] | None = None) -> tuple:
-    """`variables` (default f1's and f2's) held to `MAX_MINORS`, and their partials' term counts."""
+def jacobian_variables(f1: Poly, f2: Poly, variables: Iterable[str] | None = None) -> list[str]:
+    """`variables` (default f1's and f2's), held to `MAX_MINORS` before anything is formed."""
     names = sorted(set(f1.variables()) | set(f2.variables()), key=var_key) \
         if variables is None else list(variables)
     if (minors := len(names) * (len(names) - 1) // 2) > MAX_MINORS:
         raise ParseError(f"{minors} Jacobian minors, over the budget of {MAX_MINORS}")
-    counts = [Counter(s for m in f.terms for s, _ in fields(m)) for f in (f1, f2)]    # one pass
-    return names, *([count[slot(v)] for v in names] for count in counts)
+    return names
 
 
 def jacobian_minors(f1: Poly, f2: Poly, variables: Iterable[str] | None = None
                     ) -> Iterator[tuple[str, str, Poly]]:
-    """(v, w, d(f1,f2)/d(v,w)) for each pair v before w of `variables` (`partial_term_counts`),
-    each partial taken once, each product of two held to `MAX_TERM_PAIRS` before any is formed."""
-    names, n1, n2 = partial_term_counts(f1, f2, variables)
-    _check_term_pairs(max((s * t for a, s in enumerate(n1) for b, t in enumerate(n2) if a != b),
-                          default=0), "a Jacobian minor product")
+    """(v, w, d(f1,f2)/d(v,w)) for each pair v before w of `jacobian_variables`, each
+    partial taken once, each product of two held to `MAX_TERM_PAIRS` before any is formed."""
+    names = jacobian_variables(f1, f2, variables)
     d1, d2 = ([f.partial(v) for v in names] for f in (f1, f2))
+    _check_term_pairs(max((len(p.terms) * len(q.terms) for a, p in enumerate(d1) for b, q
+                           in enumerate(d2) if a != b), default=0), "a Jacobian minor product")
     for i, v in enumerate(names):
         for j in range(i + 1, len(names)):
             yield v, names[j], d1[i] * d2[j] - d1[j] * d2[i]
@@ -596,8 +594,8 @@ MAX_NESTING = 100
 # C(h+t-1, t-1) * C(n-h+t-1, t-1) pairs per step (h = n // 2), a bound above
 # its C(n+t-1, t-1) terms.  The slowest accepted powers take about 2 s.
 MAX_TERM_PAIRS = 1_000_000
-# Budget on the v(v - 1)/2 minors of `jacobian_minors` and `pi`, their one bound on the width
-# of a monomial: `pi` on two linear forms in 200 variables (19 900 minors) takes about 0.3 s.
+# Budget on the v(v - 1)/2 minors of `jacobian_minors`.  `pi` forms no minors, but this is
+# its width bound, with the same message: on two linear forms in 200 variables it takes 0.3 s.
 MAX_MINORS = 20_000
 # 2^1920 < 10^640, the lowest limit on digits the interpreter allows
 _SAFE_BITS = 1920

@@ -8,11 +8,16 @@ table to and from the lines of a slice, and `decompose_character` runs the
 production rule `series.decompose_slice` on it; `multiplicity_series` and
 `slices_by` read a `MultiplicityTable` or a `TruncatedSeries` in the forms
 the symmetrization and the per-degree checks take, `monomial_element`
-builds one basis element a_i * Y^q of the envelope, and `replace_case` copies
-a catalog case with some of its texts changed.
+builds one basis element a_i * Y^q of the envelope, `replace_case` copies
+a catalog case with some of its texts changed, and `counted_products` records
+the term pairs of every polynomial product made inside a block.
 """
 
+import contextlib
 from fractions import Fraction
+from unittest import mock
+
+from metalie import poly
 
 from metalie.invariants import CatalogCase
 from metalie.metabelian import ContextMismatch, WreathElement
@@ -120,3 +125,15 @@ def replace_case(case: CatalogCase, **changes) -> CatalogCase:
     it starts with no parses, so it parses its texts again."""
     return CatalogCase(**{**{name: getattr(case, name) for name in CatalogCase._fields},
                           **changes})
+
+
+@contextlib.contextmanager
+def counted_products():
+    """The term pairs of every `poly._mul_terms` call made inside the block."""
+    pairs, real = [], poly._mul_terms
+
+    def counted(a, b):
+        pairs.append(len(a) * len(b))
+        return real(a, b)
+    with mock.patch.object(poly, "_mul_terms", counted):
+        yield pairs

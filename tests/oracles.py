@@ -23,6 +23,9 @@ a derivation as the sum of image times partial derivative, one variable at a
 time, the route `Derivation.act` took before the one-pass `Poly.derive`.
 `pi_via_minors` is `invariants.pi` before Euler's identity: the Jacobian minor of
 every pair of variables added at m a_i x_j and, negated, at m a_j x_i.
+`bracket_by_split` is `WreathElement.bracket` before its one kernel: each
+a_i-coefficient times the other side's Euler operator, taken as
+sum_v v * d/dv, multiplied by a_i and added to the result one at a time.
 `stream_tokenize`, `TokenStream`, `StreamPolyParser`, `stream_parse_poly`,
 `stream_parse_lie_expr`, `stream_parse_rational_function` and
 `split_to_commutator_basis` are the text boundary
@@ -335,6 +338,26 @@ def leibniz_by_partials(p, images):
 def derivation_by_partials(delta, obj):
     """`delta.act(obj)` for a `Poly` or `WreathElement`, by `leibniz_by_partials`."""
     return delta._map(obj, leibniz_by_partials, delta._images)
+
+
+def bracket_by_split(u, v):
+    """[u, v] = sum_i a_i (u_i E(v0) - v_i E(u0)), one product by a_i per nonzero term."""
+    u._check(v)
+
+    def euler(p):
+        return sum((Poly.variable(x) * p.partial(x) for x in p.variables()), Poly.zero())
+    (u0, u_parts), (v0, v_parts) = u.split(), v.split()
+    eu, ev = euler(u0), euler(v0)
+    acc = Poly.zero()
+    for i, ui in u_parts.items():
+        contrib = ui * ev
+        if contrib:
+            acc = acc + Poly.variable(f"a{i}") * contrib
+    for j, vj in v_parts.items():
+        contrib = vj * eu
+        if contrib:
+            acc = acc - Poly.variable(f"a{j}") * contrib
+    return WreathElement(u.ctx, acc)
 
 
 def pi_via_minors(f1, f2, ctx):

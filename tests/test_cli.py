@@ -527,7 +527,8 @@ class TestRankBudget:
         assert code == 2 and "budget" in err
 
 
-SEXTIC_12 = "(x1+x2+x3+x4+x5+x6)^12"
+SEXTIC = "(x1+x2+x3+x4+x5+x6)"
+SEXTIC_12 = f"{SEXTIC}^12"
 
 
 def seconds_to_read_two_factors():
@@ -590,6 +591,25 @@ class TestExpressionBudget:
         code, out, err = run(capsys, "check", "5", "-")
         assert perf_counter() - start < 0.1
         assert (code, out, err) == (2, "", self.ACTION_REFUSED)
+
+    # the two a-coefficients of [x2,x1].S^10 have 3003 terms each, and the y-part of
+    # x1 + ... + x300 has 300: 1 801 800 term pairs, refused before the first product
+    NESTED = f"[[x2,x1].{SEXTIC}^10, {'+'.join(f'x{j}' for j in range(1, 301))}]"
+    NESTED_REFUSED = ("error: bracket at position 0 needs up to 1801800 term pairs, "
+                      f"over the budget of {MAX_TERM_PAIRS}\n")
+
+    def test_nested_bracket_over_the_budget_is_refused_by_normalize(self, capsys):
+        start = perf_counter()
+        code, out, err = run(capsys, "normalize", self.NESTED)
+        assert perf_counter() - start < 0.1
+        assert (code, out, err) == (2, "", self.NESTED_REFUSED)
+
+    def test_nested_bracket_over_the_budget_is_refused_by_check(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO(self.NESTED))
+        start = perf_counter()
+        code, out, err = run(capsys, "check", "299", "-")
+        assert perf_counter() - start < 0.1
+        assert (code, out, err) == (2, "", self.NESTED_REFUSED)
 
     def test_pi_with_too_many_minors_is_refused(self, capsys):
         f1, f2 = ("+".join(f"{c}x{j}" for j in range(1, 401)) for c in ("", "2*"))

@@ -4,7 +4,8 @@ Hypothesis drives `cli.main` in-process with grammar-shaped expressions for
 `normalize`, `check` and `pi`, and with malformed specifications and flags
 for `hilbert`, `witness` and `decide`.  Further draws sit at the edges of the
 budgets: module actions and `pi` pairs built from powers of one linear form
-near `MAX_TERM_PAIRS`, and single-generator specifications on every `hilbert`
+near `MAX_TERM_PAIRS`, a module element bracketed with a wide linear form near
+the same budget, and single-generator specifications on every `hilbert`
 target.  Every input must exit 0, 1 or 2 within the deadline of one example:
 exit 3 is an internal error, any exception other than a `UsageError` or an
 `OSError`.
@@ -118,6 +119,19 @@ def test_module_action_chains(by_check, p1, p2):
 @given(st.integers(4, 12), st.integers(4, 12))
 def test_pi_powers(a, b):
     assert_handled(["pi", "5", "--", f"{S}^{a}", f"{S}^{b}"])
+
+
+# [[x2,x1].S^a, x1 + ... + x81]: the two a-coefficients of the module element have
+# C(a+5, 5) terms each and the y-part of the linear form 81, so the bracket needs
+# 2 * 81 * C(a+5, 5) term pairs, each giving a term of its own: a = 11 is formed
+# (707 616 pairs, about 10 s), a = 12 refused (1 002 456)
+WIDE = "+".join(f"x{j}" for j in range(1, 82))
+
+
+@settings(fuzz, max_examples=5)
+@given(st.integers(10, 14))
+def test_nested_brackets_with_a_wide_linear_form(a):
+    assert_handled(["normalize", f"[[x2,x1].{S}^{a}, {WIDE}]"])
 
 
 @fuzz

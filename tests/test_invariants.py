@@ -1,6 +1,5 @@
 """The pi operator, invariant families, decisions, extensions, catalog."""
 
-import contextlib
 import random
 import re
 import sys
@@ -41,8 +40,8 @@ from metalie.poly import (MAX_EXPONENT, MAX_TERM_PAIRS, ExponentOverflow, ParseE
                           encode, is_pairwise_jacobian_zero)
 from metalie.series import invariant_dimension_series
 from metalie.sl2 import ModuleSpec, is_invariant, is_invariant_by_derivations
-from helpers import replace_case
-from oracles import pi_via_minors
+from helpers import counted_products, replace_case
+from oracles import bracket_by_split, pi_via_minors
 
 
 def wreath(ctx, text):
@@ -100,21 +99,10 @@ def _pair(f1, f2, dim):
     return Poly.parse(f1), Poly.parse(f2), LieContext(dim)
 
 
-@contextlib.contextmanager
-def counted_products():
-    """The term pairs of every `poly._mul_terms` call made inside the block."""
-    pairs, real = [], poly._mul_terms
-
-    def counted(a, b):
-        pairs.append(len(a) * len(b))
-        return real(a, b)
-    with mock.patch.object(poly, "_mul_terms", counted):
-        yield pairs
-
-
 class TestPiByEuler:
     """pi takes the a_i-coefficient n2 f2 df1/dx_i - n1 f1 df2/dx_i of Euler's
-    identity; the minors and the envelope bracket are its two independent routes."""
+    identity; the minors and the bracket of the embeddings by split are its two
+    independent routes, since `pi_via_bracket` shares pi's bracket kernel."""
 
     @given(pair=strat.homogeneous_pairs())
     @example(pair=_pair("7", "x1*x2", 2))                      # constants
@@ -126,6 +114,7 @@ class TestPiByEuler:
         f1, f2, ctx = pair
         value = pi(f1, f2, ctx)
         assert value == pi_via_minors(f1, f2, ctx) == pi_via_bracket(f1, f2, ctx)
+        assert value == bracket_by_split(ctx.embed_poly(f1), ctx.embed_poly(f2))
 
     @given(pair=strat.homogeneous_pairs())
     @example(pair=_pair("5", "x1*x2 + x3^2", 3))

@@ -6,12 +6,14 @@ import re
 from fractions import Fraction
 from functools import reduce
 from itertools import islice, product
+from unittest import mock
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 
 import strategies as strat
+from metalie import poly
 from metalie.invariants import infinite_family_witness, pi
 from metalie.linalg import solve_unique
 from metalie.metabelian import (
@@ -29,8 +31,8 @@ from metalie.metabelian import (
 )
 from metalie.poly import ParseError, Poly, decode, var_key
 from metalie.sl2 import ModuleSpec
-from helpers import monomial_element
-from oracles import bracket_chain, words_of_degree
+from helpers import counted_products, monomial_element
+from oracles import bracket_by_split, bracket_chain, words_of_degree
 
 
 def wreath(ctx, text):
@@ -123,6 +125,33 @@ class TestBracket:
            w=strat.envelope_elements())
     def test_bilinearity(self, u, v, w):
         assert (u + v).bracket(w) == u.bracket(w) + v.bracket(w)
+
+    @given(u=strat.envelope_elements(), v=strat.envelope_elements())
+    @example(u=LieContext(3).zero(), v=LieContext(3).generator(1))
+    @example(u=LieContext(3).generator(2), v=LieContext(3).generator(1))
+    @example(u=LieContext(3).generator(1),    # mixed degrees, a y-part of degree 0 included
+             v=WreathElement(LieContext(3), Poly.parse("3 + x1*x2^2 - x3 + a2*x1 + 2*a3")))
+    def test_the_kernel_agrees_with_the_split_route(self, u, v):
+        assert u.bracket(v) == bracket_by_split(u, v)
+
+    @given(u=strat.envelope_elements(), v=strat.envelope_elements())
+    @example(u=LieContext(3).zero(), v=LieContext(3).generator(1))
+    @example(u=WreathElement(LieContext(3), Poly.parse("x1^2 + a1*x2 - a3")),
+             v=WreathElement(LieContext(3), Poly.parse("7 + x2*x3^3 + a2*x1^2")))
+    def test_the_stated_total_is_the_pairs_the_products_take(self, u, v):
+        with mock.patch.object(poly, "MAX_TERM_PAIRS", -1):    # refuse, stating the total
+            with pytest.raises(ParseError) as refusal:
+                u.bracket(v)
+        stated = int(re.fullmatch(r"bracket needs up to (\d+) term pairs, over the budget of -1",
+                                  str(refusal.value))[1])
+        with counted_products() as pairs:
+            u.bracket(v)
+        assert sum(pairs) == stated and 0 not in pairs
+
+    def test_a_nested_bracket_is_refused_at_its_position(self, monkeypatch):
+        monkeypatch.setattr(poly, "MAX_TERM_PAIRS", 3)    # [x1, ...] needs 2 * 2 pairs
+        with pytest.raises(ParseError, match="^bracket at position 2 needs up to 4 term pairs"):
+            wreath(LieContext(3), "2*[x1, [x3,x2] + [x2,x1]]")
 
     def test_commutator_ideal_is_abelian(self):
         ctx = LieContext(4)

@@ -63,6 +63,7 @@ def test_bench_at_a_tiny_size(tmp_path):
         assert result.returncode == 0, result.stdout + result.stderr
     entries = json.loads(out.read_text())["entries"]
     assert {"poly.mul", "poly.substitute", "poly.partial", "metabelian.bracket",
+            "metabelian.bracket.nested",
             "sl2.derivation_act", "linalg.rank", "linalg.rank.full", "text.parse check",
             "text.parse pi", "text.parse normalize", "text.expand witness",
             "text.expand pi", "invariants.pi", "catalog.span_checks", "cli.main.per_call",
@@ -82,6 +83,8 @@ def test_bench_at_a_tiny_size(tmp_path):
         assert entry["before"]["sizes"] == entry["after"]["sizes"]
         assert entry["after"]["seconds"] >= 0 and entry["after"]["peak_kb"] > 0
     assert entries["poly.mul"]["after"]["sizes"]["terms_a"] == 20
+    # [[x2,x1].S^3, x1+...+x10]: 2 * 56 terms of the element times the 10 of the form
+    assert entries["metabelian.bracket.nested"]["after"]["sizes"]["term_pairs"] == 1120
 
 
 def test_bench_alternates_columns_in_one_run(tmp_path):
